@@ -4,11 +4,11 @@
 // base plus 15 label-qualified variants — arrive as one burst over
 // the X6 star corpus. Served two ways:
 //
-//   independent — batching, cache and fusion all off: every query is
-//                 its own round, one bottom-up walk per
+//   independent — cache off, one query per round: every query is its
+//                 own one-lane batch, one bottom-up walk per
 //                 (fragment x query), exactly the pre-fusion service.
 //   fused       — one walk per fragment evaluates ALL K lanes at
-//                 once (xpath/eval_batch.h): the shared 37-entry
+//                 once (xpath/eval.h): the shared 37-entry
 //                 chain prefix is computed once per element and
 //                 donor-copied into every lane, so per-element cost
 //                 is |prefix| + K x |suffix| instead of K x |QList|.
@@ -70,8 +70,7 @@ int main() {
       service::ServiceOptions options;
       options.backend = backend;
       options.enable_cache = false;
-      options.enable_batching = fused;
-      options.enable_fusion = fused;
+      if (!fused) options.max_batch_queries = 1;
       service::QueryService svc(&d.set, &d.st, options);
       const auto t0 = std::chrono::steady_clock::now();
       for (int m = 0; m < kQueries; ++m) {

@@ -4,69 +4,37 @@
 
 namespace parbox::core {
 
+void FreshVarResolver::operator()(const xml::Node& vnode,
+                                  std::vector<bexpr::ExprId>* v,
+                                  std::vector<bexpr::ExprId>* dv) const {
+  v->resize(width);
+  dv->resize(width);
+  for (size_t i = 0; i < width; ++i) {
+    (*v)[i] = factory->Var({vnode.fragment_ref, bexpr::VectorKind::kV,
+                            static_cast<int32_t>(i)});
+    (*dv)[i] = factory->Var({vnode.fragment_ref, bexpr::VectorKind::kDV,
+                             static_cast<int32_t>(i)});
+  }
+}
+
 bexpr::FragmentEquations PartialEvalFragment(bexpr::ExprFactory* factory,
                                              const xpath::NormQuery& q,
                                              const frag::FragmentSet& set,
                                              frag::FragmentId f,
                                              xpath::EvalCounters* counters) {
-  const size_t n = q.size();
-  xpath::ExprDomain dom{factory};
-  auto vectors = xpath::BottomUpEval(
-      dom, q, *set.fragment(f).root,
-      [&](const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
-          std::vector<bexpr::ExprId>* dv) {
-        // One fresh variable per vector entry of the sub-fragment
-        // (decoupling the dependency between partial evaluations).
-        v->resize(n);
-        dv->resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          (*v)[i] = factory->Var({vnode.fragment_ref, bexpr::VectorKind::kV,
-                                  static_cast<int32_t>(i)});
-          (*dv)[i] = factory->Var({vnode.fragment_ref,
-                                   bexpr::VectorKind::kDV,
-                                   static_cast<int32_t>(i)});
-        }
-      },
-      counters);
-  bexpr::FragmentEquations eq;
-  eq.fragment = f;
-  eq.v = std::move(vectors.v);
-  eq.cv = std::move(vectors.cv);
-  eq.dv = std::move(vectors.dv);
-  return eq;
-}
-
-xpath::EvalBatch BuildFusedBatch(
-    const std::vector<const xpath::NormQuery*>& queries) {
-  return xpath::MakeEvalBatch(queries);
+  return std::move(
+      PartialEvalFragmentBatch(factory, xpath::MakeEvalBatch({&q}), set, f,
+                               counters)
+          .front());
 }
 
 std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
     bexpr::ExprFactory* factory, const xpath::EvalBatch& batch,
     const frag::FragmentSet& set, frag::FragmentId f,
     xpath::EvalCounters* counters, xpath::BatchEvalStats* stats) {
-  const size_t n = batch.max_width;
-  xpath::ExprDomain dom{factory};
   auto vectors = xpath::BottomUpEvalBatch(
-      dom, batch, *set.fragment(f).root,
-      [&](const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
-          std::vector<bexpr::ExprId>* dv) {
-        // Lane-local variable identity: entry i of EVERY lane reads
-        // Var{fragment_ref, kind, i}, exactly as each lane's solo walk
-        // would. The systems are solved per lane, so the shared names
-        // never mix across queries — and the sharing is what turns
-        // cross-query CSE into plain hash-consing.
-        v->resize(n);
-        dv->resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          (*v)[i] = factory->Var({vnode.fragment_ref, bexpr::VectorKind::kV,
-                                  static_cast<int32_t>(i)});
-          (*dv)[i] = factory->Var({vnode.fragment_ref,
-                                   bexpr::VectorKind::kDV,
-                                   static_cast<int32_t>(i)});
-        }
-      },
-      counters, stats);
+      xpath::ExprDomain{factory}, batch, *set.fragment(f).root,
+      FreshVarResolver{factory, batch.max_width}, counters, stats);
   std::vector<bexpr::FragmentEquations> out(vectors.size());
   for (size_t k = 0; k < vectors.size(); ++k) {
     out[k].fragment = f;
@@ -75,15 +43,6 @@ std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
     out[k].dv = std::move(vectors[k].dv);
   }
   return out;
-}
-
-std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
-    bexpr::ExprFactory* factory,
-    const std::vector<const xpath::NormQuery*>& queries,
-    const frag::FragmentSet& set, frag::FragmentId f,
-    xpath::EvalCounters* counters, xpath::BatchEvalStats* stats) {
-  return PartialEvalFragmentBatch(factory, BuildFusedBatch(queries), set, f,
-                                  counters, stats);
 }
 
 ResolvedVectors BoolEvalFragment(

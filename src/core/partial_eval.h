@@ -5,6 +5,8 @@
 // the formula domain, introducing a fresh variable for each (V, DV)
 // entry of each virtual node, and returns the triplet of vectors for
 // the fragment root — the site's "partial answer".
+// PartialEvalFragmentBatch does the same for a whole batch of queries
+// in ONE walk (xpath/eval.h); the solo form is its one-lane case.
 //
 // BoolEvalFragment is the same traversal in the truth-value domain,
 // with sub-fragment results supplied by the caller — the building block
@@ -20,11 +22,23 @@
 #include "boolexpr/expr.h"
 #include "boolexpr/solver.h"
 #include "fragment/fragment.h"
+#include "xml/dom.h"
 #include "xpath/eval.h"
-#include "xpath/eval_batch.h"
 #include "xpath/qlist.h"
 
 namespace parbox::core {
+
+/// The virtual-node resolver of partial evaluation: sub-fragment k's
+/// vectors are fresh variables Var{k, V|DV, i} for entries i < width
+/// (decoupling the dependency between partial evaluations). In a batch
+/// walk entry i of EVERY lane reads the same variable — the systems
+/// are solved per lane, so the shared names never mix across queries.
+struct FreshVarResolver {
+  bexpr::ExprFactory* factory;
+  size_t width;
+  void operator()(const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
+                  std::vector<bexpr::ExprId>* dv) const;
+};
 
 /// Partially evaluate `q` over fragment `f`. Variables are named after
 /// the sub-fragments they stand for.
@@ -34,30 +48,14 @@ bexpr::FragmentEquations PartialEvalFragment(bexpr::ExprFactory* factory,
                                              frag::FragmentId f,
                                              xpath::EvalCounters* counters);
 
-/// Lay out `queries` for fused evaluation (donor-prefix scan; see
-/// xpath/eval_batch.h). Build once per batch, reuse across fragments.
-/// The queries must outlive the returned batch.
-xpath::EvalBatch BuildFusedBatch(
-    const std::vector<const xpath::NormQuery*>& queries);
-
 /// Partially evaluate every query of `batch` over fragment `f` in ONE
 /// bottom-up walk, returning one FragmentEquations per lane (in lane
-/// order, each with .fragment = f). Variable naming matches
-/// PartialEvalFragment exactly — entry i of every lane reads the same
-/// Var{fragment_ref, kind, i} — so each lane's triplet is bit-identical
-/// (same ExprIds) to a solo PartialEvalFragment of that query in the
-/// same factory. `counters->ops` charges only non-shared entries;
-/// donor-copied slots accumulate in `stats->shared_entries`.
+/// order, each with .fragment = f). Each lane's triplet is
+/// bit-identical (same ExprIds) to a solo PartialEvalFragment of that
+/// query in the same factory. `counters->ops` charges only non-shared
+/// entries; donor-copied slots accumulate in `stats->shared_entries`.
 std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
     bexpr::ExprFactory* factory, const xpath::EvalBatch& batch,
-    const frag::FragmentSet& set, frag::FragmentId f,
-    xpath::EvalCounters* counters,
-    xpath::BatchEvalStats* stats = nullptr);
-
-/// Convenience overload: build the batch and evaluate in one call.
-std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
-    bexpr::ExprFactory* factory,
-    const std::vector<const xpath::NormQuery*>& queries,
     const frag::FragmentSet& set, frag::FragmentId f,
     xpath::EvalCounters* counters,
     xpath::BatchEvalStats* stats = nullptr);

@@ -50,10 +50,9 @@ DownOutput PropagateDown(const NormQuery& q,
   // Re-derive every element's V vector in the truth domain (the second
   // visit's recomputation; sub-fragment values come from `values`).
   std::unordered_map<const xml::Node*, std::vector<char>> v_of;
-  xpath::BoolDomain dom;
   xpath::EvalCounters counters;
-  xpath::BottomUpEvalHooked(
-      dom, q, *set.fragment(f).root,
+  xpath::BottomUpEval(
+      xpath::BoolDomain{}, q, *set.fragment(f).root,
       [&](const xml::Node& vnode, std::vector<bool>* v,
           std::vector<bool>* dv) {
         v->resize(n);
@@ -69,12 +68,12 @@ DownOutput PropagateDown(const NormQuery& q,
                          .value_or(false);
         }
       },
+      &counters,
       [&](const xml::Node& node, const std::vector<bool>& vv) {
         std::vector<char> bits(n);
         for (size_t i = 0; i < n; ++i) bits[i] = vv[i] ? 1 : 0;
         v_of.emplace(&node, std::move(bits));
-      },
-      &counters);
+      });
   out.ops = counters.ops;
 
   // Context worklist. A (node, i) bit is processed at most once.

@@ -129,27 +129,13 @@ Result<SelectionResult> RunSelectionParBoX(const frag::FragmentSet& set,
       for (frag::FragmentId f : st.fragments_at(s)) {
         bexpr::ExprFactory& site_factory = backend.site_factory(s);
         xpath::EvalCounters counters;
-        xpath::ExprDomain dom{&site_factory};
-        auto vectors = xpath::BottomUpEvalHooked(
-            dom, q, *set.fragment(f).root,
-            [&](const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
-                std::vector<bexpr::ExprId>* dv) {
-              v->resize(n);
-              dv->resize(n);
-              for (size_t i = 0; i < n; ++i) {
-                (*v)[i] = site_factory.Var(
-                    {vnode.fragment_ref, bexpr::VectorKind::kV,
-                     static_cast<int32_t>(i)});
-                (*dv)[i] = site_factory.Var(
-                    {vnode.fragment_ref, bexpr::VectorKind::kDV,
-                     static_cast<int32_t>(i)});
-              }
-            },
+        auto vectors = xpath::BottomUpEval(
+            xpath::ExprDomain{&site_factory}, q, *set.fragment(f).root,
+            FreshVarResolver{&site_factory, n}, &counters,
             [&](const xml::Node& node,
                 const std::vector<bexpr::ExprId>& vv) {
               retained[f].per_node.emplace_back(&node, vv[q.root()]);
-            },
-            &counters);
+            });
         eng.AddOps(counters.ops);
         auto eq = std::make_shared<bexpr::FragmentEquations>();
         eq->fragment = f;

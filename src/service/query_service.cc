@@ -237,8 +237,7 @@ void QueryService::Admit(uint64_t id) {
   pending_index_.emplace(sub.fp, pending_.size());
   pending_.push_back(std::move(u));
 
-  if (!options_.enable_batching ||
-      pending_.size() >= options_.max_batch_queries ||
+  if (pending_.size() >= options_.max_batch_queries ||
       options_.batch_window_seconds <= 0.0) {
     FlushBatch();
   } else {
@@ -333,17 +332,15 @@ void QueryService::FlushBatch() {
     // Admit refuses joins); the fresh round must take over the key.
     in_flight_.insert_or_assign(u.prepared.fingerprint(), round);
   }
-  if (options_.enable_fusion) {
-    // Lay the batch out once per round; every site walks each of its
-    // fragments ONCE with this layout. The lanes point into the
-    // uniques' PreparedQuery-shared QLists, which outlive the round.
-    std::vector<const xpath::NormQuery*> queries;
-    queries.reserve(round->uniques.size());
-    for (const Unique& u : round->uniques) {
-      queries.push_back(&u.prepared.query());
-    }
-    round->fused = core::BuildFusedBatch(queries);
+  // Lay the batch out once per round; every site walks each of its
+  // fragments ONCE with this layout. The lanes point into the uniques'
+  // PreparedQuery-shared QLists, which outlive the round.
+  std::vector<const xpath::NormQuery*> queries;
+  queries.reserve(round->uniques.size());
+  for (const Unique& u : round->uniques) {
+    queries.push_back(&u.prepared.query());
   }
+  round->fused = xpath::MakeEvalBatch(queries);
   metrics_->Observe(m_batch_width_,
                     static_cast<double>(round->uniques.size()));
   metrics_->Increment(m_rounds_);
@@ -417,8 +414,7 @@ void QueryService::BeginRound(std::shared_ptr<Round> round) {
       site->batch = std::make_shared<exec::TripletBatch>();
       // When the site's last compute drains: one reply for the round,
       // its triplets crossing through the wire codec when the backend
-      // separates site and coordinator factories. Shared by the fused
-      // and per-query paths below.
+      // separates site and coordinator factories.
       auto finish = [this, round, coord, s, site] {
         if (--site->remaining > 0) return;
         exec::ExecBackend& backend = session_.backend();
@@ -454,63 +450,36 @@ void QueryService::BeginRound(std::shared_ptr<Round> round) {
           }
         });
       };
-      if (options_.enable_fusion) {
-        // ONE bottom-up walk per fragment emits every unique's
-        // triplet; compute is charged once per walk. Items land in
-        // the same (fragment outer, unique inner) order as the
-        // per-query path, so the reply parcel is byte-identical —
-        // fusion changes eval-op counts and makespan, nothing else.
-        site->remaining = fragments.size();
-        for (frag::FragmentId f : fragments) {
-          xpath::EvalCounters counters;
-          xpath::BatchEvalStats stats;
-          std::vector<bexpr::FragmentEquations> eqs;
-          if (set_->is_live(f)) {
-            // A fragment merged away since the flush snapshot yields
-            // empty triplets; the solver then reports Unresolved and
-            // the round fails cleanly rather than reading freed nodes.
-            eqs = core::PartialEvalFragmentBatch(&backend.site_factory(s),
-                                                 round->fused, *set_, f,
-                                                 &counters, &stats);
-            metrics_->Increment(m_fused_walks_);
-            metrics_->Add(m_cse_shared_, stats.shared_entries);
-          }
-          for (size_t ui = 0; ui < round->uniques.size(); ++ui) {
-            exec::TripletBatch::Item item;
-            item.key = ui;
-            item.slot = f;
-            if (!eqs.empty()) item.eq = std::move(eqs[ui]);
-            site->batch->items.push_back(std::move(item));
-          }
-          metrics_->Add(m_ops_, counters.ops);
-          if (tracer_ != nullptr) tracer_->SetNextComputeName("site.eval");
-          backend.Compute(s, counters.ops, finish);
+      // ONE bottom-up walk per fragment emits every unique's triplet
+      // (a one-unique round is the one-lane case: exactly the parbox
+      // evaluator's per-fragment step); compute is charged to the
+      // site's serialized queue once per walk. Items land fragment
+      // outer, unique inner.
+      site->remaining = fragments.size();
+      for (frag::FragmentId f : fragments) {
+        xpath::EvalCounters counters;
+        xpath::BatchEvalStats stats;
+        std::vector<bexpr::FragmentEquations> eqs;
+        if (set_->is_live(f)) {
+          // A fragment merged away since the flush snapshot yields
+          // empty triplets; the solver then reports Unresolved and the
+          // round fails cleanly rather than reading freed nodes.
+          eqs = core::PartialEvalFragmentBatch(&backend.site_factory(s),
+                                               round->fused, *set_, f,
+                                               &counters, &stats);
+          metrics_->Increment(m_fused_walks_);
+          metrics_->Add(m_cse_shared_, stats.shared_entries);
         }
-      } else {
-        site->remaining = fragments.size() * round->uniques.size();
-        for (frag::FragmentId f : fragments) {
-          for (size_t ui = 0; ui < round->uniques.size(); ++ui) {
-            const Unique& u = round->uniques[ui];
-            // Real partial evaluation, charged to the site's
-            // serialized compute queue — exactly the parbox
-            // evaluator's per-fragment step.
-            xpath::EvalCounters counters;
-            exec::TripletBatch::Item item;
-            item.key = ui;
-            item.slot = f;
-            if (set_->is_live(f)) {
-              item.eq = core::PartialEvalFragment(
-                  &backend.site_factory(s), u.prepared.query(), *set_, f,
-                  &counters);
-            }
-            metrics_->Add(m_ops_, counters.ops);
-            site->batch->items.push_back(std::move(item));
-            if (tracer_ != nullptr) {
-              tracer_->SetNextComputeName("site.eval");
-            }
-            backend.Compute(s, counters.ops, finish);
-          }
+        for (size_t ui = 0; ui < round->uniques.size(); ++ui) {
+          exec::TripletBatch::Item item;
+          item.key = ui;
+          item.slot = f;
+          if (!eqs.empty()) item.eq = std::move(eqs[ui]);
+          site->batch->items.push_back(std::move(item));
         }
+        metrics_->Add(m_ops_, counters.ops);
+        if (tracer_ != nullptr) tracer_->SetNextComputeName("site.eval");
+        backend.Compute(s, counters.ops, finish);
       }
     });
   }
@@ -851,7 +820,7 @@ bool QueryService::TryServeBySubsumption(uint64_t id) {
 }
 
 bool QueryService::RefreshEntry(
-    CacheEntry* entry, frag::FragmentId f,
+    CacheEntry* entry, frag::FragmentId f, bexpr::FragmentEquations fresh,
     const std::vector<std::vector<int32_t>>& children,
     const std::vector<frag::FragmentId>& live) {
   // An *unnotified* re-cut that changed the fragment table's size is
@@ -861,19 +830,6 @@ bool QueryService::RefreshEntry(
   // at creation, OnFragmentationUpdate resizes on every notified
   // split/merge. Out-of-band mutations that preserve the table shape
   // are undetectable and outside the service's contract.)
-  if (entry->equations.size() != set_->table_size()) return false;
-  xpath::EvalCounters counters;
-  bexpr::FragmentEquations fresh = core::PartialEvalFragment(
-      &session_.factory(), entry->query.query(), *set_, f, &counters);
-  // Maintenance work is real compute.
-  metrics_->Add(m_ops_, counters.ops);
-  return RefreshEntryWith(entry, f, std::move(fresh), children, live);
-}
-
-bool QueryService::RefreshEntryWith(
-    CacheEntry* entry, frag::FragmentId f, bexpr::FragmentEquations fresh,
-    const std::vector<std::vector<int32_t>>& children,
-    const std::vector<frag::FragmentId>& live) {
   if (entry->equations.size() != set_->table_size()) return false;
   if (SameTriplet(entry->equations[f], fresh)) {
     return true;  // triplet unchanged => the answer provably stands
@@ -928,31 +884,26 @@ void QueryService::OnContentUpdate(frag::FragmentId f) {
       set_->ChildrenTable();
   const std::vector<frag::FragmentId> live = set_->live_ids();
 
-  auto evict = [this](decltype(cache_.begin()) it) {
+  // Exact invalidation: splice f's fresh triplet into each entry's
+  // retained system and re-solve; evict only if the answer moved.
+  ReevaluateCached(f, [&](CacheMap::iterator it,
+                          bexpr::FragmentEquations fresh) {
+    if (RefreshEntry(&it->second, f, std::move(fresh), children, live)) {
+      return;
+    }
     metrics_->Increment(m_cache_invalidations_);
     TraceInstant("cache.evict");
     DeindexEntryPrefixes(it->first, it->second);
     ReleaseEquations(std::move(it->second.equations));
-    return cache_.erase(it);
-  };
+    cache_.erase(it);
+  });
+}
 
-  if (!options_.enable_fusion) {
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      // Exact invalidation: splice f's fresh triplet into the entry's
-      // retained system and re-solve; evict only if the answer moved.
-      if (RefreshEntry(&it->second, f, children, live)) {
-        ++it;
-      } else {
-        it = evict(it);
-      }
-    }
-    return;
-  }
-
-  // Fused maintenance: ONE walk of the touched fragment per chunk of
-  // up to kMaxFusedLanes cached queries computes every entry's fresh
-  // triplet — eval work scales with touched fragments, not cache
-  // size. The key snapshot keeps iteration stable across evictions.
+void QueryService::ReevaluateCached(
+    frag::FragmentId f,
+    const std::function<void(CacheMap::iterator,
+                             bexpr::FragmentEquations)>& apply) {
+  // The key snapshot keeps iteration stable when `apply` evicts.
   std::vector<xpath::QueryFingerprint> keys;
   keys.reserve(cache_.size());
   for (const auto& [fp, entry] : cache_) keys.push_back(fp);
@@ -972,7 +923,8 @@ void QueryService::OnContentUpdate(frag::FragmentId f) {
     xpath::EvalCounters counters;
     xpath::BatchEvalStats stats;
     std::vector<bexpr::FragmentEquations> fresh =
-        core::PartialEvalFragmentBatch(&session_.factory(), queries, *set_,
+        core::PartialEvalFragmentBatch(&session_.factory(),
+                                       xpath::MakeEvalBatch(queries), *set_,
                                        f, &counters, &stats);
     // Maintenance work is real compute, charged once per walk.
     metrics_->Add(m_ops_, counters.ops);
@@ -980,11 +932,7 @@ void QueryService::OnContentUpdate(frag::FragmentId f) {
     metrics_->Add(m_cse_shared_, stats.shared_entries);
     for (size_t k = 0; k < lane_keys.size(); ++k) {
       auto it = cache_.find(lane_keys[k]);
-      if (it == cache_.end()) continue;
-      if (!RefreshEntryWith(&it->second, f, std::move(fresh[k]), children,
-                            live)) {
-        evict(it);
-      }
+      if (it != cache_.end()) apply(it, std::move(fresh[k]));
     }
   }
 }
@@ -1010,43 +958,11 @@ void QueryService::OnFragmentationUpdate(frag::FragmentId f) {
   // Split/merge never changes an answer (Sec. 5), so every entry
   // stays; only the re-cut fragment's triplet is refreshed so the
   // retained systems keep matching the current fragmentation. (The
-  // counterpart fragment gets its own notification.) Fused: one walk
-  // per chunk emits every cached query's fresh triplet.
-  if (!options_.enable_fusion) {
-    for (auto& [fp, entry] : cache_) {
-      (void)fp;
-      xpath::EvalCounters counters;
-      entry.equations[f] = core::PartialEvalFragment(
-          &session_.factory(), entry.query.query(), *set_, f, &counters);
-      metrics_->Add(m_ops_, counters.ops);
-    }
-    return;
-  }
-  std::vector<CacheEntry*> entries;
-  entries.reserve(cache_.size());
-  for (auto& [fp, entry] : cache_) {
-    (void)fp;
-    entries.push_back(&entry);
-  }
-  for (size_t base = 0; base < entries.size(); base += kMaxFusedLanes) {
-    const size_t end = std::min(base + kMaxFusedLanes, entries.size());
-    std::vector<const xpath::NormQuery*> queries;
-    queries.reserve(end - base);
-    for (size_t i = base; i < end; ++i) {
-      queries.push_back(&entries[i]->query.query());
-    }
-    xpath::EvalCounters counters;
-    xpath::BatchEvalStats stats;
-    std::vector<bexpr::FragmentEquations> fresh =
-        core::PartialEvalFragmentBatch(&session_.factory(), queries, *set_,
-                                       f, &counters, &stats);
-    metrics_->Add(m_ops_, counters.ops);
-    metrics_->Increment(m_fused_walks_);
-    metrics_->Add(m_cse_shared_, stats.shared_entries);
-    for (size_t i = base; i < end; ++i) {
-      entries[i]->equations[f] = std::move(fresh[i - base]);
-    }
-  }
+  // counterpart fragment gets its own notification.)
+  ReevaluateCached(f, [f](CacheMap::iterator it,
+                          bexpr::FragmentEquations fresh) {
+    it->second.equations[f] = std::move(fresh);
+  });
 }
 
 Status QueryService::AttachView(core::MaterializedView* view) {

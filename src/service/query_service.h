@@ -14,14 +14,16 @@
 //   * Per-site batching. Queries admitted within a batching window are
 //     evaluated in one *round*: each site is visited once per round —
 //     a single "query" message carries the QLists of every distinct
-//     query in the batch, the site partially evaluates all of them
-//     over each of its fragments, and a single "triplet" reply ships
-//     all partial answers back. Per-visit latency and per-message
-//     overhead are shared by the whole batch, and identical queries
-//     (by fingerprint) are evaluated once no matter how many
-//     submissions asked. All formula work shares the service's one
-//     hash-consing ExprFactory, so structurally overlapping queries in
-//     a batch reuse each other's interned subformulas and triplets.
+//     query in the batch, the site partially evaluates all of them in
+//     ONE fused walk of each of its fragments (xpath/eval.h; a
+//     one-query round is the one-lane case), and a single "triplet"
+//     reply ships all partial answers back. Per-visit latency and
+//     per-message overhead are shared by the whole batch, and
+//     identical queries (by fingerprint) are evaluated once no matter
+//     how many submissions asked. All formula work shares the
+//     service's one hash-consing ExprFactory, so structurally
+//     overlapping queries in a batch reuse each other's interned
+//     subformulas and triplets.
 //   * Result cache. Answers are cached under the query's canonical
 //     fingerprint (xpath/fingerprint.h). A hit completes at the
 //     coordinator with zero site visits and zero network traffic.
@@ -75,7 +77,7 @@
 #include "obs/trace.h"
 #include "service/scheduler.h"
 #include "sim/cluster.h"
-#include "xpath/eval_batch.h"
+#include "xpath/eval.h"
 #include "xpath/fingerprint.h"
 #include "xpath/qlist.h"
 
@@ -118,18 +120,8 @@ struct ServiceOptions {
   bool enable_fair_share = false;
   FairSchedulerOptions fair_share;
 
-  /// Merge concurrently admitted queries into per-site batch rounds.
-  /// Off: every admission is its own round (ablation baseline).
-  bool enable_batching = true;
   /// Serve repeated queries from the fingerprint-keyed result cache.
   bool enable_cache = true;
-  /// Evaluate a round's distinct queries in ONE fused walk per
-  /// fragment (xpath/eval_batch.h) instead of one walk per
-  /// (fragment × query), and batch cache-maintenance re-evaluation
-  /// the same way. Answers, visits, and wire bytes are bit-identical
-  /// either way (the fused kernel is id-exact); only eval-op counts
-  /// and makespan change. Off: per-query walks (ablation baseline).
-  bool enable_fusion = true;
   /// Answer a query whose QList is an entry-wise *prefix* of a cached
   /// query's by re-solving the cached entry's retained equation
   /// system, truncated, under the shorter query's root — zero site
@@ -140,7 +132,8 @@ struct ServiceOptions {
   /// How long admission holds a batch open for stragglers before the
   /// round starts. Default: two one-way LAN latencies.
   double batch_window_seconds = 2e-4;
-  /// Start the round early once this many distinct queries pend.
+  /// Start the round early once this many distinct queries pend. 1 (or
+  /// a window of 0) makes every admission its own round.
   size_t max_batch_queries = 64;
   /// Cache entries kept; least-recently-used evicted beyond this.
   size_t cache_capacity = 4096;
@@ -210,9 +203,8 @@ struct ServiceReport {
   /// Entries whose triplet changed under an update but whose re-solved
   /// answer stood: refreshed in place instead of evicted.
   uint64_t cache_refreshes = 0;
-  /// Fused bottom-up walks run (one per fragment per round / per
-  /// maintenance chunk when fusion is on — vs one per fragment × query
-  /// without it).
+  /// Bottom-up walks run: one per fragment per round and per cache
+  /// maintenance chunk, however many queries each carries.
   uint64_t fused_walks = 0;
   /// (element × QList entry) evaluations served by cross-query
   /// prefix sharing inside fused walks instead of being re-derived.
@@ -398,7 +390,7 @@ class QueryService {
     uint64_t epoch = 0;
     /// Fused-evaluation layout over this round's uniques (lane k =
     /// uniques[k]; lanes point into the uniques' PreparedQuery-owned
-    /// QLists). Empty when fusion is off.
+    /// QLists).
     xpath::EvalBatch fused;
   };
 
@@ -447,22 +439,26 @@ class QueryService {
   /// qualifies.
   bool TryServeBySubsumption(uint64_t id);
 
-  /// Sec. 5's maintenance test, per entry: recompute fragment `f`'s
-  /// triplet under the entry's query; if it differs from the retained
-  /// one, splice it in and re-solve over `children` (the current
-  /// children table, computed once per update). Returns false
-  /// ("evict") exactly when the answer changed (or the entry cannot
-  /// be re-solved).
+  using CacheMap = std::unordered_map<xpath::QueryFingerprint, CacheEntry,
+                                      xpath::QueryFingerprintHash>;
+
+  /// Sec. 5's maintenance test, per entry: if fragment `f`'s `fresh`
+  /// triplet differs from the retained one, splice it in and re-solve
+  /// over `children` (the current children table, computed once per
+  /// update). Returns false ("evict") exactly when the answer changed
+  /// (or the entry cannot be re-solved).
   bool RefreshEntry(CacheEntry* entry, frag::FragmentId f,
+                    bexpr::FragmentEquations fresh,
                     const std::vector<std::vector<int32_t>>& children,
                     const std::vector<frag::FragmentId>& live);
-  /// RefreshEntry with the fragment's fresh triplet supplied by the
-  /// caller — the fused maintenance path computes one batch of fresh
-  /// triplets per walk and feeds them through here.
-  bool RefreshEntryWith(CacheEntry* entry, frag::FragmentId f,
-                        bexpr::FragmentEquations fresh,
-                        const std::vector<std::vector<int32_t>>& children,
-                        const std::vector<frag::FragmentId>& live);
+  /// Recompute fragment `f`'s triplet under every cached query — ONE
+  /// fused walk per chunk of cached queries, so eval work scales with
+  /// touched fragments, not cache size — and hand each entry its fresh
+  /// triplet. `apply` may erase the entry it is given.
+  void ReevaluateCached(
+      frag::FragmentId f,
+      const std::function<void(CacheMap::iterator,
+                               bexpr::FragmentEquations)>& apply);
   void InsertCacheEntry(Unique&& unique, bool answer);
   void EvictIfOverCapacity();
   /// Register / remove a cached query's QList-prefix digests in
@@ -556,9 +552,7 @@ class QueryService {
                      xpath::QueryFingerprintHash>
       in_flight_;
 
-  std::unordered_map<xpath::QueryFingerprint, CacheEntry,
-                     xpath::QueryFingerprintHash>
-      cache_;
+  CacheMap cache_;
   uint64_t cache_tick_ = 0;
 
   /// Subsumption lookup: digest of a cached query's QList prefix (any

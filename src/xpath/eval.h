@@ -15,7 +15,33 @@
 // decides what a sub-fragment's V/DV vectors look like (variables,
 // previously computed truth values, ...). The kernel is iterative — an
 // explicit post-order stack — so chain-shaped trees cannot overflow
-// the C++ stack; memory is O(depth · |q|).
+// the C++ stack; memory is O(depth · Σ|q|).
+//
+// There is ONE kernel, and it is fused: a single walk of a tree carries
+// a whole *batch* of queries (BottomUpEvalBatch), so the per-node costs
+// — traversal, label dispatch, frame management — are paid once per
+// batch instead of once per (tree, query). A solo walk (BottomUpEval)
+// is a one-lane batch with no donor.
+//
+// Cross-query CSE rides on two facts:
+//
+//   * Variables are *lane-local*: the resolver mints the same VarId
+//     {fragment, kind, i} for entry i of every lane (each query's
+//     equation system is solved independently, so reusing the ids is
+//     sound — and it is exactly what per-query evaluation in a shared
+//     factory produces).
+//   * QLists are consed deterministically, so queries derived from a
+//     shared template agree entry-for-entry on a QList *prefix*. A
+//     lane whose prefix equals an earlier lane's (its "donor") copies
+//     the donor's already-computed values for those entries at every
+//     node — each copied value IS the shared interned formula — and
+//     evaluates only its divergent suffix.
+//
+// The fused results are bit-identical (same ExprIds, same wire bytes)
+// to K one-lane walks in the same factory: suffix entries evaluate
+// exactly as a one-lane walk would, and prefix entries copy values that
+// induction makes equal to what the lane would have computed itself.
+// Verified in tests/fused_eval_test.cc.
 
 #ifndef PARBOX_XPATH_EVAL_H_
 #define PARBOX_XPATH_EVAL_H_
@@ -86,20 +112,105 @@ struct EvalCounters {
   uint64_t elements = 0;
 };
 
-/// Evaluate all QList entries over the subtree rooted at `root` (must
-/// be an element). `resolve_virtual(node, out_v, out_dv)` fills the V
-/// and DV vectors (size |q|) for a virtual child. `node_hook(node, v)`
-/// observes each element's finished V vector (used by the selection
-/// extension to retain per-node predicates).
-template <typename Domain, typename VirtualFn, typename NodeHook>
-EvalVectors<Domain> BottomUpEvalHooked(Domain dom, const NormQuery& q,
-                                       const xml::Node& root,
-                                       VirtualFn&& resolve_virtual,
-                                       NodeHook&& node_hook,
-                                       EvalCounters* counters = nullptr) {
+/// One query's lane in a batch: where its entries live in the
+/// concatenated entry space and how much of its QList prefix it can
+/// copy from an earlier lane instead of evaluating.
+struct BatchLane {
+  const NormQuery* query = nullptr;
+  uint32_t offset = 0;  ///< first concatenated index of this lane
+  uint32_t width = 0;   ///< |QList| of this lane's query
+  int32_t donor = -1;   ///< earlier lane sharing a prefix, or -1
+  uint32_t shared = 0;  ///< leading entries identical to the donor's
+};
+
+/// A batch of queries laid out for one walk. Build once per batch (the
+/// donor scan is O(K² · |q|)), then walk any number of trees/fragments
+/// with BottomUpEvalBatch.
+struct EvalBatch {
+  std::vector<BatchLane> lanes;
+  size_t total_width = 0;  ///< Σ lane widths (concatenated space size)
+  size_t max_width = 0;    ///< widest lane (resolver vector size)
+
+  size_t size() const { return lanes.size(); }
+};
+
+/// Length of the common QList prefix of two queries (entry-wise
+/// structural equality; child references are indices, so equal
+/// prefixes denote identical sub-query DAGs).
+inline size_t CommonQListPrefix(const NormQuery& a, const NormQuery& b) {
+  const size_t limit = std::min(a.size(), b.size());
+  size_t k = 0;
+  while (k < limit && a.at(static_cast<SubQueryId>(k)) ==
+                          b.at(static_cast<SubQueryId>(k))) {
+    ++k;
+  }
+  return k;
+}
+
+/// Lay out `queries` as lanes and pick each lane's donor: the earlier
+/// lane with the longest common prefix (earliest wins ties). Queries
+/// must outlive the batch.
+inline EvalBatch MakeEvalBatch(
+    const std::vector<const NormQuery*>& queries) {
+  EvalBatch batch;
+  batch.lanes.reserve(queries.size());
+  for (const NormQuery* q : queries) {
+    BatchLane lane;
+    lane.query = q;
+    lane.offset = static_cast<uint32_t>(batch.total_width);
+    lane.width = static_cast<uint32_t>(q->size());
+    for (size_t j = 0; j < batch.lanes.size(); ++j) {
+      const size_t common = CommonQListPrefix(*q, *batch.lanes[j].query);
+      if (common > lane.shared) {
+        lane.shared = static_cast<uint32_t>(common);
+        lane.donor = static_cast<int32_t>(j);
+      }
+    }
+    batch.total_width += lane.width;
+    batch.max_width = std::max(batch.max_width, q->size());
+    batch.lanes.push_back(lane);
+  }
+  return batch;
+}
+
+/// Fused-walk accounting beyond EvalCounters: how much cross-query
+/// sharing the donor-copy scheme realized.
+struct BatchEvalStats {
+  /// (element × entry) slots served by copying a donor lane's value —
+  /// each one a per-query evaluation (and its interned subformulas)
+  /// that a one-lane walk would have re-derived.
+  uint64_t shared_entries = 0;
+};
+
+/// The default per-node observer: none.
+struct NoNodeHook {
+  template <typename Values>
+  void operator()(const xml::Node&, const Values&) const {}
+};
+
+/// Evaluate every lane of `batch` over the subtree rooted at `root` (an
+/// element) in one walk. `resolve_virtual(node, out_v, out_dv)` fills
+/// V/DV vectors of size batch.max_width for a virtual child; entry i is
+/// shared by every lane (lane-local variable identity — see file
+/// comment). Returns one EvalVectors per lane, in lane order.
+///
+/// `node_hook(node, vv)` observes each element's finished V vectors in
+/// the concatenated layout (lane k's entries start at
+/// lanes[k].offset) — for a one-lane batch, the query's V vector. The
+/// selection extensions use it to retain per-node predicates.
+///
+/// `counters->ops` charges only the entries actually evaluated
+/// (Σ_k width_k − shared_k per element); donor-copied slots land in
+/// `stats->shared_entries` instead. `counters->elements` counts each
+/// element once per *walk*, not once per lane.
+template <typename Domain, typename VirtualFn, typename NodeHook = NoNodeHook>
+std::vector<EvalVectors<Domain>> BottomUpEvalBatch(
+    Domain dom, const EvalBatch& batch, const xml::Node& root,
+    VirtualFn&& resolve_virtual, EvalCounters* counters = nullptr,
+    BatchEvalStats* stats = nullptr, NodeHook node_hook = {}) {
   assert(root.is_element());
   using Value = typename Domain::Value;
-  const size_t n = q.size();
+  const size_t total = batch.total_width;
 
   struct Frame {
     const xml::Node* node;
@@ -107,27 +218,11 @@ EvalVectors<Domain> BottomUpEvalHooked(Domain dom, const NormQuery& q,
     std::vector<Value> cv;
     std::vector<Value> dv;
     /// Batch-fold mode only (see ExprDomain::kBatchFold): non-constant
-    /// child contributions per QList entry, folded with one OrN at
-    /// Phase 2 instead of interning a chain of intermediates. Constant
-    /// contributions short-circuit straight into cv/dv.
+    /// child contributions per concatenated entry, folded with one OrN
+    /// at Phase 2 instead of interning a chain of intermediates.
+    /// Constant contributions short-circuit straight into cv/dv.
     std::vector<std::pair<uint32_t, Value>> cv_ops;
     std::vector<std::pair<uint32_t, Value>> dv_ops;
-  };
-
-  // The stack only ever grows; popped frames keep their vector
-  // capacity and are reused by the next push at that depth, so the
-  // per-element allocations disappear after the first descent.
-  std::vector<Frame> stack;
-  size_t depth = 0;
-  auto push_frame = [&](const xml::Node* node) {
-    if (depth == stack.size()) stack.emplace_back();
-    Frame& f = stack[depth++];
-    f.node = node;
-    f.next_child = node->first_child;
-    f.cv.assign(n, dom.False());
-    f.dv.assign(n, dom.False());
-    f.cv_ops.clear();
-    f.dv_ops.clear();
   };
 
   const Value kTrueValue = dom.FromBool(true);
@@ -168,129 +263,198 @@ EvalVectors<Domain> BottomUpEvalHooked(Domain dom, const NormQuery& q,
     ops.clear();
   };
 
-  EvalVectors<Domain> result;
-  push_frame(&root);
+  // Per-element accounting is fixed by the layout.
+  uint64_t evaluated_per_element = 0;
+  uint64_t copied_per_element = 0;
+  for (const BatchLane& lane : batch.lanes) {
+    evaluated_per_element += lane.width - lane.shared;
+    if (lane.donor >= 0) copied_per_element += lane.shared;
+  }
 
-  std::vector<Value> vv(n, dom.False());
-  std::vector<Value> virt_v(n, dom.False());
-  std::vector<Value> virt_dv(n, dom.False());
+  std::vector<EvalVectors<Domain>> result(batch.lanes.size());
+  std::vector<Value> vv(total, dom.False());
+  std::vector<Value> virt_v(batch.max_width, dom.False());
+  std::vector<Value> virt_dv(batch.max_width, dom.False());
 
-  while (depth > 0) {
+  // The stack only ever grows; popped frames keep their vector
+  // capacity and are reused by the next push at that depth, so the
+  // per-element allocations disappear after the first descent.
+  std::vector<Frame> stack;
+  size_t depth = 0;
+  const xml::Node* descend = &root;  // element to push next, if any
+  while (descend != nullptr || depth > 0) {
+    if (descend != nullptr) {
+      if (depth == stack.size()) stack.emplace_back();
+      Frame& pushed = stack[depth++];
+      pushed.node = descend;
+      pushed.next_child = descend->first_child;
+      pushed.cv.assign(total, dom.False());
+      pushed.dv.assign(total, dom.False());
+      pushed.cv_ops.clear();
+      pushed.dv_ops.clear();
+      descend = nullptr;
+    }
     Frame& f = stack[depth - 1];
 
-    // Phase 1: fold children (lines 1-5 of bottomUp).
-    bool descended = false;
+    // Phase 1: fold children (lines 1-5 of bottomUp). Only each lane's
+    // *suffix* accumulates — its prefix region is overwritten by the
+    // donor copy in Phase 2, so folding into it would be wasted work.
     while (f.next_child != nullptr) {
       const xml::Node* c = f.next_child;
       f.next_child = c->next_sibling;
       if (c->is_text()) continue;  // text leaves carry no vectors
       if (c->is_virtual()) {
         resolve_virtual(*c, &virt_v, &virt_dv);
-        assert(virt_v.size() == n && virt_dv.size() == n);
-        for (size_t i = 0; i < n; ++i) {
-          if constexpr (Domain::kBatchFold) {
-            accumulate(f.cv, f.cv_ops, i, virt_v[i]);
-            accumulate(f.dv, f.dv_ops, i, virt_dv[i]);
-          } else {
-            f.cv[i] = dom.Or(f.cv[i], virt_v[i]);
-            f.dv[i] = dom.Or(f.dv[i], virt_dv[i]);
+        assert(virt_v.size() == batch.max_width &&
+               virt_dv.size() == batch.max_width);
+        for (const BatchLane& lane : batch.lanes) {
+          const size_t off = lane.offset;
+          const size_t width = lane.width;
+          for (size_t i = lane.shared; i < width; ++i) {
+            const size_t at = off + i;
+            if constexpr (Domain::kBatchFold) {
+              accumulate(f.cv, f.cv_ops, at, virt_v[i]);
+              accumulate(f.dv, f.dv_ops, at, virt_dv[i]);
+            } else {
+              f.cv[at] = dom.Or(f.cv[at], virt_v[i]);
+              f.dv[at] = dom.Or(f.dv[at], virt_dv[i]);
+            }
           }
         }
         continue;
       }
-      push_frame(c);  // may grow `stack`; `f` is not used past here
-      descended = true;
+      descend = c;  // the push may grow `stack`: `f` dies here
       break;
     }
-    if (descended) continue;
+    if (descend != nullptr) continue;
     if constexpr (Domain::kBatchFold) {
       fold_ops(f.cv_ops, f.cv);
       fold_ops(f.dv_ops, f.dv);
     }
 
-    // Phase 2: all children folded; compute V at this node
-    // (lines 6-17, cases c0-c8).
+    // Phase 2: all children folded; compute V at this node (lines
+    // 6-17, cases c0-c8), lane by lane in order (donors precede their
+    // dependents): copy the donor's finished prefix, then evaluate only
+    // the divergent suffix. After this loop every lane's full region of
+    // vv / f.cv / f.dv is exactly what a one-lane walk of that lane's
+    // query would hold at this node.
     const xml::Node& node = *f.node;
-    for (size_t i = 0; i < n; ++i) {
-      const NormQuery::SubQuery& sq = q.at(static_cast<SubQueryId>(i));
-      Value value;
-      switch (sq.kind) {
-        case NormKind::kEps:
-        case NormKind::kMark:  // as a Boolean, a mark is just ǫ
-          value = dom.FromBool(true);
-          break;
-        case NormKind::kLabelIs:
-          value = dom.FromBool(node.label() == sq.str);
-          break;
-        case NormKind::kTextIs:
-          value = dom.FromBool(xml::DirectTextEquals(node, sq.str));
-          break;
-        case NormKind::kChild:
-          value = f.cv[sq.a];
-          break;
-        case NormKind::kSeq:
-          value = dom.And(vv[sq.a], vv[sq.b]);
-          break;
-        case NormKind::kDesc:
-          // DV of the operand is already final for this node because
-          // the QList is topologically sorted (sq.a < i).
-          value = f.dv[sq.a];
-          break;
-        case NormKind::kAnd:
-          value = dom.And(vv[sq.a], vv[sq.b]);
-          break;
-        case NormKind::kOr:
-          value = dom.Or(vv[sq.a], vv[sq.b]);
-          break;
-        case NormKind::kNot:
-          value = dom.Not(vv[sq.a]);
-          break;
-        default:
-          value = dom.False();
-          break;
+    for (const BatchLane& lane : batch.lanes) {
+      const NormQuery& q = *lane.query;
+      // Lane views and bounds in locals: the domain calls below are
+      // opaque, so anything read through `lane` or the vectors' headers
+      // would be reloaded on every entry.
+      const auto lv = vv.begin() + lane.offset;
+      const auto lcv = f.cv.begin() + lane.offset;
+      const auto ldv = f.dv.begin() + lane.offset;
+      const size_t shared = lane.shared;
+      const size_t width = lane.width;
+      if (lane.donor >= 0 && shared > 0) {
+        const size_t doff = batch.lanes[lane.donor].offset;
+        // The donor's prefix is post-Phase-2 here: vv final, dv with
+        // the line-17 "v ∨ dv" update applied, cv as folded. Suffix
+        // entries below may reference prefix entries through any of
+        // the three vectors, so all three segments copy.
+        std::copy_n(vv.begin() + doff, shared, lv);
+        std::copy_n(f.cv.begin() + doff, shared, lcv);
+        std::copy_n(f.dv.begin() + doff, shared, ldv);
       }
-      vv[i] = value;
-      f.dv[i] = dom.Or(value, f.dv[i]);  // line 17
+      for (size_t i = shared; i < width; ++i) {
+        const NormQuery::SubQuery& sq = q.at(static_cast<SubQueryId>(i));
+        Value value;
+        switch (sq.kind) {
+          case NormKind::kEps:
+          case NormKind::kMark:  // as a Boolean, a mark is just ǫ
+            value = dom.FromBool(true);
+            break;
+          case NormKind::kLabelIs:
+            value = dom.FromBool(node.label() == sq.str);
+            break;
+          case NormKind::kTextIs:
+            value = dom.FromBool(xml::DirectTextEquals(node, sq.str));
+            break;
+          case NormKind::kChild:
+            value = lcv[sq.a];
+            break;
+          case NormKind::kSeq:
+            value = dom.And(lv[sq.a], lv[sq.b]);
+            break;
+          case NormKind::kDesc:
+            // DV of the operand is already final for this node because
+            // the QList is topologically sorted (sq.a < i).
+            value = ldv[sq.a];
+            break;
+          case NormKind::kAnd:
+            value = dom.And(lv[sq.a], lv[sq.b]);
+            break;
+          case NormKind::kOr:
+            value = dom.Or(lv[sq.a], lv[sq.b]);
+            break;
+          case NormKind::kNot:
+            value = dom.Not(lv[sq.a]);
+            break;
+          default:
+            value = dom.False();
+            break;
+        }
+        lv[i] = value;
+        ldv[i] = dom.Or(value, ldv[i]);  // line 17
+      }
     }
     if (counters != nullptr) {
-      counters->ops += n;
+      counters->ops += evaluated_per_element;
       counters->elements += 1;
     }
+    if (stats != nullptr) stats->shared_entries += copied_per_element;
     node_hook(node, vv);
 
-    // Phase 3: fold this node's (V, DV) into the parent (or finish).
+    // Phase 3: fold this node's (V, DV) into the parent (or finish) —
+    // again only each lane's suffix; the parent's prefix regions come
+    // from its donor copy.
     if (depth == 1) {
-      result.v = vv;
-      result.cv = f.cv;
-      result.dv = f.dv;
-      --depth;
+      for (size_t k = 0; k < batch.lanes.size(); ++k) {
+        const BatchLane& lane = batch.lanes[k];
+        result[k].v.assign(vv.begin() + lane.offset,
+                           vv.begin() + lane.offset + lane.width);
+        result[k].cv.assign(f.cv.begin() + lane.offset,
+                            f.cv.begin() + lane.offset + lane.width);
+        result[k].dv.assign(f.dv.begin() + lane.offset,
+                            f.dv.begin() + lane.offset + lane.width);
+      }
     } else {
       Frame& parent = stack[depth - 2];
-      for (size_t i = 0; i < n; ++i) {
-        if constexpr (Domain::kBatchFold) {
-          accumulate(parent.cv, parent.cv_ops, i, vv[i]);
-          accumulate(parent.dv, parent.dv_ops, i, f.dv[i]);
-        } else {
-          parent.cv[i] = dom.Or(parent.cv[i], vv[i]);
-          parent.dv[i] = dom.Or(parent.dv[i], f.dv[i]);
+      for (const BatchLane& lane : batch.lanes) {
+        const size_t end = lane.offset + lane.width;
+        for (size_t at = lane.offset + lane.shared; at < end; ++at) {
+          if constexpr (Domain::kBatchFold) {
+            accumulate(parent.cv, parent.cv_ops, at, vv[at]);
+            accumulate(parent.dv, parent.dv_ops, at, f.dv[at]);
+          } else {
+            parent.cv[at] = dom.Or(parent.cv[at], vv[at]);
+            parent.dv[at] = dom.Or(parent.dv[at], f.dv[at]);
+          }
         }
       }
-      --depth;
     }
+    --depth;
   }
   return result;
 }
 
-/// BottomUpEvalHooked without the per-node observer.
-template <typename Domain, typename VirtualFn>
+/// A solo walk: BottomUpEvalBatch over the one-lane batch of `q`.
+/// `resolve_virtual` fills vectors of size |q|; `node_hook(node, v)`
+/// observes each element's finished V vector.
+template <typename Domain, typename VirtualFn, typename NodeHook = NoNodeHook>
 EvalVectors<Domain> BottomUpEval(Domain dom, const NormQuery& q,
                                  const xml::Node& root,
                                  VirtualFn&& resolve_virtual,
-                                 EvalCounters* counters = nullptr) {
-  return BottomUpEvalHooked(
-      dom, q, root, std::forward<VirtualFn>(resolve_virtual),
-      [](const xml::Node&, const std::vector<typename Domain::Value>&) {},
-      counters);
+                                 EvalCounters* counters = nullptr,
+                                 NodeHook node_hook = {}) {
+  return std::move(
+      BottomUpEvalBatch(dom, MakeEvalBatch({&q}), root,
+                        std::forward<VirtualFn>(resolve_virtual), counters,
+                        /*stats=*/nullptr, std::move(node_hook))
+          .front());
 }
 
 /// Centralized evaluation of a query over an *unfragmented* tree —

@@ -80,7 +80,7 @@ std::vector<xpath::NormQuery> MakeQueries(uint64_t seed, int count) {
 
 // ---- The differential: catalog vs dedicated ----------------------------
 
-// Distinct queries, batching off (every admission its own round), so
+// Distinct queries, one query per round (every admission flushes), so
 // the per-document figures are deterministic on BOTH backends; the
 // catalog side must reproduce the dedicated side's answers, visits,
 // and bytes exactly.
@@ -89,7 +89,7 @@ TEST(CatalogDifferentialTest, MultiDocServiceMatchesDedicatedServices) {
   const int kQueries = 6;
 
   ServiceOptions options;
-  options.enable_batching = false;
+  options.max_batch_queries = 1;
 
   // Dedicated single-document services, one substrate each.
   std::vector<std::vector<bool>> dedicated_answers;

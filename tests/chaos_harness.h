@@ -281,7 +281,7 @@ inline RunResult ExecuteChaosRun(const ChaosConfig& cfg,
   // Every admission is its own round: flush order (and with it the
   // recovery re-ship point) is schedule-determined, not clock-
   // determined, on every backend.
-  options.enable_batching = false;
+  options.max_batch_queries = 1;
   auto svc = service::CatalogService::Create(cat->get(), options);
   if (!svc.ok()) {
     ADD_FAILURE() << svc.status().ToString();

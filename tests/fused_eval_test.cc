@@ -1,5 +1,5 @@
 // Fused multi-query evaluation: the batch kernel must be *id-exact* —
-// every lane's triplet carries the same consed ExprIds a solo
+// every lane's triplet carries the same consed ExprIds a solo (one-lane)
 // PartialEvalFragment of that query produces in the same factory —
 // and its accounting must charge only non-shared entries.
 
@@ -11,7 +11,7 @@
 #include "core/partial_eval.h"
 #include "testutil.h"
 #include "xmark/queries.h"
-#include "xpath/eval_batch.h"
+#include "xpath/eval.h"
 #include "xpath/fingerprint.h"
 #include "xpath/normalize.h"
 
@@ -113,7 +113,7 @@ Scenario MakeScenario(uint64_t seed) {
 void ExpectFusedMatchesSolo(const std::vector<const xpath::NormQuery*>& qs,
                             uint64_t seed) {
   Scenario sc = MakeScenario(seed);
-  const auto batch = BuildFusedBatch(qs);
+  const auto batch = xpath::MakeEvalBatch(qs);
 
   for (frag::FragmentId f : sc.set.live_ids()) {
     // Solo walks first, then the fused walk, all in ONE factory: the
@@ -198,6 +198,51 @@ TEST(FusedEvalTest, RandomQualBatchesAreIdExact) {
 TEST(FusedEvalTest, SingleLaneDegeneratesToSolo) {
   xpath::NormQuery q = Family(4, 2);
   ExpectFusedMatchesSolo({&q}, /*seed=*/7);
+}
+
+// The node hook of a multi-lane walk sees, in lane k's region of the
+// concatenated V vector, exactly what lane k's solo walk hooks at the
+// same element, in the same post-order.
+TEST(FusedEvalTest, NodeHookLanesMatchSoloHooks) {
+  std::vector<xpath::NormQuery> qs;
+  for (int v = -1; v < 3; ++v) qs.push_back(Family(4, v));
+  qs.push_back(Compile("[not(//a[b])]"));
+  std::vector<const xpath::NormQuery*> ptrs;
+  for (const auto& q : qs) ptrs.push_back(&q);
+  const auto batch = xpath::MakeEvalBatch(ptrs);
+  Scenario sc = MakeScenario(/*seed=*/53);
+
+  using Seen = std::vector<std::pair<const xml::Node*,
+                                     std::vector<bexpr::ExprId>>>;
+  auto record = [](Seen* seen) {
+    return [seen](const xml::Node& node,
+                  const std::vector<bexpr::ExprId>& vv) {
+      seen->emplace_back(&node, vv);
+    };
+  };
+  for (frag::FragmentId f : sc.set.live_ids()) {
+    const xml::Node& root = *sc.set.fragment(f).root;
+    bexpr::ExprFactory factory;
+    Seen fused;
+    xpath::BottomUpEvalBatch(xpath::ExprDomain{&factory}, batch, root,
+                             FreshVarResolver{&factory, batch.max_width},
+                             nullptr, nullptr, record(&fused));
+    for (size_t k = 0; k < qs.size(); ++k) {
+      Seen solo;
+      xpath::BottomUpEval(xpath::ExprDomain{&factory}, qs[k], root,
+                          FreshVarResolver{&factory, qs[k].size()},
+                          nullptr, record(&solo));
+      ASSERT_EQ(solo.size(), fused.size());
+      const size_t off = batch.lanes[k].offset;
+      for (size_t n = 0; n < solo.size(); ++n) {
+        ASSERT_EQ(solo[n].first, fused[n].first);
+        const std::vector<bexpr::ExprId> lane(
+            fused[n].second.begin() + off,
+            fused[n].second.begin() + off + qs[k].size());
+        EXPECT_EQ(lane, solo[n].second) << "fragment " << f << " lane " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -641,50 +641,70 @@ TEST(QueryServiceTest, MaintenanceOpsScaleWithFragmentsNotCacheSize) {
   EXPECT_EQ(svc_big.BuildReport().fused_walks - walks_big0, 1u);
   // ...so a 6x bigger cache costs well under 3x the eval ops (the
   // shared chain prefix is walked once; only qualifiers multiply).
-  // Without fusion the ratio would be ~6x.
+  // One walk per cached query would put the ratio at ~6x.
   ASSERT_GT(ops_small, 0u);
   EXPECT_LT(static_cast<double>(ops_big) / static_cast<double>(ops_small),
             3.0);
 }
 
-// Ablation: fusion off must change eval-op counts only — answers,
-// visits, and wire traffic are bit-identical (the fused kernel is
-// id-exact, and items enter the reply parcel in the same order).
-TEST(QueryServiceTest, FusionAblationIdenticalAnswersVisitsAndBytes) {
+// A fused round is K one-lane rounds sharing one walk per fragment:
+// the same answers (each equal to a standalone RunParBoX) and the same
+// sites visited, once per round instead of once per query, for fewer
+// kernel ops.
+TEST(QueryServiceTest, FusedRoundMatchesOneQueryRounds) {
   for (uint64_t seed : {3u, 9u}) {
     testutil::RandomScenario a = testutil::MakeRandomScenario(seed, 120, 5);
     testutil::RandomScenario b = testutil::MakeRandomScenario(seed, 120, 5);
-    ServiceOptions fused_on;
-    ServiceOptions fused_off;
-    fused_off.enable_fusion = false;
-    QueryService svc_on(&a.set, &a.st, fused_on);
-    QueryService svc_off(&b.set, &b.st, fused_off);
+    ServiceOptions one_query_rounds;
+    one_query_rounds.max_batch_queries = 1;
+    QueryService fused(&a.set, &a.st);
+    QueryService solo(&b.set, &b.st, one_query_rounds);
 
     Rng rng(seed * 5 + 1);
     ChainFamily family = RandomChainFamily(&rng);
-    for (QueryService* svc : {&svc_on, &svc_off}) {
-      // One burst round of fusable queries plus an unrelated one.
-      ASSERT_TRUE(svc->Submit(Compile(family.base.c_str()), 0.0).ok());
-      ASSERT_TRUE(svc->Submit(Compile(family.deeper.c_str()), 0.0).ok());
-      ASSERT_TRUE(svc->Submit(Compile(family.deepest.c_str()), 0.0).ok());
-      ASSERT_TRUE(svc->Submit(Compile("[not(//a[b])]"), 0.0).ok());
+    const std::vector<std::string> texts = {family.base, family.deeper,
+                                            family.deepest, "[not(//a[b])]"};
+    for (QueryService* svc : {&fused, &solo}) {
+      // One burst of fusable queries plus an unrelated one.
+      for (const std::string& text : texts) {
+        ASSERT_TRUE(svc->Submit(Compile(text.c_str()), 0.0).ok());
+      }
       svc->Run();
       ASSERT_TRUE(svc->status().ok()) << svc->status().ToString();
     }
 
-    ASSERT_EQ(svc_on.outcomes().size(), svc_off.outcomes().size());
-    for (size_t i = 0; i < svc_on.outcomes().size(); ++i) {
-      EXPECT_EQ(svc_on.outcomes()[i].answer, svc_off.outcomes()[i].answer)
-          << "seed " << seed << " query " << i;
+    ASSERT_EQ(fused.outcomes().size(), texts.size());
+    ASSERT_EQ(solo.outcomes().size(), texts.size());
+    std::vector<bool> fused_answers(texts.size());
+    std::vector<bool> solo_answers(texts.size());
+    for (size_t i = 0; i < texts.size(); ++i) {
+      fused_answers[fused.outcomes()[i].query_id] =
+          fused.outcomes()[i].answer;
+      solo_answers[solo.outcomes()[i].query_id] = solo.outcomes()[i].answer;
     }
-    EXPECT_EQ(svc_on.backend().visits(), svc_off.backend().visits());
-    EXPECT_EQ(svc_on.backend().traffic().total_bytes(),
-              svc_off.backend().traffic().total_bytes());
-    ServiceReport on = svc_on.BuildReport();
-    ServiceReport off = svc_off.BuildReport();
-    EXPECT_GT(on.fused_walks, 0u);
-    EXPECT_EQ(off.fused_walks, 0u);
+    for (size_t i = 0; i < texts.size(); ++i) {
+      auto expected =
+          core::RunParBoX(a.set, a.st, Compile(texts[i].c_str()));
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(fused_answers[i], expected->answer)
+          << "seed " << seed << " " << texts[i];
+      EXPECT_EQ(solo_answers[i], expected->answer)
+          << "seed " << seed << " " << texts[i];
+    }
+
+    ServiceReport on = fused.BuildReport();
+    ServiceReport off = solo.BuildReport();
+    EXPECT_EQ(on.rounds, 1u);
+    EXPECT_EQ(off.rounds, texts.size());
+    for (size_t s = 0; s < fused.backend().visits().size(); ++s) {
+      EXPECT_EQ(fused.backend().visits()[s] * texts.size(),
+                solo.backend().visits()[s])
+          << "seed " << seed << " site " << s;
+    }
+    // One walk per fragment per round either way.
+    EXPECT_EQ(on.fused_walks * texts.size(), off.fused_walks);
     EXPECT_GT(on.cse_shared_exprs, 0u);
+    EXPECT_EQ(off.cse_shared_exprs, 0u);
     EXPECT_LT(on.total_ops, off.total_ops) << "seed " << seed;
   }
 }
