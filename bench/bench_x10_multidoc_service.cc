@@ -49,7 +49,7 @@ int main() {
   Check(workload.status());
 
   service::ServiceOptions options;
-  options.enable_cache = false;  // every query does real site work
+  options.cache_capacity = 0;  // every query does real site work
 
   // One deployment generator per document, deterministic per seed so
   // the isolated, shared, and oracle runs see identical documents.

@@ -56,7 +56,7 @@ int main() {
   auto serve = [&](const std::string& backend) -> Served {
     service::ServiceOptions options;
     options.backend = backend;
-    options.enable_cache = false;  // every query does real site work
+    options.cache_capacity = 0;  // every query does real site work
     service::QueryService svc(&d.set, &d.st, options);
     auto report = service::RunClosedLoop(&svc, *workload, loop);
     Check(report.status());

@@ -87,7 +87,7 @@ int main() {
     }
     service::ServiceOptions options;
     options.backend = backend;
-    options.enable_cache = false;
+    options.cache_capacity = 0;
     service::QueryService svc(&*set, &*st, options);
     if (storm) unsetenv("PARBOX_NET_FAULTS");
 

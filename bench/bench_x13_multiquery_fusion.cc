@@ -69,7 +69,7 @@ int main() {
     for (int rep = 0; rep < 3; ++rep) {
       service::ServiceOptions options;
       options.backend = backend;
-      options.enable_cache = false;
+      options.cache_capacity = 0;
       if (!fused) options.max_batch_queries = 1;
       service::QueryService svc(&d.set, &d.st, options);
       const auto t0 = std::chrono::steady_clock::now();

@@ -80,7 +80,7 @@ int main() {
   std::printf("\n\n");
 
   service::ServiceOptions base_options;
-  base_options.enable_cache = false;  // every query does real site work
+  base_options.cache_capacity = 0;  // every query does real site work
 
   auto make_doc = [&](int d) {
     return MakeStar(kSitesPerDoc, config.total_bytes / kDocs,

@@ -58,11 +58,11 @@ int main() {
     makespans.push_back(report.makespan_seconds);
   }
 
-  auto run_service = [&](bool enable_cache,
+  auto run_service = [&](size_t cache_capacity,
                          std::vector<size_t>* indices)
       -> service::ServiceReport {
     service::ServiceOptions options;
-    options.enable_cache = enable_cache;
+    options.cache_capacity = cache_capacity;
     service::QueryService svc(&d.set, &d.st, options);
     auto report = service::RunClosedLoop(&svc, *workload, loop, indices);
     Check(report.status());
@@ -81,11 +81,11 @@ int main() {
   };
 
   std::vector<size_t> indices;
-  service::ServiceReport full = run_service(/*enable_cache=*/true,
-                                            &indices);
+  service::ServiceReport full =
+      run_service(service::ServiceOptions().cache_capacity, &indices);
   std::vector<size_t> indices_nocache;
   service::ServiceReport batch_only =
-      run_service(/*enable_cache=*/false, &indices_nocache);
+      run_service(/*cache_capacity=*/0, &indices_nocache);
 
   double sequential_seconds = 0.0;
   for (size_t index : indices) sequential_seconds += makespans[index];
@@ -119,7 +119,6 @@ int main() {
     double best = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       service::ServiceOptions options;
-      options.enable_cache = true;
       options.tracer = tracer;
       service::QueryService svc(&d.set, &d.st, options);
       const auto t0 = std::chrono::steady_clock::now();

@@ -34,7 +34,7 @@ int main() {
   auto serve = [&](const std::string& backend, std::vector<char>* answers) {
     service::ServiceOptions options;
     options.backend = backend;
-    options.enable_cache = false;  // every query does real site work
+    options.cache_capacity = 0;  // every query does real site work
     service::QueryService svc(&d.set, &d.st, options);
     auto report = service::RunOpenLoop(&svc, *workload,
                                        {.num_queries = 32, .seed = 7});

@@ -1,15 +1,14 @@
 // QueryService walkthrough: serve a stream of queries over the paper's
 // stock-portfolio fragmentation (Fig. 2), watch batching and the
-// result cache at work, then update the document through a
-// materialized view and watch exactly the affected cached answers
-// fall out.
+// result cache at work, then update the document with typed deltas
+// and watch exactly the affected cached answers fall out.
 //
 //   $ ./example_query_service
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/view.h"
+#include "fragment/delta.h"
 #include "fragment/strategies.h"
 #include "service/query_service.h"
 #include "xmark/portfolio.h"
@@ -59,6 +58,7 @@ int main() {
   // 2. A long-lived service instead of one-shot Run* calls. Under the
   //    hood it is a core::Session: one cluster, one hash-consing
   //    formula factory, one per-site partition plan, for its lifetime.
+  //    Handing it the mutable deployment lets it apply deltas too.
   service::QueryService svc(&*set, &*st);
 
   // 3. Three users ask at once; two ask the same thing. The batch
@@ -78,20 +78,18 @@ int main() {
   svc.Run();
   PrintOutcomes(svc, before);
 
-  // 5. Wire the cache to a materialized view and update the document:
-  //    a YHOO stock lists on Bache's NASDAQ market (fragment F3). The
-  //    YHOO answer's triplet for F3 changes, so that entry — and only
-  //    that entry — is invalidated; the GOOG answer stays cached.
-  xpath::NormQuery view_query = Compile(xmark::kYhooQuery);
-  auto view = core::MaterializedView::Create(&*set, sites, &view_query);
-  Check(view.status());
-  Check(svc.AttachView(&*view));
-
+  // 5. Update the document through the service: a YHOO stock lists on
+  //    Bache's NASDAQ market (fragment F3). Each delta re-evaluates F3
+  //    under every cached query; the YHOO answer changes, so that
+  //    entry — and only that entry — is invalidated; the GOOG answer
+  //    stays cached.
   std::printf("\ncache before update: %zu entries\n", svc.cache_size());
   xml::Node* market = set->fragment(3).root;
-  auto stock = view->InsNode(3, market, "stock");
+  auto stock = svc.ApplyDelta(frag::Delta::InsertSubtree(3, market, "stock"));
   Check(stock.status());
-  Check(view->InsNode(3, *stock, "code", "YHOO").status());
+  Check(svc.ApplyDelta(
+               frag::Delta::InsertSubtree(3, stock->node, "code", "YHOO"))
+            .status());
   std::printf("insNode(<stock><code>YHOO</code></stock>) into F3\n");
   std::printf("cache after update:  %zu entries (only the affected "
               "answer dropped)\n",

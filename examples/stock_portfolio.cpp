@@ -108,11 +108,12 @@ int main() {
 
   // Insert a new HPQ stock into F0's NYSE market (insNode x5).
   xml::Node* nyse = xml::FindFirstElement(set->fragment(0).root, "market");
-  auto stock = view.InsNode(0, nyse, "stock");
+  auto stock = view.Apply(frag::Delta::InsertSubtree(0, nyse, "stock"));
   Check(stock.status());
-  Check(view.InsNode(0, *stock, "code", "HPQ").status());
-  Check(view.InsNode(0, *stock, "buy", "30").status());
-  Check(view.InsNode(0, *stock, "sell", "33").status());
+  xml::Node* hpq = stock->node;
+  Check(view.Apply(frag::Delta::InsertSubtree(0, hpq, "code", "HPQ")).status());
+  Check(view.Apply(frag::Delta::InsertSubtree(0, hpq, "buy", "30")).status());
+  Check(view.Apply(frag::Delta::InsertSubtree(0, hpq, "sell", "33")).status());
   auto refresh = view.Refresh(0);
   Check(refresh.status());
   std::printf("after inserting the HPQ stock: view = %s  (%s)\n",

@@ -305,7 +305,7 @@ Result<frag::AppliedDelta> Session::Apply(const frag::Delta& delta) {
 
 bool Session::NeedsFullPass(const IncrementalState& state) const {
   return !state.valid || state.refrag_epoch != refrag_epoch_ ||
-         state.equations.size() != set_->table_size();
+         state.system.table_size() != set_->table_size();
 }
 
 std::vector<Session::DirtyRecord> Session::CollectDirty(
@@ -343,8 +343,6 @@ std::vector<frag::FragmentId> Session::DirtyFragments(
   }
   return out;
 }
-
-void Session::InvalidateIncrementalState() { inc_states_.clear(); }
 
 Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   PARBOX_RETURN_IF_ERROR(backend_status_);
@@ -394,9 +392,9 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
     eng.AddOps(solve_ops);
     if (tracer_ != nullptr) tracer_->SetNextComputeName("solve");
     backend.Compute(coord, solve_ops, [&]() {
-      Result<bool> result = bexpr::SolveForAnswer(
-          factory_.get(), state.equations, eng.plan().children,
-          set_->root_fragment(), q.root());
+      Result<bool> result = state.system.Resolve(
+          factory_.get(), eng.plan().children, set_->root_fragment(),
+          q.root());
       if (result.ok()) {
         answer = *result;
         solved = true;
@@ -433,7 +431,7 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
           failure = got.status();
           return;
         }
-        state.equations[got->fragment] = std::move(*got);
+        state.system.Splice(std::move(*got));
         if (--pending == 0) solve();
       });
     });
@@ -442,7 +440,7 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   if (full) {
     // Seed pass: the ParBoX flow, with the triplets retained for later
     // delta runs.
-    state.equations.assign(set_->table_size(), bexpr::FragmentEquations{});
+    state.system.Reset(set_->table_size());
     pending = set_->live_count();
     for (const auto& [s, fragments] : eng.plan().site_fragments) {
       backend.RecordVisit(s);
@@ -459,7 +457,7 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
       mode = "clean";
       const uint64_t lookup_ops = 16 + q.size();
       eng.AddOps(lookup_ops);
-      const bool cached = state.answer;
+      const bool cached = state.system.answer();
       if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.lookup");
       backend.Compute(coord, lookup_ops, [&answer, &solved, cached]() {
         answer = cached;
@@ -524,12 +522,8 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   exec_log_floor_ = SIZE_MAX;
   state.log_pos = log_snapshot;
   state.refrag_epoch = refrag_epoch_;
-  if (failure.ok() && solved) {
-    state.valid = true;
-    state.answer = answer;
-  } else {
-    state.valid = false;  // a broken run must not seed reuse
-  }
+  // A broken run must not seed reuse.
+  state.valid = failure.ok() && solved;
   PARBOX_RETURN_IF_ERROR(failure);
   if (!solved) {
     return Status::Internal("incremental run finished without an answer");
@@ -650,14 +644,6 @@ void Session::InvalidatePlan() {
   // changed shape; retained triplet systems no longer line up with
   // the children table, so incremental states re-seed fully.
   ++refrag_epoch_;
-}
-
-void Session::RebindSourceTree(const frag::SourceTree* st) {
-  st_ = st;
-  // The root fragment may live on a different site now; deliveries to
-  // the coordinator must follow it.
-  backend_->SetCoordinator(st->site_of(st->root_fragment()));
-  InvalidatePlan();
 }
 
 }  // namespace parbox::core

@@ -65,6 +65,7 @@
 #include "common/status.h"
 #include "core/prepared.h"
 #include "core/report.h"
+#include "core/retained.h"
 #include "exec/backend.h"
 #include "exec/host.h"
 #include "fragment/delta.h"
@@ -192,10 +193,6 @@ class Session {
   std::vector<frag::FragmentId> DirtyFragments(
       const PreparedQuery& query) const;
 
-  /// Drop every query's cached incremental state (next incremental
-  /// runs are full passes). Also done by InvalidatePlan.
-  void InvalidateIncrementalState();
-
   // ---- Long-lived state ----
 
   const frag::FragmentSet& set() const { return *set_; }
@@ -225,9 +222,6 @@ class Session {
   /// The deployment was re-fragmented or re-placed: recompute the plan
   /// on next use. Holders of the old shared_ptr keep their snapshot.
   void InvalidatePlan();
-  /// Follow a source tree rebuilt elsewhere (view maintenance). The
-  /// new tree must describe the same FragmentSet. Invalidates the plan.
-  void RebindSourceTree(const frag::SourceTree* st);
 
   // ---- Placement subscription (catalog documents) ----
 
@@ -254,16 +248,15 @@ class Session {
   void SyncRecovery();
 
  private:
-  /// Per-fingerprint state ExecuteIncremental maintains: the triplet
-  /// equations of the last run (reused verbatim for clean fragments),
-  /// how far into the session's dirty log that run got, and the epoch
-  /// of the fragmentation it was computed under.
+  /// Per-fingerprint state ExecuteIncremental maintains: the retained
+  /// system of the last run (clean fragments' triplets reused
+  /// verbatim), how far into the session's dirty log that run got, and
+  /// the epoch of the fragmentation it was computed under.
   struct IncrementalState {
-    std::vector<bexpr::FragmentEquations> equations;
+    RetainedSystem system;
     size_t log_pos = 0;
     uint64_t refrag_epoch = 0;
     bool valid = false;
-    bool answer = false;
   };
 
   /// One Apply record: which fragment went dirty and the delta's wire
@@ -332,8 +325,8 @@ class Session {
   /// up to but not yet committed; Apply's compaction never crosses
   /// it. SIZE_MAX (no pin) outside a run.
   size_t exec_log_floor_ = SIZE_MAX;
-  /// Bumped by InvalidatePlan (fragmentation changes, source-tree
-  /// rebinds): incremental states from older epochs re-seed fully.
+  /// Bumped by InvalidatePlan (fragmentation changes): incremental
+  /// states from older epochs re-seed fully.
   uint64_t refrag_epoch_ = 0;
   std::unordered_map<xpath::QueryFingerprint, IncrementalState,
                      xpath::QueryFingerprintHash>

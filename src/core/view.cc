@@ -1,7 +1,5 @@
 #include "core/view.h"
 
-#include <algorithm>
-
 #include "core/partial_eval.h"
 #include "exec/sim_backend.h"
 #include "xpath/eval.h"
@@ -20,7 +18,7 @@ Result<MaterializedView> MaterializedView::Create(
   MaterializedView view(set, q, options);
   view.site_of_ = std::move(site_of_fragment);
   PARBOX_RETURN_IF_ERROR(view.RebuildSourceTree());
-  view.equations_.resize(set->table_size());
+  view.system_.Reset(set->table_size());
   for (frag::FragmentId f : set->live_ids()) {
     uint64_t ops = 0;
     view.RecomputeTriplet(f, &ops);
@@ -39,59 +37,21 @@ Status MaterializedView::RebuildSourceTree() {
 
 bool MaterializedView::RecomputeTriplet(frag::FragmentId f, uint64_t* ops) {
   xpath::EvalCounters counters;
-  bexpr::FragmentEquations eq =
-      PartialEvalFragment(&factory_, *q_, *set_, f, &counters);
+  const bool changed = system_.Splice(
+      PartialEvalFragment(&factory_, *q_, *set_, f, &counters));
   *ops += counters.ops;
-  if (static_cast<size_t>(f) >= equations_.size()) {
-    equations_.resize(set_->table_size());
-  }
-  bexpr::FragmentEquations& cached = equations_[f];
-  // Formulas are hash-consed in one factory, so triplet equality is
-  // element-wise id equality.
-  const bool unchanged = cached.fragment == f && cached.v == eq.v &&
-                         cached.cv == eq.cv && cached.dv == eq.dv;
-  cached = std::move(eq);
-  return !unchanged;
+  return changed;
 }
 
 Status MaterializedView::Resolve() {
-  PARBOX_ASSIGN_OR_RETURN(
-      bool answer,
-      bexpr::SolveForAnswer(&factory_, equations_, set_->ChildrenTable(),
-                            set_->root_fragment(), q_->root()));
-  answer_ = answer;
-  return Status::OK();
+  return system_
+      .Resolve(&factory_, set_->ChildrenTable(), set_->root_fragment(),
+               q_->root())
+      .status();
 }
 
-Result<xml::Node*> MaterializedView::InsNode(frag::FragmentId f,
-                                             xml::Node* parent,
-                                             std::string_view label,
-                                             std::string_view text) {
-  if (!set_->is_live(f)) return Status::NotFound("no such fragment");
-  if (parent == nullptr || !parent->is_element()) {
-    return Status::InvalidArgument("insNode target must be an element");
-  }
-  xml::Document* storage = set_->mutable_storage();
-  xml::Node* node = storage->NewElement(label);
-  if (!text.empty()) storage->AppendChild(node, storage->NewText(text));
-  storage->AppendChild(parent, node);
-  NotifyContentUpdate(f);
-  return node;
-}
-
-Status MaterializedView::DelNode(frag::FragmentId f, xml::Node* v) {
-  if (!set_->is_live(f)) return Status::NotFound("no such fragment");
-  if (v == nullptr) return Status::InvalidArgument("null node");
-  if (v == set_->fragment(f).root) {
-    return Status::InvalidArgument("cannot delete the fragment root");
-  }
-  if (xml::CountVirtuals(v) != 0) {
-    return Status::FailedPrecondition(
-        "subtree references sub-fragments; merge them first");
-  }
-  set_->mutable_storage()->Detach(v);
-  NotifyContentUpdate(f);
-  return Status::OK();
+Result<frag::AppliedDelta> MaterializedView::Apply(const frag::Delta& delta) {
+  return frag::ApplyDelta(set_, delta);
 }
 
 Result<RunReport> MaterializedView::Refresh(frag::FragmentId f) {
@@ -118,7 +78,7 @@ Result<RunReport> MaterializedView::Refresh(frag::FragmentId f) {
     uint64_t ops = 0;
     changed = RecomputeTriplet(f, &ops);
     total_ops += ops;
-    const uint64_t bytes = TripletWireBytes(factory_, equations_[f]);
+    const uint64_t bytes = TripletWireBytes(factory_, system_.triplet(f));
     cluster.Compute(frag_site, ops, [&, bytes]() {
       cluster.Send(frag_site, view_site, bytes, "triplet", [&]() {
         if (!changed) return;  // identical triplet: answer stands
@@ -137,7 +97,7 @@ Result<RunReport> MaterializedView::Refresh(frag::FragmentId f) {
   RunReport report;
   report.algorithm = changed ? "ViewRefresh[changed]"
                              : "ViewRefresh[unchanged]";
-  report.answer = answer_;
+  report.answer = system_.answer();
   report.makespan_seconds = cluster.now();
   report.total_compute_seconds = cluster.total_busy_seconds();
   report.total_ops = total_ops;
@@ -155,15 +115,13 @@ Result<frag::FragmentId> MaterializedView::SplitFragments(
   site_of_.resize(set_->table_size(), -1);
   site_of_[new_id] = new_site;
   PARBOX_RETURN_IF_ERROR(RebuildSourceTree());
-  equations_.resize(set_->table_size());
+  system_.Resize(set_->table_size());
   // Only the split fragment's site computes: two fresh triplets, one
   // for the shrunken F_j and one for the carved-out fragment. The
   // answer provably does not change; re-solving is skipped.
   uint64_t ops = 0;
   RecomputeTriplet(f, &ops);
   RecomputeTriplet(new_id, &ops);
-  NotifyFragmentationUpdate(f);
-  NotifyFragmentationUpdate(new_id);
   return new_id;
 }
 
@@ -172,11 +130,10 @@ Status MaterializedView::MergeFragments(frag::FragmentId child) {
   const frag::FragmentId parent = set_->fragment(child).parent;
   PARBOX_RETURN_IF_ERROR(set_->Merge(child));
   PARBOX_RETURN_IF_ERROR(RebuildSourceTree());
-  equations_[child] = bexpr::FragmentEquations{};
+  // The merged-away child's slot is never read again: the solver walks
+  // the children table, and fragment ids are never reused.
   uint64_t ops = 0;
   RecomputeTriplet(parent, &ops);
-  NotifyFragmentationUpdate(child);
-  NotifyFragmentationUpdate(parent);
   return Status::OK();
 }
 
@@ -184,7 +141,7 @@ Result<bool> MaterializedView::RecomputeFromScratch() {
   uint64_t ops = 0;
   for (frag::FragmentId f : set_->live_ids()) RecomputeTriplet(f, &ops);
   PARBOX_RETURN_IF_ERROR(Resolve());
-  return answer_;
+  return system_.answer();
 }
 
 }  // namespace parbox::core

@@ -2,14 +2,16 @@
 //
 // A materialized view M(q, T) caches (S_T, ans) — the source tree and
 // the query's answer — augmented (as the paper's algorithm requires)
-// with the per-fragment vector triplets. On updates:
+// with the per-fragment vector triplets: one core::RetainedSystem. On
+// updates:
 //
-//   * insNode/delNode change only fragment F_j's contents. The view
-//     re-runs bottomUp on F_j alone, at F_j's site; if the returned
-//     triplet is unchanged the answer stands, otherwise one local
-//     evalST pass recomputes it. No other site or fragment is touched,
-//     and the traffic (one triplet) depends on neither |T| nor the
-//     update size.
+//   * insNode/delNode (and the other typed frag::Delta kinds) change
+//     only fragment F_j's contents. Apply validates and applies the
+//     delta; Refresh(F_j) re-runs bottomUp on F_j alone, at F_j's
+//     site. If the returned triplet is unchanged the answer stands,
+//     otherwise one local evalST pass recomputes it. No other site or
+//     fragment is touched, and the traffic (one triplet) depends on
+//     neither |T| nor the update size.
 //   * splitFragments/mergeFragments change the fragmentation but never
 //     the answer; only the source tree and the triplets of the
 //     affected fragments are refreshed.
@@ -20,29 +22,16 @@
 #ifndef PARBOX_CORE_VIEW_H_
 #define PARBOX_CORE_VIEW_H_
 
-#include <functional>
-#include <string_view>
 #include <vector>
 
 #include "boolexpr/expr.h"
-#include "boolexpr/solver.h"
 #include "core/algorithms.h"
+#include "core/retained.h"
+#include "fragment/delta.h"
 #include "fragment/fragment.h"
 #include "fragment/source_tree.h"
 
 namespace parbox::core {
-
-/// Observer for view update operations. A QueryService's result cache
-/// registers one so document changes can invalidate exactly the cached
-/// answers they affect (service/query_service.h).
-struct UpdateListener {
-  /// insNode/delNode landed in fragment `f`: its content changed, so
-  /// any answer derived from f's old triplet is suspect.
-  std::function<void(frag::FragmentId)> on_content_update;
-  /// splitFragments/mergeFragments touched fragment `f`: its triplet
-  /// is re-cut but, per Sec. 5, no query answer changes.
-  std::function<void(frag::FragmentId)> on_fragmentation_update;
-};
 
 class MaterializedView {
  public:
@@ -56,32 +45,16 @@ class MaterializedView {
   MaterializedView(MaterializedView&&) = default;
   MaterializedView& operator=(MaterializedView&&) = default;
 
-  bool answer() const { return answer_; }
+  bool answer() const { return system_.answer(); }
   const frag::SourceTree& source_tree() const { return st_; }
-  /// The fragment set this view maintains (identity check for
-  /// observers that must share it).
-  const frag::FragmentSet* fragment_set() const { return set_; }
-
-  /// Register the (single) update observer. Callbacks fire after the
-  /// corresponding update has been applied to the fragment set.
-  void SetUpdateListener(UpdateListener listener) {
-    listener_ = std::move(listener);
-  }
 
   // ---- Content updates ----
 
-  /// insNode(A, v): insert a new element labelled `label` as a child of
-  /// `parent` (a node of fragment `f`). If `text` is non-empty the new
-  /// element gets a text child. Returns the inserted node. The view is
-  /// stale until Refresh(f) is called.
-  Result<xml::Node*> InsNode(frag::FragmentId f, xml::Node* parent,
-                             std::string_view label,
-                             std::string_view text = {});
-
-  /// delNode(v): delete node `v` (and its subtree) from fragment `f`.
-  /// Fails if the subtree contains virtual nodes (merge them first) or
-  /// if `v` is the fragment root.
-  Status DelNode(frag::FragmentId f, xml::Node* v);
+  /// Validate and apply a typed content delta (frag::ApplyDelta: the
+  /// node must belong to the named fragment, and no delta may cross a
+  /// fragment boundary; on failure nothing changed). The view is stale
+  /// until Refresh(applied.fragment) is called.
+  Result<frag::AppliedDelta> Apply(const frag::Delta& delta);
 
   /// Re-establish the view after a batch of content updates localized
   /// in fragment `f`: re-evaluates only F_j, compares triplets, and
@@ -110,30 +83,19 @@ class MaterializedView {
       : set_(set), q_(q), options_(options) {}
 
   Status RebuildSourceTree();
-  /// Partially evaluate fragment `f` and overwrite its cached triplet.
-  /// Returns true if the triplet changed.
+  /// Partially evaluate fragment `f` and splice its triplet into the
+  /// retained system. Returns true if the triplet changed.
   bool RecomputeTriplet(frag::FragmentId f, uint64_t* ops);
-  /// Solve the cached system; updates answer_.
+  /// Re-solve the retained system.
   Status Resolve();
-
-  void NotifyContentUpdate(frag::FragmentId f) {
-    if (listener_.on_content_update) listener_.on_content_update(f);
-  }
-  void NotifyFragmentationUpdate(frag::FragmentId f) {
-    if (listener_.on_fragmentation_update) {
-      listener_.on_fragmentation_update(f);
-    }
-  }
 
   frag::FragmentSet* set_;
   const xpath::NormQuery* q_;
   EngineOptions options_;
-  UpdateListener listener_;
   std::vector<frag::SiteId> site_of_;
   frag::SourceTree st_;
   bexpr::ExprFactory factory_;
-  std::vector<bexpr::FragmentEquations> equations_;
-  bool answer_ = false;
+  RetainedSystem system_;
 };
 
 }  // namespace parbox::core

@@ -190,12 +190,6 @@ class ExecBackend {
   virtual std::string_view name() const = 0;
   virtual int num_sites() const = 0;
   virtual SiteId coordinator() const = 0;
-  /// The deployment was re-placed (source-tree rebind): deliveries to
-  /// the new coordinator site run in coordinator context from now on.
-  /// On a multi-namespace backend, `site` re-homes the coordinator of
-  /// the namespace containing it. Only between runs (the backend must
-  /// be quiescent).
-  virtual void SetCoordinator(SiteId site) = 0;
 
   /// Multi-document hosting: grow the substrate by `num_sites` fresh
   /// global sites forming a new namespace, so several deployments

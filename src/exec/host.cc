@@ -41,11 +41,6 @@ NamespaceBackend::NamespaceBackend(ExecBackend* shared, SiteId base,
   CaptureBaseline();
 }
 
-void NamespaceBackend::SetCoordinator(SiteId site) {
-  coordinator_ = site;
-  shared_->SetCoordinator(base_ + site);
-}
-
 void NamespaceBackend::Send(SiteId from, SiteId to, Parcel parcel,
                             std::string_view tag, DeliverFn deliver) {
   // The namespace prefix makes this view's share of the substrate's

@@ -89,7 +89,6 @@ class NamespaceBackend final : public ExecBackend {
   std::string_view name() const override { return shared_->name(); }
   int num_sites() const override { return num_sites_; }
   SiteId coordinator() const override { return coordinator_; }
-  void SetCoordinator(SiteId site) override;
 
   bexpr::ExprFactory& site_factory(SiteId site) override {
     return shared_->site_factory(base_ + site);

@@ -101,11 +101,9 @@ ProcessBackend::ProcessBackend(const BackendConfig& config,
                      nullptr),
       visits_(static_cast<size_t>(std::max(config.num_sites, 0)), 0),
       epoch_(mono()) {
-  default_coord_factory_ = config.coordinator_factory;
   if (config.coordinator >= 0 && config.coordinator < config.num_sites) {
     coord_factory_[static_cast<size_t>(config.coordinator)] =
         config.coordinator_factory;
-    ranges_.push_back(Range{0, config.num_sites, config.coordinator});
   }
 }
 
@@ -425,32 +423,6 @@ void ProcessBackend::Send(SiteId from, SiteId to, Parcel parcel,
   }
 }
 
-void ProcessBackend::SetCoordinator(SiteId site) {
-  Range* range = nullptr;
-  for (Range& r : ranges_) {
-    if (site >= r.base && site < r.base + r.num_sites) range = &r;
-  }
-  const SiteId old_site =
-      range != nullptr ? range->coordinator : coordinator_;
-  bexpr::ExprFactory* factory =
-      old_site >= 0 && static_cast<size_t>(old_site) < coord_factory_.size()
-          ? coord_factory_[static_cast<size_t>(old_site)]
-          : nullptr;
-  if (old_site >= 0 &&
-      static_cast<size_t>(old_site) < coord_factory_.size()) {
-    coord_factory_[static_cast<size_t>(old_site)] = nullptr;
-  }
-  if (range != nullptr) range->coordinator = site;
-  if (range == nullptr || range == &ranges_.front()) coordinator_ = site;
-  if (site >= 0) {
-    if (static_cast<size_t>(site) >= coord_factory_.size()) {
-      coord_factory_.resize(static_cast<size_t>(site) + 1, nullptr);
-    }
-    coord_factory_[static_cast<size_t>(site)] =
-        factory != nullptr ? factory : default_coord_factory_;
-  }
-}
-
 Result<SiteId> ProcessBackend::AddNamespace(
     int num_sites, SiteId coordinator,
     bexpr::ExprFactory* coordinator_factory) {
@@ -471,11 +443,7 @@ Result<SiteId> ProcessBackend::AddNamespace(
   coord_factory_[static_cast<size_t>(base + coordinator)] =
       coordinator_factory;
   visits_.resize(static_cast<size_t>(num_sites_), 0);
-  ranges_.push_back(Range{base, num_sites, base + coordinator});
-  if (coordinator_ < 0) {
-    coordinator_ = base + coordinator;
-    default_coord_factory_ = coordinator_factory;
-  }
+  if (coordinator_ < 0) coordinator_ = base + coordinator;
   return base;
 }
 

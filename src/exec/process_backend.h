@@ -118,7 +118,6 @@ class ProcessBackend final : public ExecBackend {
   std::string_view name() const override { return "proc"; }
   int num_sites() const override { return num_sites_; }
   SiteId coordinator() const override { return coordinator_; }
-  void SetCoordinator(SiteId site) override;
   Result<SiteId> AddNamespace(
       int num_sites, SiteId coordinator,
       bexpr::ExprFactory* coordinator_factory) override;
@@ -203,12 +202,6 @@ class ProcessBackend final : public ExecBackend {
     uint64_t prior_duplicated = 0;
   };
 
-  struct Range {
-    SiteId base = 0;
-    int num_sites = 0;
-    SiteId coordinator = 0;
-  };
-
   struct Timer {
     double when = 0.0;
     uint64_t seq = 0;
@@ -263,8 +256,6 @@ class ProcessBackend final : public ExecBackend {
   SiteId coordinator_;
   Options options_;
   std::vector<bexpr::ExprFactory*> coord_factory_;
-  std::vector<Range> ranges_;
-  bexpr::ExprFactory* default_coord_factory_ = nullptr;
   /// One coordinator-side shadow factory per daemon: the factory
   /// domain of that daemon's sites' execution contexts.
   std::vector<std::unique_ptr<bexpr::ExprFactory>> shard_factory_;

@@ -33,7 +33,7 @@ class SimBackend final : public ExecBackend {
       : cluster_(config.num_sites, config.network),
         coordinator_(config.coordinator) {
     if (config.num_sites > 0) {
-      ranges_.push_back(Range{0, config.num_sites, config.coordinator,
+      ranges_.push_back(Range{0, config.num_sites,
                               config.coordinator_factory});
     }
   }
@@ -41,10 +41,6 @@ class SimBackend final : public ExecBackend {
   std::string_view name() const override { return "sim"; }
   int num_sites() const override { return cluster_.num_sites(); }
   SiteId coordinator() const override { return coordinator_; }
-  void SetCoordinator(SiteId site) override {
-    coordinator_ = site;
-    if (Range* r = range_of(site)) r->coordinator = site;
-  }
 
   Result<SiteId> AddNamespace(
       int num_sites, SiteId coordinator,
@@ -54,8 +50,7 @@ class SimBackend final : public ExecBackend {
     }
     const SiteId base = cluster_.num_sites();
     cluster_.Grow(num_sites);
-    ranges_.push_back(
-        Range{base, num_sites, base + coordinator, coordinator_factory});
+    ranges_.push_back(Range{base, num_sites, coordinator_factory});
     if (ranges_.size() == 1) coordinator_ = base + coordinator;
     return base;
   }
@@ -116,7 +111,6 @@ class SimBackend final : public ExecBackend {
   struct Range {
     SiteId base = 0;
     int num_sites = 0;
-    SiteId coordinator = 0;
     bexpr::ExprFactory* factory = nullptr;
   };
 

@@ -27,7 +27,6 @@ ThreadPoolBackend::ThreadPoolBackend(const BackendConfig& config,
   if (config.coordinator >= 0 && config.coordinator < config.num_sites) {
     coord_factory_[static_cast<size_t>(config.coordinator)] =
         config.coordinator_factory;
-    ranges_.push_back(Range{0, config.num_sites, config.coordinator});
   }
   const int n = std::max(1, num_workers);
   workers_.reserve(static_cast<size_t>(n));
@@ -169,33 +168,6 @@ void ThreadPoolBackend::Send(SiteId from, SiteId to, Parcel parcel,
   });
 }
 
-void ThreadPoolBackend::SetCoordinator(SiteId site) {
-  // Re-home coordinator-ness within the namespace containing `site`
-  // (a view rebind moved the root fragment): that namespace's old
-  // coordinator site becomes a worker site, the new one joins the
-  // Drain()ing context with the same session factory. Other hosted
-  // namespaces' coordinators are untouched.
-  Range* range = nullptr;
-  for (Range& r : ranges_) {
-    if (site >= r.base && site < r.base + r.num_sites) range = &r;
-  }
-  const SiteId old_site = range != nullptr ? range->coordinator : coordinator_;
-  bexpr::ExprFactory* factory = coord_factory_of(old_site);
-  if (old_site >= 0 &&
-      static_cast<size_t>(old_site) < coord_factory_.size()) {
-    coord_factory_[static_cast<size_t>(old_site)] = nullptr;
-  }
-  if (range != nullptr) range->coordinator = site;
-  if (range == nullptr || range == &ranges_.front()) coordinator_ = site;
-  if (site >= 0) {
-    if (static_cast<size_t>(site) >= coord_factory_.size()) {
-      coord_factory_.resize(static_cast<size_t>(site) + 1, nullptr);
-    }
-    coord_factory_[static_cast<size_t>(site)] =
-        factory != nullptr ? factory : coord_.factory;
-  }
-}
-
 Result<SiteId> ThreadPoolBackend::AddNamespace(
     int num_sites, SiteId coordinator,
     bexpr::ExprFactory* coordinator_factory) {
@@ -218,7 +190,6 @@ Result<SiteId> ThreadPoolBackend::AddNamespace(
   coord_factory_[static_cast<size_t>(base + coordinator)] =
       coordinator_factory;
   visits_.resize(static_cast<size_t>(num_sites_));
-  ranges_.push_back(Range{base, num_sites, base + coordinator});
   if (coordinator_ < 0) {
     coordinator_ = base + coordinator;
     coord_.factory = coordinator_factory;

@@ -69,7 +69,6 @@ class ThreadPoolBackend final : public ExecBackend {
   std::string_view name() const override { return "threads"; }
   int num_sites() const override { return num_sites_; }
   SiteId coordinator() const override { return coordinator_; }
-  void SetCoordinator(SiteId site) override;
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   /// Multi-document hosting: a fresh block of sites sharded over the
@@ -185,15 +184,6 @@ class ThreadPoolBackend final : public ExecBackend {
   /// nullptr for worker sites. Indexed by global site id; grown only
   /// while quiescent (AddNamespace).
   std::vector<bexpr::ExprFactory*> coord_factory_;
-  /// One hosted namespace's site block; SetCoordinator re-homes
-  /// within the block containing the named site, so re-homing one
-  /// namespace never disturbs another's coordinator.
-  struct Range {
-    SiteId base = 0;
-    int num_sites = 0;
-    SiteId coordinator = 0;
-  };
-  std::vector<Range> ranges_;
   /// deque, not vector: AddNamespace grows it without relocating the
   /// atomics live RecordVisit calls may already reference.
   std::deque<std::atomic<uint64_t>> visits_;

@@ -54,9 +54,6 @@ class TracingBackend final : public exec::ExecBackend {
   exec::SiteId coordinator() const override {
     return inner_->coordinator();
   }
-  void SetCoordinator(exec::SiteId site) override {
-    inner_->SetCoordinator(site);
-  }
   Result<exec::SiteId> AddNamespace(
       int num_sites, exec::SiteId coordinator,
       bexpr::ExprFactory* coordinator_factory) override {

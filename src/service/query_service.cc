@@ -13,15 +13,6 @@ namespace parbox::service {
 
 namespace {
 
-/// Triplet identity inside one hash-consing factory: structurally
-/// equal formulas get equal ExprIds, so element-wise id comparison is
-/// the Sec. 5 "did the triplet change" test.
-bool SameTriplet(const bexpr::FragmentEquations& a,
-                 const bexpr::FragmentEquations& b) {
-  return a.fragment == b.fragment && a.v == b.v && a.cv == b.cv &&
-         a.dv == b.dv;
-}
-
 /// Cap on lanes per fused cache-maintenance walk: bounds the kernel's
 /// O(tree depth × total lane width) frame memory while keeping the
 /// "one walk per touched fragment" property for any realistic cache.
@@ -144,13 +135,6 @@ Result<uint64_t> QueryService::Submit(xpath::NormQuery q,
   // Prepare = validate + fingerprint + wire-size once, at admission.
   PARBOX_ASSIGN_OR_RETURN(core::PreparedQuery prepared,
                           session_.Prepare(std::move(q)));
-  if (session_.st().num_sites() > session_.backend().num_sites()) {
-    // A fragmentation update (via an attached view) placed a fragment
-    // on a site this service's cluster was never built with.
-    return Status::FailedPrecondition(
-        "source tree names more sites than the service's cluster; "
-        "build a new QueryService for the grown deployment");
-  }
   const uint64_t id = next_query_id_++;
   const double arrival = std::max(arrival_seconds, now());
   Submission sub;
@@ -177,24 +161,21 @@ void QueryService::Admit(uint64_t id) {
   obs::ScopedTraceContext trace_scope(sub.trace);
   const uint64_t lookup_ops = 16 + sub.prepared.query().size();
 
-  if (options_.enable_cache) {
-    auto it = cache_.find(sub.fp);
-    if (it != cache_.end()) {
-      it->second.last_used = ++cache_tick_;
-      metrics_->Increment(m_cache_hits_);
-      TraceInstant("cache.hit");
-      const bool answer = it->second.answer;
-      // A hit costs one coordinator-local lookup: no site is visited
-      // and nothing crosses the network.
-      if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.lookup");
-      session_.backend().Compute(coordinator(), lookup_ops,
-                                 [this, id, answer] {
-                                   Complete(id, answer, /*cache_hit=*/true,
-                                            /*shared=*/false);
-                                 });
-      sub.prepared = core::PreparedQuery();
-      return;
-    }
+  if (auto it = cache_.find(sub.fp); it != cache_.end()) {
+    it->second.last_used = ++cache_tick_;
+    metrics_->Increment(m_cache_hits_);
+    TraceInstant("cache.hit");
+    const bool answer = it->second.system.answer();
+    // A hit costs one coordinator-local lookup: no site is visited and
+    // nothing crosses the network.
+    if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.lookup");
+    session_.backend().Compute(coordinator(), lookup_ops,
+                               [this, id, answer] {
+                                 Complete(id, answer, /*cache_hit=*/true,
+                                          /*shared=*/false);
+                               });
+    sub.prepared = core::PreparedQuery();
+    return;
   }
 
   // Same fingerprint already being evaluated? Ride that round — unless
@@ -226,10 +207,7 @@ void QueryService::Admit(uint64_t id) {
 
   // Last resort before a round: a cached *longer* query whose QList
   // extends this one can answer it at the coordinator alone.
-  if (options_.enable_cache && options_.enable_subsumption &&
-      TryServeBySubsumption(id)) {
-    return;
-  }
+  if (TryServeBySubsumption(id)) return;
 
   Unique u;
   u.prepared = std::move(sub.prepared);
@@ -306,27 +284,13 @@ void QueryService::FlushBatch() {
     }
   }
 
-  // An attached view's SplitFragments may have grown the deployment
-  // past this service's cluster; Submit guards new arrivals, but
-  // already-admitted work must fail cleanly too.
-  if (session_.st().num_sites() > session_.backend().num_sites()) {
-    if (first_error_.ok()) {
-      first_error_ = Status::FailedPrecondition(
-          "source tree outgrew the service's cluster mid-run");
-    }
-    for (Unique& u : round->uniques) {
-      for (uint64_t id : u.waiters) Complete(id, false, false, false);
-    }
-    return;
-  }
-
   // The pre-partitioned per-site plan is computed by the session once
-  // per deployment and shared by every round until an update
-  // invalidates it; the shared_ptr keeps this round's snapshot alive
-  // even if a view re-cuts fragments mid-flight.
+  // per deployment and shared by every round until placement changes
+  // it; the shared_ptr keeps this round's snapshot alive even if a
+  // fragment moves mid-flight.
   round->plan = session_.plan();
   for (Unique& u : round->uniques) {
-    u.equations = AcquireEquations();
+    u.system = AcquireSystem();
     // insert_or_assign: a stale-epoch round for this fingerprint may
     // still be in flight (its entry is dead — the epoch check in
     // Admit refuses joins); the fresh round must take over the key.
@@ -434,15 +398,16 @@ void QueryService::BeginRound(std::shared_ptr<Round> round) {
             for (exec::TripletBatch::Item& item : batch->items) {
               if (item.key >= round->uniques.size() || item.slot < 0 ||
                   static_cast<size_t>(item.slot) >=
-                      round->uniques[item.key].equations.size()) {
+                      round->uniques[item.key].system.table_size()) {
                 if (first_error_.ok()) {
                   first_error_ =
                       Status::Internal("batch item out of range");
                 }
                 continue;
               }
-              round->uniques[item.key].equations[item.slot] =
-                  std::move(item.eq);
+              // An empty triplet (fragment merged away since the flush)
+              // leaves its slot a hole.
+              round->uniques[item.key].system.Splice(std::move(item.eq));
             }
           }
           if (--round->pending_sites == 0) {
@@ -498,9 +463,9 @@ void QueryService::Compose(std::shared_ptr<Round> round) {
   if (tracer_ != nullptr) tracer_->SetNextComputeName("solve");
   session_.backend().Compute(coordinator(), solve_ops, [this, round] {
     for (Unique& u : round->uniques) {
-      Result<bool> result = bexpr::SolveForAnswer(
-          &session_.factory(), u.equations, round->plan->children,
-          set_->root_fragment(), u.prepared.query().root());
+      Result<bool> result = u.system.Resolve(
+          &session_.factory(), round->plan->children, set_->root_fragment(),
+          u.prepared.query().root());
       bool answer = false;
       if (result.ok()) {
         answer = *result;
@@ -518,9 +483,9 @@ void QueryService::Compose(std::shared_ptr<Round> round) {
       // persist: the triplets (and possibly the answer) predate it.
       const bool cacheable = result.ok() && round->epoch == update_epoch_;
       if (cacheable) {
-        InsertCacheEntry(std::move(u), answer);
+        InsertCacheEntry(std::move(u));
       } else {
-        ReleaseEquations(std::move(u.equations));
+        ReleaseSystem(std::move(u.system));
       }
       // waiters[0] is the submission whose query was evaluated; the
       // rest joined it.
@@ -669,41 +634,34 @@ Status QueryService::ConfigureTenant(const TenantConfig& config) {
   return scheduler_->Reconfigure(tenant_id_, config);
 }
 
-std::vector<bexpr::FragmentEquations> QueryService::AcquireEquations() {
-  std::vector<bexpr::FragmentEquations> eqs;
-  if (!equations_pool_.empty()) {
-    eqs = std::move(equations_pool_.back());
-    equations_pool_.pop_back();
-    eqs.clear();  // keeps the table-sized element capacity
+core::RetainedSystem QueryService::AcquireSystem() {
+  core::RetainedSystem system;
+  if (!system_pool_.empty()) {
+    system = std::move(system_pool_.back());
+    system_pool_.pop_back();
   }
-  eqs.resize(set_->table_size());
-  return eqs;
+  system.Reset(set_->table_size());
+  return system;
 }
 
-void QueryService::ReleaseEquations(
-    std::vector<bexpr::FragmentEquations>&& eqs) {
+void QueryService::ReleaseSystem(core::RetainedSystem&& system) {
   // Bounded: a pool larger than the biggest possible batch can never
   // be drawn down, so anything beyond it is just retained memory.
-  if (eqs.capacity() == 0 ||
-      equations_pool_.size() >= options_.max_batch_queries) {
-    return;
-  }
-  equations_pool_.push_back(std::move(eqs));
+  if (system_pool_.size() >= options_.max_batch_queries) return;
+  system_pool_.push_back(std::move(system));
 }
 
-void QueryService::InsertCacheEntry(Unique&& unique, bool answer) {
-  if (!options_.enable_cache || options_.cache_capacity == 0) {
-    ReleaseEquations(std::move(unique.equations));
+void QueryService::InsertCacheEntry(Unique&& unique) {
+  if (options_.cache_capacity == 0) {
+    ReleaseSystem(std::move(unique.system));
     return;
   }
   const xpath::QueryFingerprint fp = unique.prepared.fingerprint();
   CacheEntry entry;
-  entry.answer = answer;
   entry.last_used = ++cache_tick_;
   // Keep the solved system: updates splice fresh triplets into it and
   // re-solve instead of discarding the answer wholesale.
-  entry.equations = std::move(unique.equations);
-  entry.equations.resize(set_->table_size());
+  entry.system = std::move(unique.system);
   entry.query = std::move(unique.prepared);
   // insert_or_assign may replace a stale entry under the same key;
   // clear its index registrations first so the per-digest key lists
@@ -718,7 +676,6 @@ void QueryService::InsertCacheEntry(Unique&& unique, bool answer) {
 
 void QueryService::IndexEntryPrefixes(const xpath::QueryFingerprint& fp,
                                       const CacheEntry& entry) {
-  if (!options_.enable_subsumption) return;
   for (const xpath::QueryFingerprint& digest :
        xpath::AllPrefixDigests(entry.query.query())) {
     prefix_index_[digest].push_back(fp);
@@ -727,7 +684,6 @@ void QueryService::IndexEntryPrefixes(const xpath::QueryFingerprint& fp,
 
 void QueryService::DeindexEntryPrefixes(const xpath::QueryFingerprint& fp,
                                         const CacheEntry& entry) {
-  if (!options_.enable_subsumption) return;
   for (const xpath::QueryFingerprint& digest :
        xpath::AllPrefixDigests(entry.query.query())) {
     auto it = prefix_index_.find(digest);
@@ -754,47 +710,23 @@ bool QueryService::TryServeBySubsumption(uint64_t id) {
     CacheEntry& donor = cit->second;
     // The digest narrowed the field; this comparison is the proof.
     if (!xpath::IsQListPrefix(q, donor.query.query())) continue;
-    // Only a whole retained system (every live fragment's triplet
-    // present, current table shape) can be re-solved — the same
-    // wholeness bar RefreshEntry applies.
-    if (donor.equations.size() != set_->table_size()) continue;
-    const std::vector<frag::FragmentId> live = set_->live_ids();
-    bool whole = !live.empty();
-    for (frag::FragmentId g : live) {
-      if (donor.equations[g].fragment != g ||
-          donor.equations[g].v.size() < q.size()) {
-        whole = false;
-        break;
-      }
-    }
-    if (!whole) continue;
-
-    // Truncate the donor's system to |q| entries. Entry i's formulas
-    // reference only variables of index < i (bottomUp evaluates the
-    // QList in order), so the truncated system is closed — and it IS
-    // the system partial evaluation of `q` itself would emit, because
-    // the first |q| entries of the donor's QList ARE `q`'s entries.
-    std::vector<bexpr::FragmentEquations> equations = AcquireEquations();
-    for (frag::FragmentId g : live) {
-      const bexpr::FragmentEquations& src = donor.equations[g];
-      bexpr::FragmentEquations& dst = equations[g];
-      dst.fragment = g;
-      dst.v.assign(src.v.begin(), src.v.begin() + q.size());
-      dst.cv.assign(src.cv.begin(), src.cv.begin() + q.size());
-      dst.dv.assign(src.dv.begin(), src.dv.begin() + q.size());
-    }
-    Result<bool> solved = bexpr::SolveForAnswer(
-        &session_.factory(), equations, set_->ChildrenTable(),
-        set_->root_fragment(), q.root());
+    if (!donor.system.Covers(*set_, q.size())) continue;
+    // The first |q| entries of the donor's QList ARE `q`'s entries, so
+    // the truncated system is the one partial evaluation of `q` itself
+    // would emit.
+    core::RetainedSystem system = donor.system.TruncateTo(q.size());
+    Result<bool> solved = system.Resolve(&session_.factory(),
+                                         set_->ChildrenTable(),
+                                         set_->root_fragment(), q.root());
     if (!solved.ok()) {
-      ReleaseEquations(std::move(equations));
+      ReleaseSystem(std::move(system));
       continue;
     }
     const bool answer = *solved;
     // Coordinator-local solve over the retained formulas: no site is
     // visited, nothing crosses the network. (Sized before sub.prepared
     // is moved into the cache below.)
-    const uint64_t solve_ops = 16 + q.size() * live.size();
+    const uint64_t solve_ops = 16 + q.size() * set_->live_count();
     donor.last_used = ++cache_tick_;
     metrics_->Increment(m_cache_hits_);
     metrics_->Increment(m_subsumption_hits_);
@@ -804,9 +736,9 @@ bool QueryService::TryServeBySubsumption(uint64_t id) {
     // maintain the truncated system like any other.
     Unique u;
     u.prepared = std::move(sub.prepared);
-    u.equations = std::move(equations);
+    u.system = std::move(system);
     sub.prepared = core::PreparedQuery();
-    InsertCacheEntry(std::move(u), answer);
+    InsertCacheEntry(std::move(u));
     if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.subsume");
     session_.backend().Compute(coordinator(), solve_ops,
                                [this, id, answer] {
@@ -820,32 +752,21 @@ bool QueryService::TryServeBySubsumption(uint64_t id) {
 }
 
 bool QueryService::RefreshEntry(
-    CacheEntry* entry, frag::FragmentId f, bexpr::FragmentEquations fresh,
-    const std::vector<std::vector<int32_t>>& children,
-    const std::vector<frag::FragmentId>& live) {
-  // An *unnotified* re-cut that changed the fragment table's size is
-  // detectable here: the retained system's shape no longer matches.
-  // Evict conservatively — the entry's provenance is unknown.
-  // (In-contract updates keep shapes in sync: InsertCacheEntry sizes
-  // at creation, OnFragmentationUpdate resizes on every notified
-  // split/merge. Out-of-band mutations that preserve the table shape
-  // are undetectable and outside the service's contract.)
-  if (entry->equations.size() != set_->table_size()) return false;
-  if (SameTriplet(entry->equations[f], fresh)) {
-    return true;  // triplet unchanged => the answer provably stands
-  }
-  // Re-solving is only meaningful if the retained system covers every
-  // live fragment; a hole means unknown provenance — evict rather
-  // than re-solve a system that silently ignores a fragment.
-  for (frag::FragmentId g : live) {
-    if (g != f && entry->equations[g].fragment != g) return false;
-  }
-  entry->equations[f] = std::move(fresh);
-  Result<bool> answer = bexpr::SolveForAnswer(
-      &session_.factory(), entry->equations, children,
-      set_->root_fragment(), entry->query.query().root());
+    CacheEntry* entry, bexpr::FragmentEquations fresh,
+    const std::vector<std::vector<int32_t>>& children) {
+  core::RetainedSystem& system = entry->system;
+  const bool before = system.answer();
+  // Triplet unchanged => the answer provably stands.
+  if (!system.Splice(std::move(fresh))) return true;
+  // Re-solving is only meaningful over a whole system at the current
+  // table shape; anything else has unknown provenance, so evict
+  // rather than re-solve a system that silently ignores a fragment.
+  if (!system.Covers(*set_, entry->query.query().size())) return false;
+  Result<bool> answer =
+      system.Resolve(&session_.factory(), children, set_->root_fragment(),
+                     entry->query.query().root());
   if (!answer.ok()) return false;  // malformed system: do not trust it
-  if (*answer != entry->answer) return false;
+  if (*answer != before) return false;
   metrics_->Increment(m_cache_refreshes_);
   TraceInstant("cache.refresh");
   return true;
@@ -861,65 +782,36 @@ void QueryService::EvictIfOverCapacity() {
       if (it->second.last_used < lru->second.last_used) lru = it;
     }
     DeindexEntryPrefixes(lru->first, lru->second);
-    ReleaseEquations(std::move(lru->second.equations));
+    ReleaseSystem(std::move(lru->second.system));
     cache_.erase(lru);
   }
-}
-
-void QueryService::InvalidateAll() {
-  ++update_epoch_;
-  metrics_->Add(m_cache_invalidations_, cache_.size());
-  cache_.clear();
-  prefix_index_.clear();
 }
 
 void QueryService::OnContentUpdate(frag::FragmentId f) {
   ++update_epoch_;  // racing rounds must not populate the cache
   if (cache_.empty()) return;
   if (!set_->is_live(f)) return;
-  // One children table (and one live-id list) for every entry's
-  // re-solve this update — per-entry copies are pure allocation churn
-  // at 10k+ fragments.
+  // One children table for every entry's re-solve this update — a
+  // per-entry copy is pure allocation churn at 10k+ fragments.
   const std::vector<std::vector<int32_t>> children =
       set_->ChildrenTable();
-  const std::vector<frag::FragmentId> live = set_->live_ids();
 
   // Exact invalidation: splice f's fresh triplet into each entry's
   // retained system and re-solve; evict only if the answer moved.
-  ReevaluateCached(f, [&](CacheMap::iterator it,
-                          bexpr::FragmentEquations fresh) {
-    if (RefreshEntry(&it->second, f, std::move(fresh), children, live)) {
-      return;
-    }
-    metrics_->Increment(m_cache_invalidations_);
-    TraceInstant("cache.evict");
-    DeindexEntryPrefixes(it->first, it->second);
-    ReleaseEquations(std::move(it->second.equations));
-    cache_.erase(it);
-  });
-}
-
-void QueryService::ReevaluateCached(
-    frag::FragmentId f,
-    const std::function<void(CacheMap::iterator,
-                             bexpr::FragmentEquations)>& apply) {
-  // The key snapshot keeps iteration stable when `apply` evicts.
-  std::vector<xpath::QueryFingerprint> keys;
-  keys.reserve(cache_.size());
-  for (const auto& [fp, entry] : cache_) keys.push_back(fp);
-  for (size_t base = 0; base < keys.size(); base += kMaxFusedLanes) {
-    const size_t end = std::min(base + kMaxFusedLanes, keys.size());
-    std::vector<xpath::QueryFingerprint> lane_keys;
+  // Erasing one entry leaves the other iterators valid, and nothing
+  // below inserts, so the snapshot stays usable across evictions.
+  std::vector<CacheMap::iterator> entries;
+  entries.reserve(cache_.size());
+  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+    entries.push_back(it);
+  }
+  for (size_t base = 0; base < entries.size(); base += kMaxFusedLanes) {
+    const size_t end = std::min(base + kMaxFusedLanes, entries.size());
     std::vector<const xpath::NormQuery*> queries;
-    lane_keys.reserve(end - base);
     queries.reserve(end - base);
     for (size_t i = base; i < end; ++i) {
-      auto it = cache_.find(keys[i]);
-      if (it == cache_.end()) continue;
-      lane_keys.push_back(keys[i]);
-      queries.push_back(&it->second.query.query());
+      queries.push_back(&entries[i]->second.query.query());
     }
-    if (queries.empty()) continue;
     xpath::EvalCounters counters;
     xpath::BatchEvalStats stats;
     std::vector<bexpr::FragmentEquations> fresh =
@@ -930,59 +822,18 @@ void QueryService::ReevaluateCached(
     metrics_->Add(m_ops_, counters.ops);
     metrics_->Increment(m_fused_walks_);
     metrics_->Add(m_cse_shared_, stats.shared_entries);
-    for (size_t k = 0; k < lane_keys.size(); ++k) {
-      auto it = cache_.find(lane_keys[k]);
-      if (it != cache_.end()) apply(it, std::move(fresh[k]));
+    for (size_t i = base; i < end; ++i) {
+      const CacheMap::iterator it = entries[i];
+      if (RefreshEntry(&it->second, std::move(fresh[i - base]), children)) {
+        continue;
+      }
+      metrics_->Increment(m_cache_invalidations_);
+      TraceInstant("cache.evict");
+      DeindexEntryPrefixes(it->first, it->second);
+      ReleaseSystem(std::move(it->second.system));
+      cache_.erase(it);
     }
   }
-}
-
-void QueryService::OnFragmentationUpdate(frag::FragmentId f) {
-  ++update_epoch_;
-  // The site partition changed shape: recompute the plan on next
-  // flush. Rounds in flight keep their snapshot.
-  session_.InvalidatePlan();
-  if (f < 0 || cache_.empty()) return;
-  for (auto& [fp, entry] : cache_) {
-    (void)fp;
-    entry.equations.resize(set_->table_size());
-  }
-  if (!set_->is_live(f)) {
-    // Merged away: its variables no longer appear anywhere.
-    for (auto& [fp, entry] : cache_) {
-      (void)fp;
-      entry.equations[f] = bexpr::FragmentEquations{};
-    }
-    return;
-  }
-  // Split/merge never changes an answer (Sec. 5), so every entry
-  // stays; only the re-cut fragment's triplet is refreshed so the
-  // retained systems keep matching the current fragmentation. (The
-  // counterpart fragment gets its own notification.)
-  ReevaluateCached(f, [f](CacheMap::iterator it,
-                          bexpr::FragmentEquations fresh) {
-    it->second.equations[f] = std::move(fresh);
-  });
-}
-
-Status QueryService::AttachView(core::MaterializedView* view) {
-  if (view->fragment_set() != set_) {
-    return Status::InvalidArgument(
-        "view maintains a different FragmentSet than this service");
-  }
-  core::UpdateListener listener;
-  listener.on_content_update = [this](frag::FragmentId f) {
-    OnContentUpdate(f);
-  };
-  listener.on_fragmentation_update = [this](frag::FragmentId f) {
-    OnFragmentationUpdate(f);
-  };
-  view->SetUpdateListener(std::move(listener));
-  // Follow the view's source tree: it is rebuilt in place across
-  // fragmentation updates, so the reference stays current. The
-  // session's partition plan is invalidated by the rebind.
-  session_.RebindSourceTree(&view->source_tree());
-  return Status::OK();
 }
 
 // ---- Reporting ---------------------------------------------------------

@@ -28,17 +28,17 @@
 //     fingerprint (xpath/fingerprint.h). A hit completes at the
 //     coordinator with zero site visits and zero network traffic.
 //     Each entry *retains the triplet equation system* its answer was
-//     solved from. Updates — typed deltas through ApplyDelta, or
-//     MaterializedView update operations via AttachView — re-evaluate
-//     only the touched fragment under each cached query, splice the
-//     fresh triplet into the retained system, and re-solve: an entry
-//     is evicted only when its *answer* actually changed (Sec. 5's
-//     maintenance test, sharpened from triplet identity to answer
-//     identity). Entries whose triplet changed but whose answer stood
-//     are refreshed in place and keep serving hits.
+//     solved from (core::RetainedSystem). Typed deltas through
+//     ApplyDelta re-evaluate only the touched fragment under each
+//     cached query, splice the fresh triplet into the retained system,
+//     and re-solve: an entry is evicted only when its *answer*
+//     actually changed (Sec. 5's maintenance test, sharpened from
+//     triplet identity to answer identity). Entries whose triplet
+//     changed but whose answer stood are refreshed in place and keep
+//     serving hits.
 //   * Reporting. Per-query outcomes aggregate into a ServiceReport:
-//     throughput, p50/p95/p99 latency (common/stats Distribution),
-//     cache and batching counters, and the usual traffic breakdown.
+//     throughput, p50/p95/p99 latency (obs::Histogram), cache and
+//     batching counters, and the usual traffic breakdown.
 //
 // The service is built on a core::Session (core/session.h): the
 // session owns the cluster, the shared hash-consing ExprFactory, and
@@ -66,8 +66,8 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/prepared.h"
+#include "core/retained.h"
 #include "core/session.h"
-#include "core/view.h"
 #include "exec/backend.h"
 #include "fragment/delta.h"
 #include "fragment/fragment.h"
@@ -120,22 +120,14 @@ struct ServiceOptions {
   bool enable_fair_share = false;
   FairSchedulerOptions fair_share;
 
-  /// Serve repeated queries from the fingerprint-keyed result cache.
-  bool enable_cache = true;
-  /// Answer a query whose QList is an entry-wise *prefix* of a cached
-  /// query's by re-solving the cached entry's retained equation
-  /// system, truncated, under the shorter query's root — zero site
-  /// visits. Requires enable_cache. Off: prefix queries evaluate
-  /// normally (ablation baseline).
-  bool enable_subsumption = true;
-
   /// How long admission holds a batch open for stragglers before the
   /// round starts. Default: two one-way LAN latencies.
   double batch_window_seconds = 2e-4;
   /// Start the round early once this many distinct queries pend. 1 (or
   /// a window of 0) makes every admission its own round.
   size_t max_batch_queries = 64;
-  /// Cache entries kept; least-recently-used evicted beyond this.
+  /// Cache entries kept; least-recently-used evicted beyond this. 0
+  /// caches nothing, so every query does real site work.
   size_t cache_capacity = 4096;
 
   // ---- Observability (src/obs/) ----
@@ -341,18 +333,6 @@ class QueryService {
   Status ConfigureTenant(const TenantConfig& config);
 
   size_t cache_size() const { return cache_.size(); }
-  void InvalidateAll();
-  /// Fragment `f`'s content changed out of band (MaterializedView
-  /// InsNode/DelNode): re-solve each cached entry with f's fresh
-  /// triplet, evicting only entries whose answer changed.
-  void OnContentUpdate(frag::FragmentId f);
-  /// Fragment `f` was re-cut by split/merge: answers are unaffected
-  /// (Sec. 5), so entries are kept and their signatures refreshed.
-  void OnFragmentationUpdate(frag::FragmentId f);
-  /// Register this service's cache with `view`'s update operations and
-  /// follow the view's source tree from now on. The view must maintain
-  /// the same FragmentSet this service evaluates against.
-  Status AttachView(core::MaterializedView* view);
 
   /// Subscribe the embedded session to a catalog document's placement
   /// feed (CatalogService wiring). A Move changes no answer, so cached
@@ -369,8 +349,9 @@ class QueryService {
   struct Unique {
     core::PreparedQuery prepared;
     std::vector<uint64_t> waiters;  ///< submission ids to complete
-    /// Triplets by fragment id, filled in by the sites.
-    std::vector<bexpr::FragmentEquations> equations;
+    /// Triplets by fragment id, filled in by the sites; solved at
+    /// Compose and kept by the cache entry.
+    core::RetainedSystem system;
   };
 
   struct Round {
@@ -382,8 +363,8 @@ class QueryService {
     uint64_t parent_span = 0;
     double start = 0.0;
     /// Session::plan() snapshot taken at flush (site -> fragments plus
-    /// the solver's children table), so in-flight rounds stay in
-    /// bounds if an attached view re-cuts fragments mid-run.
+    /// the solver's children table), so in-flight rounds keep their
+    /// partition if placement moves fragments mid-run.
     std::shared_ptr<const core::SitePlan> plan;
     /// update_epoch_ at flush; a mismatch at compose time means an
     /// update raced the round and its results must not enter the cache.
@@ -406,14 +387,11 @@ class QueryService {
 
   struct CacheEntry {
     core::PreparedQuery query;  ///< retained for invalidation checks
-    bool answer = false;
     uint64_t last_used = 0;
-    /// The triplet equation system the answer was solved from, by
-    /// fragment id. Retained so an update can splice in one fresh
-    /// triplet and re-solve instead of discarding the entry; a slot
-    /// with .fragment == -1 for a live fragment means "unknown" and is
-    /// recomputed on first use.
-    std::vector<bexpr::FragmentEquations> equations;
+    /// The equation system and the answer solved from it. Retained so
+    /// an update can splice in one fresh triplet and re-solve instead
+    /// of discarding the entry.
+    core::RetainedSystem system;
   };
 
   sim::SiteId coordinator() const { return session_.coordinator(); }
@@ -442,39 +420,33 @@ class QueryService {
   using CacheMap = std::unordered_map<xpath::QueryFingerprint, CacheEntry,
                                       xpath::QueryFingerprintHash>;
 
-  /// Sec. 5's maintenance test, per entry: if fragment `f`'s `fresh`
-  /// triplet differs from the retained one, splice it in and re-solve
+  /// Fragment `f`'s content changed (ApplyDelta): recompute f's
+  /// triplet under every cached query — ONE fused walk per chunk of
+  /// cached queries, so eval work scales with touched fragments, not
+  /// cache size — and keep each entry only if RefreshEntry says so.
+  void OnContentUpdate(frag::FragmentId f);
+  /// Sec. 5's maintenance test, per entry: splice fragment `fresh`'s
+  /// triplet into the retained system and, if it changed, re-solve
   /// over `children` (the current children table, computed once per
   /// update). Returns false ("evict") exactly when the answer changed
   /// (or the entry cannot be re-solved).
-  bool RefreshEntry(CacheEntry* entry, frag::FragmentId f,
-                    bexpr::FragmentEquations fresh,
-                    const std::vector<std::vector<int32_t>>& children,
-                    const std::vector<frag::FragmentId>& live);
-  /// Recompute fragment `f`'s triplet under every cached query — ONE
-  /// fused walk per chunk of cached queries, so eval work scales with
-  /// touched fragments, not cache size — and hand each entry its fresh
-  /// triplet. `apply` may erase the entry it is given.
-  void ReevaluateCached(
-      frag::FragmentId f,
-      const std::function<void(CacheMap::iterator,
-                               bexpr::FragmentEquations)>& apply);
-  void InsertCacheEntry(Unique&& unique, bool answer);
+  bool RefreshEntry(CacheEntry* entry, bexpr::FragmentEquations fresh,
+                    const std::vector<std::vector<int32_t>>& children);
+  void InsertCacheEntry(Unique&& unique);
   void EvictIfOverCapacity();
   /// Register / remove a cached query's QList-prefix digests in
-  /// prefix_index_ (subsumption lookup). No-ops when subsumption is
-  /// disabled.
+  /// prefix_index_ (subsumption lookup).
   void IndexEntryPrefixes(const xpath::QueryFingerprint& fp,
                           const CacheEntry& entry);
   void DeindexEntryPrefixes(const xpath::QueryFingerprint& fp,
                             const CacheEntry& entry);
 
-  /// One equation table (vector<FragmentEquations> sized to the
-  /// fragment table) is needed per unique per round; at 10k+ fragments
-  /// that is ~1MB of churn per round, so finished rounds return their
-  /// tables here instead of freeing them.
-  std::vector<bexpr::FragmentEquations> AcquireEquations();
-  void ReleaseEquations(std::vector<bexpr::FragmentEquations>&& eqs);
+  /// One retained system (a table sized to the fragment table) is
+  /// needed per unique per round; at 10k+ fragments that is ~1MB of
+  /// churn per round, so finished rounds return their tables here
+  /// instead of freeing them.
+  core::RetainedSystem AcquireSystem();
+  void ReleaseSystem(core::RetainedSystem&& system);
 
   /// Resolve the registry (shared vs owned) and intern every metric id
   /// under the configured prefix. Constructor-only.
@@ -528,8 +500,7 @@ class QueryService {
 
   /// Owns the cluster, the service-lifetime hash-consing ExprFactory
   /// (formulas and triplets interned once, reused across every batch
-  /// and query), and the per-site partition plan. Also tracks the
-  /// current source tree (rebound when a view re-cuts fragments).
+  /// and query), and the per-site partition plan.
   core::Session session_;
 
   /// Fair-share admission (null = FIFO). Borrowed from options; the
@@ -557,15 +528,14 @@ class QueryService {
 
   /// Subsumption lookup: digest of a cached query's QList prefix (any
   /// length, xpath::PrefixDigest) -> cache keys of the entries
-  /// extending that prefix. Maintained by Insert/Evict/InvalidateAll
-  /// only while enable_cache && enable_subsumption.
+  /// extending that prefix. Maintained by insert, evict and update.
   std::unordered_map<xpath::QueryFingerprint,
                      std::vector<xpath::QueryFingerprint>,
                      xpath::QueryFingerprintHash>
       prefix_index_;
 
-  /// Recycled equation tables (see AcquireEquations).
-  std::vector<std::vector<bexpr::FragmentEquations>> equations_pool_;
+  /// Recycled retained systems (see AcquireSystem).
+  std::vector<core::RetainedSystem> system_pool_;
 
   std::vector<QueryOutcome> outcomes_;
   uint64_t update_epoch_ = 0;  ///< bumped per document update

@@ -438,7 +438,7 @@ TEST(CatalogMoveTest, RebalanceMovesFragmentsAndKeepsAnswers) {
   Document* doc = *opened;
 
   ServiceOptions options;
-  options.enable_cache = false;  // keep the sites hot
+  options.cache_capacity = 0;  // keep the sites hot
   auto svc = CatalogService::Create(cat->get(), options);
   ASSERT_TRUE(svc.ok());
   QueryService* qs = (*svc)->document_service("skew");

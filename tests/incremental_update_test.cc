@@ -19,7 +19,9 @@
 #include "core/algorithms.h"
 #include "core/evaluator.h"
 #include "core/session.h"
+#include "core/view.h"
 #include "fragment/delta.h"
+#include "service/query_service.h"
 #include "testutil.h"
 #include "xml/parser.h"
 #include "xpath/normalize.h"
@@ -40,7 +42,11 @@ using testutil::TrialMultiplier;
 // (for two long-lived prepared queries) must equal a from-scratch run
 // of every registered evaluator on the mutated document. At the
 // default multiplier this is 8 seeds x 26 deltas = 208 >= 200 seeded
-// trials per evaluator.
+// trials per evaluator. The other two holders of a retained system
+// ride along on twin documents fed the same delta stream (twin RNGs
+// over identical scenarios draw identical deltas): materialized views
+// (Apply + Refresh) and a QueryService result cache (ApplyDelta +
+// resubmit). Their answers must equal the oracle's too.
 TEST(IncrementalUpdateTest, DifferentialOracleAcrossAllEvaluators) {
   const std::vector<std::string> names =
       EvaluatorRegistry::Instance().Names();
@@ -49,22 +55,38 @@ TEST(IncrementalUpdateTest, DifferentialOracleAcrossAllEvaluators) {
   size_t trials = 0;
 
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    testutil::RandomScenario scenario =
-        testutil::MakeRandomScenario(seed + 500, /*max_elements=*/70,
-                                     /*splits=*/5);
+    auto make_scenario = [seed] {
+      return testutil::MakeRandomScenario(seed + 500, /*max_elements=*/70,
+                                          /*splits=*/5);
+    };
+    testutil::RandomScenario scenario = make_scenario();
+    testutil::RandomScenario view_twin = make_scenario();
+    testutil::RandomScenario service_twin = make_scenario();
     Rng rng(seed * 7919 + 1);
 
     auto session = Session::Create(&scenario.set, &scenario.st);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     ASSERT_TRUE(session->writable());
 
+    std::vector<std::unique_ptr<xpath::QualExpr>> asts;
     std::vector<PreparedQuery> prepared;
     for (int i = 0; i < 2; ++i) {
-      auto p =
-          session->Prepare(xpath::Normalize(*testutil::RandomQual(&rng, 3)));
+      asts.push_back(testutil::RandomQual(&rng, 3));
+      auto p = session->Prepare(xpath::Normalize(*asts.back()));
       ASSERT_TRUE(p.ok()) << p.status().ToString();
       prepared.push_back(std::move(*p));
     }
+    Rng view_rng = rng;
+    Rng service_rng = rng;
+
+    std::vector<MaterializedView> views;
+    for (const PreparedQuery& p : prepared) {
+      auto view = MaterializedView::Create(
+          &view_twin.set, testutil::SitesOf(view_twin), &p.query());
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      views.push_back(std::move(*view));
+    }
+    service::QueryService svc(&service_twin.set, &service_twin.st);
 
     for (int d = 0; d < deltas_per_seed; ++d) {
       Delta delta = testutil::RandomDelta(&scenario.set, &rng);
@@ -75,9 +97,38 @@ TEST(IncrementalUpdateTest, DifferentialOracleAcrossAllEvaluators) {
           << "): " << applied.status().ToString();
       ASSERT_TRUE(scenario.set.Validate().ok());
 
-      for (const PreparedQuery& p : prepared) {
+      // Both views maintain the one view twin: the delta lands once,
+      // and each view refreshes the touched fragment.
+      auto view_applied =
+          views[0].Apply(testutil::RandomDelta(&view_twin.set, &view_rng));
+      ASSERT_TRUE(view_applied.ok()) << view_applied.status().ToString();
+      ASSERT_EQ(view_applied->fragment, applied->fragment);
+      for (MaterializedView& view : views) {
+        ASSERT_TRUE(view.Refresh(view_applied->fragment).ok());
+      }
+      auto service_applied = svc.ApplyDelta(
+          testutil::RandomDelta(&service_twin.set, &service_rng));
+      ASSERT_TRUE(service_applied.ok())
+          << service_applied.status().ToString();
+      ASSERT_EQ(service_applied->fragment, applied->fragment);
+      const size_t served = svc.outcomes().size();
+      std::vector<service::QueryOutcome> outcomes(asts.size());
+      for (size_t qi = 0; qi < asts.size(); ++qi) {
+        ASSERT_TRUE(svc.Submit(xpath::Normalize(*asts[qi]), svc.now(),
+                               [&outcomes, qi](const service::QueryOutcome& o) {
+                                 outcomes[qi] = o;
+                               })
+                        .ok());
+      }
+      svc.Run();
+      ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
+      ASSERT_EQ(svc.outcomes().size(), served + asts.size());
+
+      for (size_t qi = 0; qi < prepared.size(); ++qi) {
+        const PreparedQuery& p = prepared[qi];
         auto incremental = session->ExecuteIncremental(p);
         ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+        const service::QueryOutcome& outcome = outcomes[qi];
 
         // From-scratch oracle: a fresh read-only session over the
         // mutated deployment, every registered evaluator.
@@ -94,6 +145,11 @@ TEST(IncrementalUpdateTest, DifferentialOracleAcrossAllEvaluators) {
               << "seed " << seed << " delta " << d << " ("
               << frag::DeltaKindName(delta.kind) << ") evaluator " << name
               << " incremental " << incremental->algorithm;
+          ASSERT_EQ(views[qi].answer(), reference->answer)
+              << "seed " << seed << " delta " << d << " view";
+          ASSERT_EQ(outcome.answer, reference->answer)
+              << "seed " << seed << " delta " << d << " service"
+              << (outcome.cache_hit ? " (cache hit)" : "");
         }
       }
       ++trials;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/algorithms.h"
-#include "core/view.h"
 #include "fragment/delta.h"
 #include "fragment/strategies.h"
 #include "service/query_service.h"
@@ -165,62 +164,6 @@ TEST(QueryServiceTest, CacheHitAnswersWithoutSiteVisits) {
   EXPECT_EQ(svc.backend().visits(), visits_before);
   EXPECT_EQ(svc.backend().traffic().total_bytes(), bytes_before);
   EXPECT_EQ(svc.BuildReport().cache_hits, 1u);
-}
-
-// A content update must invalidate exactly the cache entries whose
-// triplet for the updated fragment changed — and leave the rest.
-TEST(QueryServiceTest, ViewUpdateInvalidatesExactlyAffectedEntries) {
-  auto set = xmark::BuildPortfolioFragments();
-  ASSERT_TRUE(set.ok());
-  std::vector<frag::SiteId> sites = frag::AssignOneSitePerFragment(*set);
-  xpath::NormQuery view_query = Compile(xmark::kYhooQuery);
-  auto view = core::MaterializedView::Create(&*set, sites, &view_query);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-
-  QueryService svc(&*set, &view->source_tree());
-  ASSERT_TRUE(svc.AttachView(&*view).ok());
-
-  // Cache two answers: one the update will affect, one it cannot.
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), 0.0).ok());
-  ASSERT_TRUE(svc.Submit(Compile("[//broker]"), 0.0).ok());
-  svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 2u);
-  EXPECT_FALSE(svc.outcomes()[0].answer);  // no <zzz> anywhere
-  EXPECT_TRUE(svc.outcomes()[1].answer);
-  ASSERT_EQ(svc.cache_size(), 2u);
-
-  // Insert <zzz> deep inside fragment F1 (not at the fragment root, so
-  // the root triplet of unrelated queries is untouched).
-  frag::FragmentId f1 = 1;
-  xml::Node* parent = nullptr;
-  for (xml::Node* c = set->fragment(f1).root->first_child; c != nullptr;
-       c = c->next_sibling) {
-    if (c->is_element()) {
-      parent = c;
-      break;
-    }
-  }
-  ASSERT_NE(parent, nullptr);
-  auto inserted = view->InsNode(f1, parent, "zzz");
-  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
-
-  // Exactly the [//zzz] entry is gone.
-  EXPECT_EQ(svc.cache_size(), 1u);
-  EXPECT_EQ(svc.BuildReport().cache_invalidations, 1u);
-
-  // Re-asking [//zzz] is a miss and sees the new document.
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now()).ok());
-  svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 3u);
-  EXPECT_FALSE(svc.outcomes()[2].cache_hit);
-  EXPECT_TRUE(svc.outcomes()[2].answer);
-
-  // [//broker] still answers from cache.
-  ASSERT_TRUE(svc.Submit(Compile("[//broker]"), svc.now()).ok());
-  svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 4u);
-  EXPECT_TRUE(svc.outcomes()[3].cache_hit);
-  EXPECT_TRUE(svc.outcomes()[3].answer);
 }
 
 // ---- Live updates through ApplyDelta -----------------------------------
@@ -520,33 +463,6 @@ TEST(QueryServiceTest, SubsumptionAnswersWithoutSiteVisits) {
   svc.Run();
   EXPECT_TRUE(svc.outcomes()[2].cache_hit);
   EXPECT_FALSE(svc.outcomes()[2].subsumption_hit);
-}
-
-TEST(QueryServiceTest, SubsumptionDisabledEvaluatesNormally) {
-  testutil::RandomScenario scenario =
-      testutil::MakeRandomScenario(41, 120, 5);
-  Rng rng(41);
-  ChainFamily family = RandomChainFamily(&rng);
-
-  ServiceOptions options;
-  options.enable_subsumption = false;
-  QueryService svc(&scenario.set, &scenario.st, options);
-  ASSERT_TRUE(svc.Submit(Compile(family.deeper.c_str()), 0.0).ok());
-  svc.Run();
-  const std::vector<uint64_t> visits_before = svc.backend().visits();
-  ASSERT_TRUE(svc.Submit(Compile(family.base.c_str()), svc.now()).ok());
-  svc.Run();
-  ASSERT_TRUE(svc.status().ok());
-  // Ablation: the prefix query runs a real round.
-  EXPECT_FALSE(svc.outcomes()[1].cache_hit);
-  EXPECT_FALSE(svc.outcomes()[1].subsumption_hit);
-  EXPECT_NE(svc.backend().visits(), visits_before);
-  EXPECT_EQ(svc.BuildReport().subsumption_hits, 0u);
-
-  auto expected = core::RunParBoX(scenario.set, scenario.st,
-                                  Compile(family.base.c_str()));
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(svc.outcomes()[1].answer, expected->answer);
 }
 
 // Property: subsumption-served answers equal a fresh standalone

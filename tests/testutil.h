@@ -95,6 +95,16 @@ inline RandomScenario MakeRandomScenario(uint64_t seed, int max_elements,
   return RandomScenario{std::move(set), std::move(st).value()};
 }
 
+/// The scenario's placement as a site-of-fragment table (the form
+/// core::MaterializedView::Create takes).
+inline std::vector<frag::SiteId> SitesOf(const RandomScenario& s) {
+  std::vector<frag::SiteId> sites(s.set.table_size());
+  for (size_t i = 0; i < sites.size(); ++i) {
+    sites[i] = s.st.site_of(static_cast<frag::FragmentId>(i));
+  }
+  return sites;
+}
+
 /// True iff the session-default execution backend ($PARBOX_BACKEND)
 /// is the deterministic simulation. Tests asserting virtual-clock
 /// properties — bit-identical reports, makespans that scale with

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include "core/partial_eval.h"
+#include "core/retained.h"
 #include "core/view.h"
+#include "fragment/delta.h"
 #include "testutil.h"
 #include "xmark/generator.h"
 #include "xmark/portfolio.h"
 #include "xpath/eval.h"
+#include "xpath/fingerprint.h"
 #include "xpath/normalize.h"
 
 namespace parbox::core {
 namespace {
 
+using frag::Delta;
 using frag::FragmentId;
 using frag::FragmentSet;
 
@@ -45,9 +50,9 @@ TEST(ViewTest, InsNodeFlipsAnswer) {
 
   // insNode a <stock><code>MSFT</code></stock> under F3's market.
   xml::Node* market = fx.set.fragment(3).root;
-  auto stock = view.InsNode(3, market, "stock");
+  auto stock = view.Apply(Delta::InsertSubtree(3, market, "stock"));
   ASSERT_TRUE(stock.ok());
-  auto code = view.InsNode(3, *stock, "code", "MSFT");
+  auto code = view.Apply(Delta::InsertSubtree(3, stock->node, "code", "MSFT"));
   ASSERT_TRUE(code.ok());
 
   auto report = view.Refresh(3);
@@ -81,7 +86,7 @@ TEST(ViewTest, DelNodeFlipsAnswerBack) {
     }
   }
   ASSERT_NE(ibm_code, nullptr);
-  ASSERT_TRUE(view.DelNode(0, ibm_code).ok());
+  ASSERT_TRUE(view.Apply(Delta::DeleteSubtree(0, ibm_code)).ok());
   auto report = view.Refresh(0);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(view.answer());
@@ -92,7 +97,8 @@ TEST(ViewTest, RefreshOnlyVisitsTheUpdatedFragmentsSite) {
   auto view_result =
       MaterializedView::Create(&fx.set, {0, 1, 2, 2}, &fx.query);
   MaterializedView view = std::move(*view_result);
-  auto stock = view.InsNode(3, fx.set.fragment(3).root, "stock");
+  auto stock =
+      view.Apply(Delta::InsertSubtree(3, fx.set.fragment(3).root, "stock"));
   ASSERT_TRUE(stock.ok());
   auto report = view.Refresh(3);
   ASSERT_TRUE(report.ok());
@@ -108,7 +114,8 @@ TEST(ViewTest, IrrelevantUpdateKeepsTripletAndSkipsResolve) {
   MaterializedView view = std::move(*view_result);
   // Inserting an unrelated element does not change any sub-query value
   // at F3's root.
-  auto node = view.InsNode(3, fx.set.fragment(3).root, "unrelated");
+  auto node = view.Apply(
+      Delta::InsertSubtree(3, fx.set.fragment(3).root, "unrelated"));
   ASSERT_TRUE(node.ok());
   auto report = view.Refresh(3);
   ASSERT_TRUE(report.ok());
@@ -122,13 +129,15 @@ TEST(ViewTest, RefreshTrafficIndependentOfUpdateSize) {
       MaterializedView::Create(&fx.set, {0, 1, 2, 2}, &fx.query);
   MaterializedView view = std::move(*view_result);
   // Small update.
-  auto n1 = view.InsNode(3, fx.set.fragment(3).root, "x");
+  auto n1 = view.Apply(Delta::InsertSubtree(3, fx.set.fragment(3).root, "x"));
   ASSERT_TRUE(n1.ok());
   auto small = view.Refresh(3);
   ASSERT_TRUE(small.ok());
   // Large update: 200 inserted nodes.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(view.InsNode(3, fx.set.fragment(3).root, "y").ok());
+    ASSERT_TRUE(
+        view.Apply(Delta::InsertSubtree(3, fx.set.fragment(3).root, "y"))
+            .ok());
   }
   auto large = view.Refresh(3);
   ASSERT_TRUE(large.ok());
@@ -142,14 +151,39 @@ TEST(ViewTest, DelNodeGuards) {
       MaterializedView::Create(&fx.set, {0, 1, 2, 2}, &fx.query);
   MaterializedView view = std::move(*view_result);
   // Cannot delete a fragment root.
-  EXPECT_FALSE(view.DelNode(1, fx.set.fragment(1).root).ok());
+  EXPECT_FALSE(
+      view.Apply(Delta::DeleteSubtree(1, fx.set.fragment(1).root)).ok());
   // Cannot delete a subtree containing a virtual node (F1 holds F2's
   // placeholder as a direct child of its broker root).
   xml::Node* placeholder = frag::FindVirtualRef(fx.set, 1, 2);
   ASSERT_NE(placeholder, nullptr);
-  EXPECT_FALSE(view.DelNode(1, placeholder).ok());
+  EXPECT_FALSE(view.Apply(Delta::DeleteSubtree(1, placeholder)).ok());
   // Unknown fragments are rejected too.
-  EXPECT_FALSE(view.DelNode(99, placeholder).ok());
+  EXPECT_FALSE(view.Apply(Delta::DeleteSubtree(99, placeholder)).ok());
+  EXPECT_TRUE(fx.set.Validate().ok());
+  EXPECT_EQ(*view.RecomputeFromScratch(), view.answer());
+}
+
+// A delta whose node lies outside the named fragment is refused before
+// it touches the document: refreshing the named fragment alone would
+// otherwise leave the view stale.
+TEST(ViewTest, ApplyRejectsNodeOutsideNamedFragment) {
+  ViewFixture fx = MakePortfolioFixture("[//stock[code = \"MSFT\"]]");
+  auto view_result =
+      MaterializedView::Create(&fx.set, {0, 1, 2, 2}, &fx.query);
+  ASSERT_TRUE(view_result.ok());
+  MaterializedView view = std::move(*view_result);
+  EXPECT_FALSE(view.answer());
+
+  // F3's root claimed as a node of F0.
+  auto stock =
+      view.Apply(Delta::InsertSubtree(0, fx.set.fragment(3).root, "stock"));
+  ASSERT_FALSE(stock.ok());
+  EXPECT_NE(stock.status().message().find("not a member"), std::string::npos)
+      << stock.status().ToString();
+  ASSERT_TRUE(view.Refresh(0).ok());
+  EXPECT_FALSE(view.answer());
+  EXPECT_FALSE(*view.RecomputeFromScratch());
 }
 
 TEST(ViewTest, SplitFragmentsKeepsAnswer) {
@@ -192,9 +226,11 @@ TEST(ViewTest, SplitThenContentUpdateThenMerge) {
   xml::Node* nyse = xml::FindFirstElement(fx.set.fragment(0).root, "market");
   auto f4 = view.SplitFragments(0, nyse, 3);
   ASSERT_TRUE(f4.ok());
-  auto stock = view.InsNode(*f4, fx.set.fragment(*f4).root, "stock");
+  auto stock = view.Apply(
+      Delta::InsertSubtree(*f4, fx.set.fragment(*f4).root, "stock"));
   ASSERT_TRUE(stock.ok());
-  ASSERT_TRUE(view.InsNode(*f4, *stock, "code", "HPQ").ok());
+  ASSERT_TRUE(
+      view.Apply(Delta::InsertSubtree(*f4, stock->node, "code", "HPQ")).ok());
   ASSERT_TRUE(view.Refresh(*f4).ok());
   EXPECT_TRUE(view.answer());
 
@@ -203,8 +239,9 @@ TEST(ViewTest, SplitThenContentUpdateThenMerge) {
   EXPECT_EQ(*view.RecomputeFromScratch(), true);
 }
 
-// Property: a random sequence of updates + refreshes keeps the view
-// consistent with from-scratch evaluation.
+// Property: a random sequence of typed deltas (insert, delete, rename,
+// retext) + refreshes keeps the view consistent with from-scratch
+// evaluation.
 class ViewPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ViewPropertyTest, IncrementalEqualsRecompute) {
@@ -213,39 +250,16 @@ TEST_P(ViewPropertyTest, IncrementalEqualsRecompute) {
   auto ast = testutil::RandomQual(&rng, 3);
   xpath::NormQuery q = xpath::Normalize(*ast);
 
-  std::vector<frag::SiteId> sites(scenario.set.table_size());
-  for (size_t i = 0; i < sites.size(); ++i) {
-    sites[i] = scenario.st.site_of(static_cast<FragmentId>(i));
-  }
-  auto view_result = MaterializedView::Create(&scenario.set, sites, &q);
+  auto view_result = MaterializedView::Create(
+      &scenario.set, testutil::SitesOf(scenario), &q);
   ASSERT_TRUE(view_result.ok()) << view_result.status().ToString();
   MaterializedView view = std::move(*view_result);
 
   for (int step = 0; step < 12; ++step) {
-    auto live = scenario.set.live_ids();
-    FragmentId f = live[rng.Uniform(live.size())];
-    xml::Node* root = scenario.set.fragment(f).root;
-    // Insert under a random element of the fragment.
-    std::vector<xml::Node*> elements;
-    std::vector<xml::Node*> stack{root};
-    while (!stack.empty()) {
-      xml::Node* n = stack.back();
-      stack.pop_back();
-      if (n->is_element()) elements.push_back(n);
-      for (xml::Node* c = n->first_child; c != nullptr;
-           c = c->next_sibling) {
-        stack.push_back(c);
-      }
-    }
-    xml::Node* target = elements[rng.Uniform(elements.size())];
-    if (rng.Bernoulli(0.7)) {
-      auto inserted = view.InsNode(f, target, testutil::RandomLabel(&rng),
-                                   testutil::RandomText(&rng));
-      ASSERT_TRUE(inserted.ok());
-    } else if (target != root && xml::CountVirtuals(target) == 0) {
-      ASSERT_TRUE(view.DelNode(f, target).ok());
-    }
-    ASSERT_TRUE(view.Refresh(f).ok());
+    Delta delta = testutil::RandomDelta(&scenario.set, &rng);
+    auto applied = view.Apply(delta);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ASSERT_TRUE(view.Refresh(applied->fragment).ok());
 
     // Oracle: full reassembly + centralized evaluation.
     auto whole = scenario.set.Reassemble();
@@ -259,6 +273,84 @@ TEST_P(ViewPropertyTest, IncrementalEqualsRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewPropertyTest,
                          ::testing::Range<uint64_t>(0, 15));
+
+// ---- RetainedSystem ----------------------------------------------------
+
+RetainedSystem PartialEvalAll(bexpr::ExprFactory* factory,
+                              const xpath::NormQuery& q,
+                              const FragmentSet& set) {
+  RetainedSystem system;
+  system.Reset(set.table_size());
+  for (FragmentId f : set.live_ids()) {
+    xpath::EvalCounters counters;
+    EXPECT_TRUE(system.Splice(PartialEvalFragment(factory, q, set, f,
+                                                  &counters)));
+  }
+  return system;
+}
+
+TEST(RetainedSystemTest, TruncationIsThePrefixQuerysOwnSystem) {
+  auto set = xmark::BuildPortfolioFragments();
+  ASSERT_TRUE(set.ok());
+  auto a = xpath::CompileQuery("[//broker/market]");
+  auto b = xpath::CompileQuery("[//broker/market and label() = portfolio]");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(xpath::IsQListPrefix(*a, *b));
+  ASSERT_LT(a->size(), b->size());
+
+  bexpr::ExprFactory factory;
+  const RetainedSystem own = PartialEvalAll(&factory, *a, *set);
+  const RetainedSystem donor = PartialEvalAll(&factory, *b, *set);
+  ASSERT_TRUE(donor.Covers(*set, a->size()));
+  RetainedSystem truncated = donor.TruncateTo(a->size());
+  for (FragmentId f : set->live_ids()) {
+    EXPECT_EQ(truncated.triplet(f).fragment, own.triplet(f).fragment);
+    EXPECT_EQ(truncated.triplet(f).v, own.triplet(f).v) << "F" << f;
+    EXPECT_EQ(truncated.triplet(f).cv, own.triplet(f).cv) << "F" << f;
+    EXPECT_EQ(truncated.triplet(f).dv, own.triplet(f).dv) << "F" << f;
+  }
+  auto answer = truncated.Resolve(&factory, set->ChildrenTable(),
+                                  set->root_fragment(), a->root());
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  auto whole = set->Reassemble();
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(*answer, *xpath::EvalBoolean(*whole->root(), *a));
+  EXPECT_EQ(truncated.answer(), *answer);
+}
+
+TEST(RetainedSystemTest, SpliceOfAnIdenticalReevaluationIsUnchanged) {
+  ViewFixture fx = MakePortfolioFixture(xmark::kYhooQuery);
+  bexpr::ExprFactory factory;
+  RetainedSystem system = PartialEvalAll(&factory, fx.query, fx.set);
+  for (FragmentId f : fx.set.live_ids()) {
+    xpath::EvalCounters counters;
+    EXPECT_FALSE(system.Splice(
+        PartialEvalFragment(&factory, fx.query, fx.set, f, &counters)))
+        << "F" << f;
+  }
+}
+
+TEST(RetainedSystemTest, CoversIsFalseWithAHole) {
+  ViewFixture fx = MakePortfolioFixture(xmark::kYhooQuery);
+  bexpr::ExprFactory factory;
+  RetainedSystem system;
+  system.Reset(fx.set.table_size());
+  const std::vector<FragmentId> live = fx.set.live_ids();
+  for (size_t i = 0; i + 1 < live.size(); ++i) {
+    xpath::EvalCounters counters;
+    system.Splice(
+        PartialEvalFragment(&factory, fx.query, fx.set, live[i], &counters));
+  }
+  EXPECT_FALSE(system.Covers(fx.set, fx.query.size()));
+  xpath::EvalCounters counters;
+  system.Splice(
+      PartialEvalFragment(&factory, fx.query, fx.set, live.back(), &counters));
+  EXPECT_TRUE(system.Covers(fx.set, fx.query.size()));
+  // Wider than the retained triplets, or a different table shape.
+  EXPECT_FALSE(system.Covers(fx.set, fx.query.size() + 1));
+  system.Resize(fx.set.table_size() + 1);
+  EXPECT_FALSE(system.Covers(fx.set, fx.query.size()));
+}
 
 }  // namespace
 }  // namespace parbox::core
