@@ -70,11 +70,10 @@ int main() {
     for (const service::QueryOutcome& o : svc.outcomes()) {
       out.answers[o.query_id] = o.answer ? 1 : 0;
     }
-    const service::ServiceReport built = svc.BuildReport();
-    out.frames = static_cast<double>(built.stats.Get("proc.frames"));
-    out.retries = static_cast<double>(built.stats.Get("proc.retries"));
-    out.reconnects =
-        static_cast<double>(built.stats.Get("proc.reconnects"));
+    const obs::MetricsSnapshot snap = svc.SnapshotMetrics();
+    out.frames = snap.GaugeValue("exec.proc.frames");
+    out.retries = snap.GaugeValue("exec.proc.retries");
+    out.reconnects = snap.GaugeValue("exec.proc.reconnects");
     return out;
   };
 

@@ -117,10 +117,10 @@ int main() {
     for (const service::QueryOutcome& o : svc.outcomes()) {
       out.answers[o.query_id] = o.answer ? 1 : 0;
     }
-    const service::ServiceReport built = svc.BuildReport();
-    out.retries = static_cast<double>(built.stats.Get("proc.retries"));
-    out.reconnects = static_cast<double>(built.stats.Get("proc.reconnects"));
-    out.faults = static_cast<double>(built.stats.Get("proc.faults"));
+    const obs::MetricsSnapshot snap = svc.SnapshotMetrics();
+    out.retries = snap.GaugeValue("exec.proc.retries");
+    out.reconnects = snap.GaugeValue("exec.proc.reconnects");
+    out.faults = snap.GaugeValue("exec.proc.faults");
     if (proc != nullptr) {
       for (frag::SiteId s = 0; s < st->num_sites(); ++s) {
         out.epoch_bumps += proc->RecoveryEpoch(s);

@@ -24,8 +24,8 @@
 #include <string>
 
 #include "bench_common.h"
-#include "common/stats.h"
 #include "core/algorithms.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -64,7 +64,7 @@ int main() {
               query_text.c_str());
 
   // ---- parse-per-call ----
-  Distribution per_call;
+  obs::Histogram per_call;
   bool baseline_answer = false;
   double baseline_makespan = 0.0;
   for (int i = -kWarmup; i < kCalls; ++i) {
@@ -86,7 +86,7 @@ int main() {
     Check(p.status());
     return std::move(*p);
   }();
-  Distribution per_exec;
+  obs::Histogram per_exec;
   for (int i = -kWarmup; i < kCalls; ++i) {
     const double start = NowSeconds();
     core::RunReport report = Exec(&session, prepared);

@@ -25,8 +25,8 @@
 #include <string>
 
 #include "bench_common.h"
-#include "common/stats.h"
 #include "fragment/delta.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -95,7 +95,7 @@ int main() {
     if (f != d.set.root_fragment()) targets.push_back(f);
   }
 
-  Distribution full_wall, inc_wall;
+  obs::Histogram full_wall, inc_wall;
   uint64_t inc_visits_max = 0;
   size_t next_target = 0;
   for (int i = -kWarmup; i < kIters; ++i) {

@@ -25,11 +25,11 @@ RunReport Engine::Finish(std::string algorithm, bool answer,
   report.visits_per_site = backend.visits();
   report.eq_system_entries = eq_system_entries;
   for (const auto& [tag, bytes] : traffic.bytes_by_tag()) {
-    report.stats.Add("net." + tag + ".bytes", bytes);
+    report.stats.counters["net." + tag + ".bytes"] = bytes;
   }
   backend.AddBackendStats(&report.stats);
-  report.stats.Add("formula.interned_nodes",
-                   session_->factory().total_nodes());
+  report.stats.counters["formula.interned_nodes"] =
+      session_->factory().total_nodes();
   return report;
 }
 

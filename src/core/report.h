@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
+#include "obs/metrics.h"
 
 namespace parbox::core {
 
@@ -42,8 +42,9 @@ struct RunReport {
 
   /// Fine-grained counters: traffic broken down by message kind
   /// ("net.query.bytes", "net.triplet.bytes", "net.data.bytes", ...),
-  /// simulator events, interned formula nodes.
-  StatsRegistry stats;
+  /// the backend's own counters ("exec.sim.events", "exec.tasks", ...)
+  /// and interned formula nodes.
+  obs::MetricsSnapshot stats;
 
   /// One-line summary; `Detailed` adds per-site visits.
   std::string ToString() const;

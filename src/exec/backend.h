@@ -54,8 +54,8 @@
 #include <vector>
 
 #include "boolexpr/expr.h"
-#include "common/stats.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 #include "sim/traffic.h"
 
@@ -251,8 +251,10 @@ class ExecBackend {
   /// Sum of busy time across sites (virtual on sim, measured on
   /// threads) — the "total computation" rows of Fig. 4.
   virtual double total_busy_seconds() const = 0;
-  /// Backend-specific report counters ("sim.events", "exec.tasks").
-  virtual void AddBackendStats(StatsRegistry* stats) const = 0;
+  /// Add backend-specific counters into `stats->counters` under their
+  /// exported names: "exec.sim.events", "exec.tasks", "exec.workers",
+  /// "exec.proc.*".
+  virtual void AddBackendStats(obs::MetricsSnapshot* stats) const = 0;
 
   /// Monotonic per-site recovery counter: bumped when the remote
   /// state backing `site`'s context was lost (the process backend's

@@ -128,7 +128,7 @@ class NamespaceBackend final : public ExecBackend {
     // this is the substrate's busy share since the last local Reset.
     return shared_->total_busy_seconds() - baseline_busy_;
   }
-  void AddBackendStats(StatsRegistry* stats) const override {
+  void AddBackendStats(obs::MetricsSnapshot* stats) const override {
     shared_->AddBackendStats(stats);
   }
 

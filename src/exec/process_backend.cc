@@ -798,22 +798,23 @@ net::DaemonStats ProcessBackend::MergedDaemonStats() const {
   return merged;
 }
 
-void ProcessBackend::AddBackendStats(StatsRegistry* stats) const {
-  stats->Add("exec.tasks", tasks_run_);
-  stats->Add("proc.daemons", static_cast<uint64_t>(links_.size()));
-  stats->Add("proc.frames", frames_sent());
-  stats->Add("proc.acked", acked_);
-  stats->Add("proc.retries", retries_);
-  stats->Add("proc.reconnects", reconnects_);
-  stats->Add("proc.frame_errors", frame_errors_);
-  stats->Add("proc.dup_acks", dup_acks_);
-  stats->Add("proc.rtt_micros", rtt_micros_);
-  stats->Add("proc.faults", faults_injected());
+void ProcessBackend::AddBackendStats(obs::MetricsSnapshot* stats) const {
+  std::map<std::string, uint64_t>& c = stats->counters;
+  c["exec.tasks"] += tasks_run_;
+  c["exec.proc.daemons"] += links_.size();
+  c["exec.proc.frames"] += frames_sent();
+  c["exec.proc.acked"] += acked_;
+  c["exec.proc.retries"] += retries_;
+  c["exec.proc.reconnects"] += reconnects_;
+  c["exec.proc.frame_errors"] += frame_errors_;
+  c["exec.proc.dup_acks"] += dup_acks_;
+  c["exec.proc.rtt_micros"] += rtt_micros_;
+  c["exec.proc.faults"] += faults_injected();
   const net::DaemonStats merged = MergedDaemonStats();
-  stats->Add("proc.daemon.parcels", merged.parcels);
-  stats->Add("proc.daemon.dedup_hits", merged.dedup_hits);
-  stats->Add("proc.daemon.decoded", merged.decoded_payloads);
-  stats->Add("proc.daemon.decode_errors", merged.decode_errors);
+  c["exec.proc.daemon.parcels"] += merged.parcels;
+  c["exec.proc.daemon.dedup_hits"] += merged.dedup_hits;
+  c["exec.proc.daemon.decoded"] += merged.decoded_payloads;
+  c["exec.proc.daemon.decode_errors"] += merged.decode_errors;
 }
 
 namespace {

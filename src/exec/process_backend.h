@@ -145,7 +145,7 @@ class ProcessBackend final : public ExecBackend {
     return visits_[static_cast<size_t>(site)];
   }
   double total_busy_seconds() const override { return busy_seconds_; }
-  void AddBackendStats(StatsRegistry* stats) const override;
+  void AddBackendStats(obs::MetricsSnapshot* stats) const override;
 
   uint64_t RecoveryEpoch(SiteId site) const override;
 
@@ -160,7 +160,7 @@ class ProcessBackend final : public ExecBackend {
   /// Links torn down because the inbound byte stream was malformed
   /// (oversize/corrupt length prefix, truncated sections) — the
   /// connection is reset and redialed, the retry protocol re-sends,
-  /// and the reason lands in "proc.frame_errors" + stderr.
+  /// and the reason lands in "exec.proc.frame_errors" + stderr.
   uint64_t frame_errors() const { return frame_errors_; }
   uint64_t frames_sent() const;
   uint64_t faults_injected() const;

@@ -100,8 +100,8 @@ class SimBackend final : public ExecBackend {
   double total_busy_seconds() const override {
     return cluster_.total_busy_seconds();
   }
-  void AddBackendStats(StatsRegistry* stats) const override {
-    stats->Add("sim.events", cluster_.loop().events_run());
+  void AddBackendStats(obs::MetricsSnapshot* stats) const override {
+    stats->counters["exec.sim.events"] += cluster_.loop().events_run();
   }
 
   sim::Cluster* sim_cluster() override { return &cluster_; }

@@ -301,11 +301,11 @@ double ThreadPoolBackend::total_busy_seconds() const {
   return total;
 }
 
-void ThreadPoolBackend::AddBackendStats(StatsRegistry* stats) const {
+void ThreadPoolBackend::AddBackendStats(obs::MetricsSnapshot* stats) const {
   uint64_t tasks = coord_.tasks_run;
   for (const auto& worker : workers_) tasks += worker->tasks_run;
-  stats->Add("exec.tasks", tasks);
-  stats->Add("exec.workers", static_cast<uint64_t>(workers_.size()));
+  stats->counters["exec.tasks"] += tasks;
+  stats->counters["exec.workers"] += workers_.size();
 }
 
 namespace {

@@ -112,7 +112,7 @@ class ThreadPoolBackend final : public ExecBackend {
         std::memory_order_relaxed);
   }
   double total_busy_seconds() const override;
-  void AddBackendStats(StatsRegistry* stats) const override;
+  void AddBackendStats(obs::MetricsSnapshot* stats) const override;
 
  private:
   /// One execution context: a mailbox plus everything the context owns

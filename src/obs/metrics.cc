@@ -9,57 +9,13 @@ namespace parbox::obs {
 
 // ---- Histogram ---------------------------------------------------------
 
-double Histogram::sum() const {
-  // Exact regime: recompute from the retained samples, exactly as
-  // Distribution does (same values, same iteration order, same FP
-  // rounding — the byte-parity tests depend on it). Reservoir regime:
-  // the running accumulator covers the dropped samples.
-  if (!exact()) return sum_;
-  double total = 0.0;
-  for (double v : values_) total += v;
-  return total;
-}
-
-double Histogram::min() const {
-  if (!exact()) return min_;
-  return values_.empty()
-             ? 0.0
-             : *std::min_element(values_.begin(), values_.end());
-}
-
-double Histogram::max() const {
-  if (!exact()) return max_;
-  return values_.empty()
-             ? 0.0
-             : *std::max_element(values_.begin(), values_.end());
-}
-
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) return;
-  if (exact() && other.exact() &&
-      count_ + other.count_ <= kExactSamples) {
-    values_.insert(values_.end(), other.values_.begin(),
-                   other.values_.end());
-    sorted_ = false;
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = count_ == other.count_ ? other.min_
-                                  : std::min(min_, other.min_);
-    max_ = count_ == other.count_ ? other.max_
-                                  : std::max(max_, other.max_);
-    return;
-  }
-  // At least one side already dropped samples (or the union would):
-  // merge the exact moments, then run the donor's retained samples
-  // through the reservoir. Each donor sample stands for
-  // other.count/other.retained observations, so draw its slot over
-  // that many positions — both sides keep proportional representation.
-  const uint64_t merged_count = count_ + other.count_;
-  const double merged_sum = sum() + other.sum();
-  const double merged_min =
-      count_ == 0 ? other.min() : std::min(min(), other.min());
-  const double merged_max =
-      count_ == 0 ? other.max() : std::max(max(), other.max());
+  // Run the donor's retained samples through the reservoir: they
+  // append while it has room (so a union that fits stays exact), and
+  // each sample beyond that stands for other.count/other.retained
+  // observations, so draw its slot over that many positions — both
+  // sides keep proportional representation.
   const uint64_t represents =
       other.values_.empty()
           ? 1
@@ -78,10 +34,10 @@ void Histogram::Merge(const Histogram& other) {
       sorted_ = false;
     }
   }
-  count_ = merged_count;
-  sum_ = merged_sum;
-  min_ = merged_min;
-  max_ = merged_max;
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
 void Histogram::EnsureSorted() const {
@@ -94,7 +50,8 @@ double Histogram::Percentile(double pct) const {
   if (values_.empty()) return 0.0;
   EnsureSorted();
   pct = std::clamp(pct, 0.0, 100.0);
-  // Nearest rank, matching Distribution::Percentile bit-for-bit.
+  // Nearest rank: the smallest value with at least pct% of the sample
+  // at or below it.
   size_t rank = static_cast<size_t>(
       std::ceil(pct / 100.0 * static_cast<double>(values_.size())));
   if (rank == 0) rank = 1;
@@ -118,17 +75,14 @@ std::string Histogram::Summary(const std::string& unit,
 
 // ---- MetricsSnapshot ---------------------------------------------------
 
-MetricsSnapshot MetricsSnapshot::DeltaSince(
-    const MetricsSnapshot& base) const {
-  MetricsSnapshot delta;
-  for (const auto& [name, value] : counters) {
-    auto it = base.counters.find(name);
-    const uint64_t before = it == base.counters.end() ? 0 : it->second;
-    delta.counters[name] = value >= before ? value - before : 0;
-  }
-  delta.gauges = gauges;
-  delta.histograms = histograms;
-  return delta;
+uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {
+  auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+double MetricsSnapshot::GaugeValue(const std::string& name) const {
+  auto it = gauges.find(name);
+  return it == gauges.end() ? 0.0 : it->second;
 }
 
 namespace {

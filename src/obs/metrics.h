@@ -1,10 +1,7 @@
 // MetricsRegistry: one process-wide registry of named counters,
-// gauges, and histograms behind a uniform interface.
-//
-// The serving stack used to meter itself three different ways: interned
-// tag counts in sim::TrafficStats, string-keyed counters in
-// StatsRegistry, and exact-sample percentiles in Distribution — each
-// read through its own API. The registry subsumes them:
+// gauges, and histograms behind a uniform interface — the only metrics
+// vocabulary above the backends' wire meter (sim::TrafficStats, the
+// paper's traffic cost, which SnapshotMetrics exports as gauges).
 //
 //   * Names are interned once (at service construction) into dense
 //     MetricIds; the hot path is an array increment into the calling
@@ -12,15 +9,15 @@
 //     thread-pool backend record without locks or atomics — the same
 //     single-writer pattern as the backend's per-executor traffic
 //     meters, with the same quiescent-merge read discipline.
-//   * Histograms keep exact samples with Distribution's API (Add,
-//     Percentile, Summary, Merge), so report types can switch over
-//     without perturbing existing percentile assertions.
+//   * Histograms (Add, Percentile, Summary, Merge) back every latency
+//     and width distribution the service reports and the benches time.
 //   * Namespace prefixes are plain name prefixes ("d3.service.rounds"),
 //     matching exec::BackendHost's traffic-tag prefixes, so
 //     per-document meters on a shared registry stay exactly separable.
-//   * Snapshot() materializes everything into a sorted, delta-able,
-//     JSON-able view (StatsSink intervals, parboxq --statz, bench
-//     JSON).
+//   * Snapshot() materializes everything into a sorted, JSON-able
+//     MetricsSnapshot (StatsSink intervals, parboxq --statz, bench
+//     JSON); backends add their own counters into the same type
+//     (ExecBackend::AddBackendStats, core::RunReport::stats).
 //
 // Concurrency: Add/Increment/Observe are safe from any execution
 // context and never contend after a thread's first touch. Merged reads
@@ -44,19 +41,18 @@
 
 namespace parbox::obs {
 
-/// A sample of real-valued observations — Distribution's exact-sample
-/// semantics (nearest-rank percentiles on a lazily sorted copy) up to
-/// kExactSamples observations, then a bounded reservoir.
+/// A sample of real-valued observations: exact up to kExactSamples
+/// observations (nearest-rank percentiles on a lazily sorted copy),
+/// then a bounded reservoir.
 ///
 /// Long serving and chaos runs observe millions of latencies; keeping
-/// every sample grows without limit. Below the threshold the sample
-/// is exact and byte-compatible with Distribution (the parity test in
-/// tests/obs_test.cc holds Summary strings equal); beyond it, new
+/// every sample grows without limit. Beyond the threshold, new
 /// observations replace uniformly drawn reservoir slots (Vitter's
 /// Algorithm R on a deterministic xorshift stream, so runs replay
 /// identically) — percentiles become estimates over a fixed
-/// kExactSamples-size sample while count/sum/mean/min/max stay exact
-/// via scalar accumulators.
+/// kExactSamples-size sample. count/sum/mean/min/max are running
+/// accumulators over every observation in both regimes, so they are
+/// exact and never depend on whether a percentile was read first.
 class Histogram {
  public:
   /// Exact samples retained before reservoir sampling kicks in.
@@ -87,10 +83,11 @@ class Histogram {
   }
 
   size_t count() const { return count_; }
-  double sum() const;
-  double mean() const { return count_ == 0 ? 0.0 : sum() / count(); }
-  double min() const;
-  double max() const;
+  double sum() const { return sum_; }
+  double mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
+  /// Smallest / largest observation; 0 on an empty sample.
+  double min() const { return min_; }
+  double max() const { return max_; }
 
   /// Samples currently retained (== count() in the exact regime,
   /// kExactSamples once the reservoir engaged).
@@ -104,15 +101,14 @@ class Histogram {
   /// beyond.
   double Percentile(double pct) const;
 
-  /// Pool `other`'s observations into this sample. Exact (plain
-  /// concatenation) while the union fits the exact regime; beyond
-  /// that, the donor's retained samples feed the reservoir and the
-  /// scalar moments merge exactly.
+  /// Pool `other`'s observations into this sample: the scalar moments
+  /// merge exactly, and the donor's retained samples feed the
+  /// reservoir (plain concatenation while the union fits the exact
+  /// regime).
   void Merge(const Histogram& other);
 
   /// "n=.. mean=.. p50=.. p95=.. p99=.. max=.." with `unit` appended
-  /// and values multiplied by `scale` (1e3 prints seconds as ms) —
-  /// byte-compatible with Distribution::Summary in the exact regime.
+  /// and values multiplied by `scale` (1e3 prints seconds as ms).
   std::string Summary(const std::string& unit = "",
                       double scale = 1.0) const;
 
@@ -133,8 +129,6 @@ class Histogram {
   mutable std::vector<double> values_;
   mutable bool sorted_ = true;
   /// Exact moments over EVERY observation (not just retained ones).
-  /// Reads recompute from values_ while exact() for bit-parity with
-  /// Distribution; these take over once the reservoir engages.
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
@@ -154,15 +148,16 @@ struct HistogramSummary {
   double mean() const { return count == 0 ? 0.0 : sum / count; }
 };
 
-/// A point-in-time materialization of a registry (sorted by name).
+/// A point-in-time materialization of a registry (sorted by name), or
+/// a backend's counters (ExecBackend::AddBackendStats).
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSummary> histograms;
 
-  /// Counters minus `base`'s (absent = 0); gauges and histograms are
-  /// taken from *this as-is (exact-sample percentiles do not subtract).
-  MetricsSnapshot DeltaSince(const MetricsSnapshot& base) const;
+  /// The named counter or gauge; 0 when absent.
+  uint64_t CounterValue(const std::string& name) const;
+  double GaugeValue(const std::string& name) const;
 
   std::string ToJson() const;
   /// Multi-line "name = value" dump, sorted by name.
@@ -189,14 +184,8 @@ class MetricsRegistry {
   /// cache size); they live under the registry mutex, not in shards.
   void Set(MetricId id, double value);
 
-  // ---- String-keyed conveniences (intern + record) ----
+  // ---- String-keyed convenience (intern + record) ----
 
-  void AddCounter(std::string_view name, uint64_t delta) {
-    Add(Intern(name, Kind::kCounter), delta);
-  }
-  void ObserveValue(std::string_view name, double value) {
-    Observe(Intern(name, Kind::kHistogram), value);
-  }
   void SetGauge(std::string_view name, double value) {
     Set(Intern(name, Kind::kGauge), value);
   }

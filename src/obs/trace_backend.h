@@ -91,7 +91,7 @@ class TracingBackend final : public exec::ExecBackend {
   double total_busy_seconds() const override {
     return inner_->total_busy_seconds();
   }
-  void AddBackendStats(StatsRegistry* stats) const override {
+  void AddBackendStats(MetricsSnapshot* stats) const override {
     inner_->AddBackendStats(stats);
   }
   sim::Cluster* sim_cluster() override { return inner_->sim_cluster(); }

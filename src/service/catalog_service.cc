@@ -253,10 +253,11 @@ ServiceReport CatalogService::BuildAggregateReport() const {
   ServiceReport total;
   total.makespan_seconds = catalog_->host()->backend().now();
   for (const auto& [name, s] : served_) {
-    const ServiceReport r = s.service->BuildReport();
+    s.service->AddToReport(&total);
     // Per-document row: the document's share of the aggregate (qps
     // over the SHARED makespan, so rows sum to the aggregate rate;
     // percentiles from the document's own latency histogram).
+    const ServiceReport r = s.service->BuildReport();
     ServiceReport::DocumentRow row;
     row.name = name;
     row.completed = r.completed;
@@ -270,25 +271,6 @@ ServiceReport CatalogService::BuildAggregateReport() const {
     }
     row.sched_deferred = r.sched_deferred;
     total.per_document.push_back(std::move(row));
-    total.sched_deferred += r.sched_deferred;
-    total.sched_dispatch_delay.Merge(r.sched_dispatch_delay);
-    total.completed += r.completed;
-    total.cache_hits += r.cache_hits;
-    total.shared_evaluations += r.shared_evaluations;
-    total.unique_evaluations += r.unique_evaluations;
-    total.rounds += r.rounds;
-    total.cache_invalidations += r.cache_invalidations;
-    total.cache_refreshes += r.cache_refreshes;
-    total.network_bytes += r.network_bytes;
-    total.network_messages += r.network_messages;
-    total.total_visits += r.total_visits;
-    total.total_ops += r.total_ops;
-    total.interned_formula_nodes += r.interned_formula_nodes;
-    total.latency.Merge(r.latency);
-    total.admission_wait.Merge(r.admission_wait);
-    for (const auto& [tag, value] : r.stats.counters()) {
-      total.stats.Add(tag, value);
-    }
   }
   total.throughput_qps =
       total.makespan_seconds > 0.0

@@ -126,7 +126,8 @@ class CatalogService {
   /// Per-document metrics — exactly what the document's dedicated
   /// QueryService would report.
   Result<ServiceReport> BuildReport(std::string_view doc) const;
-  /// Counters summed across documents; latency distribution pooled.
+  /// Every document's QueryService::AddToReport into one report
+  /// (counters summed, histograms pooled) plus one row per document.
   /// Makespan is the shared substrate's clock; throughput is aggregate
   /// completions over it.
   ServiceReport BuildAggregateReport() const;

@@ -839,41 +839,41 @@ void QueryService::OnContentUpdate(frag::FragmentId f) {
 // ---- Reporting ---------------------------------------------------------
 
 ServiceReport QueryService::BuildReport() const {
-  const exec::ExecBackend& backend = session_.backend();
   ServiceReport report;
-  report.completed = outcomes_.size();
-  report.makespan_seconds = backend.now();
+  AddToReport(&report);
+  report.makespan_seconds = now();
   report.throughput_qps =
       report.makespan_seconds > 0.0
           ? static_cast<double>(report.completed) / report.makespan_seconds
           : 0.0;
-  report.latency = metrics_->HistogramValue(m_latency_);
-  report.admission_wait = metrics_->HistogramValue(m_admission_wait_);
-  report.cache_hits = metrics_->CounterValue(m_cache_hits_);
-  report.shared_evaluations = metrics_->CounterValue(m_shared_evals_);
-  report.unique_evaluations = metrics_->CounterValue(m_unique_evals_);
-  report.rounds = metrics_->CounterValue(m_rounds_);
-  report.cache_invalidations =
-      metrics_->CounterValue(m_cache_invalidations_);
-  report.cache_refreshes = metrics_->CounterValue(m_cache_refreshes_);
-  report.fused_walks = metrics_->CounterValue(m_fused_walks_);
-  report.cse_shared_exprs = metrics_->CounterValue(m_cse_shared_);
-  report.subsumption_hits = metrics_->CounterValue(m_subsumption_hits_);
-  report.batch_width = metrics_->HistogramValue(m_batch_width_);
-  const sim::TrafficStats& traffic = backend.traffic();
-  report.network_bytes = traffic.total_bytes();
-  report.network_messages = traffic.total_messages();
-  for (uint64_t v : backend.visits()) report.total_visits += v;
-  report.total_ops = metrics_->CounterValue(m_ops_);
-  report.interned_formula_nodes = session_.factory().total_nodes();
-  report.sched_deferred = metrics_->CounterValue(m_sched_deferred_);
-  report.sched_dispatch_delay =
-      metrics_->HistogramValue(m_sched_dispatch_delay_);
-  for (const auto& [tag, bytes] : traffic.bytes_by_tag()) {
-    report.stats.Add("net." + tag + ".bytes", bytes);
-  }
-  backend.AddBackendStats(&report.stats);
   return report;
+}
+
+void QueryService::AddToReport(ServiceReport* report) const {
+  const exec::ExecBackend& backend = session_.backend();
+  report->completed += outcomes_.size();
+  report->latency.Merge(metrics_->HistogramValue(m_latency_));
+  report->admission_wait.Merge(metrics_->HistogramValue(m_admission_wait_));
+  report->cache_hits += metrics_->CounterValue(m_cache_hits_);
+  report->shared_evaluations += metrics_->CounterValue(m_shared_evals_);
+  report->unique_evaluations += metrics_->CounterValue(m_unique_evals_);
+  report->rounds += metrics_->CounterValue(m_rounds_);
+  report->cache_invalidations +=
+      metrics_->CounterValue(m_cache_invalidations_);
+  report->cache_refreshes += metrics_->CounterValue(m_cache_refreshes_);
+  report->fused_walks += metrics_->CounterValue(m_fused_walks_);
+  report->cse_shared_exprs += metrics_->CounterValue(m_cse_shared_);
+  report->subsumption_hits += metrics_->CounterValue(m_subsumption_hits_);
+  report->batch_width.Merge(metrics_->HistogramValue(m_batch_width_));
+  const sim::TrafficStats& traffic = backend.traffic();
+  report->network_bytes += traffic.total_bytes();
+  report->network_messages += traffic.total_messages();
+  for (uint64_t v : backend.visits()) report->total_visits += v;
+  report->total_ops += metrics_->CounterValue(m_ops_);
+  report->interned_formula_nodes += session_.factory().total_nodes();
+  report->sched_deferred += metrics_->CounterValue(m_sched_deferred_);
+  report->sched_dispatch_delay.Merge(
+      metrics_->HistogramValue(m_sched_dispatch_delay_));
 }
 
 obs::MetricsSnapshot QueryService::SnapshotMetrics() const {
@@ -897,15 +897,12 @@ obs::MetricsSnapshot QueryService::SnapshotMetrics() const {
   metrics_->SetGauge(p + "exec.visits", static_cast<double>(visits));
   metrics_->SetGauge(p + "exec.busy_seconds",
                      backend.total_busy_seconds());
-  // Substrate-specific counters (thread-pool steals, proc-backend
-  // frames/retries/reconnects, ...) ride along under the same "exec."
-  // namespace, except keys that already carry it.
-  StatsRegistry backend_stats;
+  // Substrate-specific counters (thread-pool tasks, proc-backend
+  // frames/retries/reconnects, ...) already carry their "exec." names.
+  obs::MetricsSnapshot backend_stats;
   backend.AddBackendStats(&backend_stats);
-  for (const auto& [name, value] : backend_stats.counters()) {
-    const std::string gauge =
-        name.rfind("exec.", 0) == 0 ? name : "exec." + name;
-    metrics_->SetGauge(p + gauge, static_cast<double>(value));
+  for (const auto& [name, value] : backend_stats.counters) {
+    metrics_->SetGauge(p + name, static_cast<double>(value));
   }
   metrics_->SetGauge(p + "service.cache_size",
                      static_cast<double>(cache_.size()));

@@ -38,7 +38,9 @@
 //     serving hits.
 //   * Reporting. Per-query outcomes aggregate into a ServiceReport:
 //     throughput, p50/p95/p99 latency (obs::Histogram), cache and
-//     batching counters, and the usual traffic breakdown.
+//     batching counters, and traffic totals. SnapshotMetrics exports
+//     the same meters plus the per-tag traffic and backend counters
+//     as one obs::MetricsSnapshot.
 //
 // The service is built on a core::Session (core/session.h): the
 // session owns the cluster, the shared hash-consing ExprFactory, and
@@ -63,7 +65,6 @@
 #include <vector>
 
 #include "boolexpr/solver.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "core/prepared.h"
 #include "core/retained.h"
@@ -175,7 +176,9 @@ struct QueryOutcome {
   }
 };
 
-/// Aggregated service-level metrics over every completed query.
+/// Aggregated service-level metrics over every completed query. The
+/// counters and histograms are additive: a catalog's aggregate is the
+/// per-document fill (QueryService::AddToReport) run once per document.
 struct ServiceReport {
   size_t completed = 0;
   double makespan_seconds = 0.0;
@@ -232,9 +235,6 @@ struct ServiceReport {
   };
   std::vector<DocumentRow> per_document;
 
-  /// Traffic by tag ("net.query.bytes", ...), RunReport-style.
-  StatsRegistry stats;
-
   std::string ToString() const;
 };
 
@@ -284,7 +284,13 @@ class QueryService {
 
   /// Completed queries, in completion order.
   const std::vector<QueryOutcome>& outcomes() const { return outcomes_; }
+  /// This service's report: AddToReport into an empty report, plus
+  /// the makespan and throughput.
   ServiceReport BuildReport() const;
+  /// Add this service's counters (+=) and histograms (Merge) into
+  /// `*report`; makespan, throughput and per-document rows are left to
+  /// the caller. Quiescent reads only (after Run()).
+  void AddToReport(ServiceReport* report) const;
 
   /// The registry this service's meters live in (shared or owned).
   obs::MetricsRegistry& metrics() const { return *metrics_; }

@@ -56,9 +56,10 @@ void ExpectReportsAgree(const RunReport& sim, const RunReport& threads,
   EXPECT_EQ(sim.network_messages, threads.network_messages) << context;
   EXPECT_EQ(sim.visits_per_site, threads.visits_per_site) << context;
   EXPECT_EQ(sim.eq_system_entries, threads.eq_system_entries) << context;
-  for (const auto& [name, value] : sim.stats.counters()) {
+  for (const auto& [name, value] : sim.stats.counters) {
     if (name.rfind("net.", 0) == 0) {
-      EXPECT_EQ(value, threads.stats.Get(name)) << context << " " << name;
+      EXPECT_EQ(value, threads.stats.CounterValue(name))
+          << context << " " << name;
     }
   }
 }

@@ -391,7 +391,7 @@ TEST(CatalogMoveTest, IncrementalReshipsOnlyMovedFragments) {
   EXPECT_EQ(delta_run->answer, seed_run->answer);
   // Only the moved fragment's (new) site is visited.
   EXPECT_LE(delta_run->total_visits(), 1u);
-  EXPECT_GT(delta_run->stats.Get("net.update.bytes"), 0u);
+  EXPECT_GT(delta_run->stats.CounterValue("net.update.bytes"), 0u);
 
   // Both fragments moved at once: still bounded by the sites holding
   // the moved fragments.

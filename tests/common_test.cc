@@ -6,7 +6,6 @@
 #include "common/arena.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/status.h"
 
 namespace parbox {
@@ -201,32 +200,6 @@ TEST(ArenaTest, NewConstructsObject) {
   Point* p = arena.New<Point>(Point{3, 4});
   EXPECT_EQ(p->x, 3);
   EXPECT_EQ(p->y, 4);
-}
-
-// ---------- Stats ----------
-
-TEST(StatsTest, AddAndGet) {
-  StatsRegistry stats;
-  EXPECT_EQ(stats.Get("x"), 0u);
-  stats.Add("x", 5);
-  stats.Increment("x");
-  EXPECT_EQ(stats.Get("x"), 6u);
-}
-
-TEST(StatsTest, ResetClears) {
-  StatsRegistry stats;
-  stats.Add("y", 3);
-  stats.Reset();
-  EXPECT_EQ(stats.Get("y"), 0u);
-  EXPECT_TRUE(stats.counters().empty());
-}
-
-TEST(StatsTest, ToStringSortedByName) {
-  StatsRegistry stats;
-  stats.Add("zeta", 1);
-  stats.Add("alpha", 2);
-  std::string s = stats.ToString();
-  EXPECT_LT(s.find("alpha"), s.find("zeta"));
 }
 
 // ---------- Formatting ----------

@@ -7,8 +7,9 @@
 //     streams (the scheduler moves WHEN rounds start, never what they
 //     compute); the cross-backend legs live in
 //     backend_differential_test.cc.
-//   * Report consistency — the aggregate report's per-document rows
-//     reconcile with each document's own report: completions sum,
+//   * Report consistency — the aggregate report is the sum of each
+//     document's own report (every counter and histogram sample
+//     count), and its per-document rows reconcile with them:
 //     percentiles match, qps rows sum to the aggregate rate.
 //   * Admission edge cases — a same-timestamp burst wider than
 //     max_batch_queries spills into ceil(n/max) rounds; zero-weight
@@ -147,49 +148,96 @@ TEST(FairShareServiceTest, SchedulerOnOffAnswersIdentical) {
 
 // ---- Report consistency (per-doc rows vs aggregate) ---------------------
 
+/// Every additive quantity of a report, by name: the counters, plus
+/// the sample counts of the pooled histograms.
+std::map<std::string, uint64_t> AdditiveFields(const ServiceReport& r) {
+  return {{"completed", r.completed},
+          {"cache_hits", r.cache_hits},
+          {"shared_evaluations", r.shared_evaluations},
+          {"unique_evaluations", r.unique_evaluations},
+          {"rounds", r.rounds},
+          {"cache_invalidations", r.cache_invalidations},
+          {"cache_refreshes", r.cache_refreshes},
+          {"fused_walks", r.fused_walks},
+          {"cse_shared_exprs", r.cse_shared_exprs},
+          {"subsumption_hits", r.subsumption_hits},
+          {"network_bytes", r.network_bytes},
+          {"network_messages", r.network_messages},
+          {"total_visits", r.total_visits},
+          {"total_ops", r.total_ops},
+          {"interned_formula_nodes", r.interned_formula_nodes},
+          {"sched_deferred", r.sched_deferred},
+          {"latency.count", r.latency.count()},
+          {"admission_wait.count", r.admission_wait.count()},
+          {"batch_width.count", r.batch_width.count()},
+          {"sched_dispatch_delay.count", r.sched_dispatch_delay.count()}};
+}
+
+// The aggregate is the sum of its documents: every additive field
+// equals the sum over the documents' own reports, and each per-document
+// row reconciles with its document's report.
 TEST(FairShareServiceTest, PerDocumentRowsReconcileWithAggregate) {
-  const Workload workload = MakeSkewedWorkload();
-  const CrossDocPlan plan = service::MakeCrossDocPlan(
-      workload, 3,
-      {.num_queries = 48, .arrival_rate_qps = 2000.0, .seed = 23});
+  struct Input {
+    const char* name;
+    Workload workload;
+    service::CrossDocOptions plan;
+  };
+  auto families =
+      Workload::Make({.distinct_queries = 8, .family_variants = 4});
+  ASSERT_TRUE(families.ok()) << families.status().ToString();
+  const Input inputs[] = {
+      {"skewed", MakeSkewedWorkload(),
+       {.num_queries = 48, .arrival_rate_qps = 2000.0, .seed = 23}},
+      {"families", std::move(*families),
+       {.num_queries = 120, .arrival_rate_qps = 3000.0, .seed = 5}}};
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const CrossDocPlan plan =
+        service::MakeCrossDocPlan(input.workload, 3, input.plan);
 
-  ServiceOptions options;
-  options.enable_fair_share = true;
-  options.fair_share.max_in_flight = 2;
-  FairDeployment d = MakeFairDeployment(3, options);
-  auto report =
-      service::RunCrossDocOpenLoop(d.service.get(), workload, d.docs, plan);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ServiceOptions options;
+    options.enable_fair_share = true;
+    options.fair_share.max_in_flight = 2;
+    FairDeployment d = MakeFairDeployment(3, options);
+    auto report = service::RunCrossDocOpenLoop(d.service.get(),
+                                               input.workload, d.docs, plan);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  ASSERT_EQ(report->per_document.size(), d.docs.size());
-  size_t sum_completed = 0;
-  double sum_qps = 0.0;
-  uint64_t sum_deferred = 0;
-  for (const ServiceReport::DocumentRow& row : report->per_document) {
-    SCOPED_TRACE(row.name);
-    const QueryService* qs = d.service->document_service(row.name);
-    ASSERT_NE(qs, nullptr);
-    const ServiceReport own = qs->BuildReport();
-    EXPECT_EQ(row.completed, own.completed);
-    if (own.completed > 0) {
-      EXPECT_DOUBLE_EQ(row.p50_seconds, own.latency.Percentile(50));
-      EXPECT_DOUBLE_EQ(row.p99_seconds, own.latency.Percentile(99));
+    ASSERT_EQ(report->per_document.size(), d.docs.size());
+    std::map<std::string, uint64_t> sums;
+    double sum_qps = 0.0;
+    for (const ServiceReport::DocumentRow& row : report->per_document) {
+      SCOPED_TRACE(row.name);
+      const QueryService* qs = d.service->document_service(row.name);
+      ASSERT_NE(qs, nullptr);
+      const ServiceReport own = qs->BuildReport();
+      EXPECT_EQ(row.completed, own.completed);
+      if (own.completed > 0) {
+        EXPECT_DOUBLE_EQ(row.p50_seconds, own.latency.Percentile(50));
+        EXPECT_DOUBLE_EQ(row.p99_seconds, own.latency.Percentile(99));
+      }
+      EXPECT_EQ(row.sched_deferred, own.sched_deferred);
+      for (const auto& [field, value] : AdditiveFields(own)) {
+        sums[field] += value;
+      }
+      sum_qps += row.qps;
     }
-    EXPECT_EQ(row.sched_deferred, own.sched_deferred);
-    sum_completed += row.completed;
-    sum_qps += row.qps;
-    sum_deferred += row.sched_deferred;
+    EXPECT_EQ(AdditiveFields(*report), sums);
+    EXPECT_EQ(sums["completed"], plan.items.size());
+    // The inputs exercise fusion, and the families subsumption too.
+    EXPECT_GT(sums["fused_walks"], 0u);
+    EXPECT_GT(sums["batch_width.count"], 0u);
+    if (input.workload.spec().family_variants > 0) {
+      EXPECT_GT(sums["subsumption_hits"], 0u);
+    }
+    // Rows share the aggregate makespan, so their rates sum to it.
+    EXPECT_NEAR(sum_qps, report->throughput_qps,
+                1e-9 * std::max(1.0, report->throughput_qps));
+    // The report prints the rows (the human-facing contract).
+    const std::string text = report->ToString();
+    EXPECT_NE(text.find("per-document:"), std::string::npos) << text;
+    EXPECT_NE(text.find("d0"), std::string::npos) << text;
   }
-  EXPECT_EQ(sum_completed, report->completed);
-  EXPECT_EQ(sum_completed, plan.items.size());
-  EXPECT_EQ(sum_deferred, report->sched_deferred);
-  // Rows share the aggregate makespan, so their rates sum to it.
-  EXPECT_NEAR(sum_qps, report->throughput_qps,
-              1e-9 * std::max(1.0, report->throughput_qps));
-  // The report prints the rows (the human-facing contract).
-  const std::string text = report->ToString();
-  EXPECT_NE(text.find("per-document:"), std::string::npos) << text;
-  EXPECT_NE(text.find("d0"), std::string::npos) << text;
 }
 
 // ---- Admission edge cases -----------------------------------------------

@@ -234,20 +234,20 @@ TEST(StatsTest, ReportBreaksTrafficDownByKind) {
   xpath::NormQuery q = Compile("[//a]");
   auto parbox = RunParBoX(scenario.set, scenario.st, q);
   ASSERT_TRUE(parbox.ok());
-  EXPECT_GT(parbox->stats.Get("net.query.bytes"), 0u);
-  EXPECT_GT(parbox->stats.Get("net.triplet.bytes"), 0u);
-  EXPECT_EQ(parbox->stats.Get("net.query.bytes") +
-                parbox->stats.Get("net.triplet.bytes"),
+  EXPECT_GT(parbox->stats.CounterValue("net.query.bytes"), 0u);
+  EXPECT_GT(parbox->stats.CounterValue("net.triplet.bytes"), 0u);
+  EXPECT_EQ(parbox->stats.CounterValue("net.query.bytes") +
+                parbox->stats.CounterValue("net.triplet.bytes"),
             parbox->network_bytes);
   // The backend-specific event counter: simulator events, or executed
   // tasks on the thread pool.
-  EXPECT_GT(parbox->stats.Get("sim.events") +
-                parbox->stats.Get("exec.tasks"),
+  EXPECT_GT(parbox->stats.CounterValue("exec.sim.events") +
+                parbox->stats.CounterValue("exec.tasks"),
             0u);
 
   auto central = RunNaiveCentralized(scenario.set, scenario.st, q);
   ASSERT_TRUE(central.ok());
-  EXPECT_GT(central->stats.Get("net.data.bytes"), 0u);
+  EXPECT_GT(central->stats.CounterValue("net.data.bytes"), 0u);
 }
 
 // ---------- Unicode and odd content ----------

@@ -21,6 +21,7 @@
 #include "net/conn.h"
 #include "net/faults.h"
 #include "net/wire.h"
+#include "obs/trace_backend.h"
 #include "testutil.h"
 #include "xpath/normalize.h"
 
@@ -244,8 +245,14 @@ void ExpectReportsAgree(const RunReport& sim, const RunReport& proc,
   EXPECT_EQ(sim.eq_system_entries, proc.eq_system_entries) << context;
 }
 
+/// The session's ProcessBackend, seen through the tracing decorator
+/// that $PARBOX_TRACE installs.
 exec::ProcessBackend* ProcOf(Session* session) {
-  return dynamic_cast<exec::ProcessBackend*>(&session->backend());
+  exec::ExecBackend* backend = &session->backend();
+  if (auto* traced = dynamic_cast<obs::TracingBackend*>(backend)) {
+    backend = &traced->inner();
+  }
+  return dynamic_cast<exec::ProcessBackend*>(backend);
 }
 
 TEST(ProcessBackendTest, MatchesSimAcrossTransports) {

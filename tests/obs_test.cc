@@ -21,14 +21,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "fragment/strategies.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -56,6 +58,23 @@ xpath::NormQuery Compile(const char* text) {
   auto q = xpath::CompileQuery(text);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   return std::move(*q);
+}
+
+/// Reference nearest-rank percentile over a full sample: sort, then
+/// take rank ceil(pct/100 * n) (at least 1).
+double NearestRank(std::vector<double> values, double pct) {
+  std::sort(values.begin(), values.end());
+  size_t rank = static_cast<size_t>(
+      std::ceil(pct / 100.0 * static_cast<double>(values.size())));
+  if (rank == 0) rank = 1;
+  return values[rank - 1];
+}
+
+/// Sum in insertion order, as the histogram's accumulator adds.
+double Sum(const std::vector<double>& values) {
+  double total = 0.0;
+  for (double v : values) total += v;
+  return total;
 }
 
 // ---- MetricsRegistry ---------------------------------------------------
@@ -87,23 +106,16 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   EXPECT_EQ(snap.counters.at("requests"), 4u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("queue_depth"), 17.5);
   EXPECT_EQ(snap.histograms.at("latency").count, 2u);
+  EXPECT_EQ(snap.CounterValue("requests"), 4u);
+  EXPECT_DOUBLE_EQ(snap.GaugeValue("queue_depth"), 17.5);
+  EXPECT_EQ(snap.CounterValue("absent"), 0u);
+  EXPECT_EQ(snap.GaugeValue("absent"), 0.0);
 
   // Reset forgets values; interned ids stay valid.
   registry.Reset();
   EXPECT_EQ(registry.CounterValue(c), 0u);
   registry.Increment(c);
   EXPECT_EQ(registry.CounterValue("requests"), 1u);
-}
-
-TEST(MetricsRegistryTest, SnapshotDelta) {
-  MetricsRegistry registry;
-  registry.AddCounter("a", 10);
-  MetricsSnapshot base = registry.Snapshot();
-  registry.AddCounter("a", 5);
-  registry.AddCounter("b", 2);
-  MetricsSnapshot delta = registry.Snapshot().DeltaSince(base);
-  EXPECT_EQ(delta.counters.at("a"), 5u);
-  EXPECT_EQ(delta.counters.at("b"), 2u);
 }
 
 TEST(MetricsRegistryTest, LocalCounterValueSeesOwnWrites) {
@@ -113,23 +125,68 @@ TEST(MetricsRegistryTest, LocalCounterValueSeesOwnWrites) {
   EXPECT_EQ(registry.LocalCounterValue(c), 7u);
 }
 
-// The histogram replaces Distribution in the service report; the two
-// must agree exactly (same exact-sample nearest-rank semantics).
-TEST(MetricsRegistryTest, HistogramMatchesDistribution) {
+TEST(MetricsRegistryTest, HistogramPercentiles) {
   obs::Histogram h;
-  Distribution d;
+  for (int i = 1; i <= 100; ++i) h.Add(i);
+  EXPECT_DOUBLE_EQ(h.Percentile(50), 50.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(95), 95.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(99), 99.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(100), 100.0);
+  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
+  EXPECT_EQ(h.count(), 100u);
+}
+
+// Below kExactSamples the histogram keeps every observation: its
+// percentiles are the exact nearest-rank ones.
+TEST(MetricsRegistryTest, HistogramMatchesNearestRank) {
+  obs::Histogram h;
+  std::vector<double> values;
   Rng rng(7);
   for (int i = 0; i < 257; ++i) {
     const double v = static_cast<double>(rng.Next64() % 10000) / 100.0;
     h.Add(v);
-    d.Add(v);
+    values.push_back(v);
   }
   for (double pct : {0.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(h.Percentile(pct), d.Percentile(pct)) << pct;
+    EXPECT_EQ(h.Percentile(pct), NearestRank(values, pct)) << pct;
   }
-  EXPECT_DOUBLE_EQ(h.mean(), d.mean());
-  EXPECT_EQ(h.count(), d.count());
-  EXPECT_EQ(h.Summary("ms", 1e3), d.Summary("ms", 1e3));
+  const double mean = Sum(values) / static_cast<double>(values.size());
+  const double max = *std::max_element(values.begin(), values.end());
+  EXPECT_EQ(h.mean(), mean);
+  EXPECT_EQ(h.count(), values.size());
+  EXPECT_EQ(h.min(), *std::min_element(values.begin(), values.end()));
+  EXPECT_EQ(h.max(), max);
+  std::ostringstream summary;
+  summary << "n=257 mean=" << mean * 1e3
+          << "ms p50=" << NearestRank(values, 50) * 1e3
+          << "ms p95=" << NearestRank(values, 95) * 1e3
+          << "ms p99=" << NearestRank(values, 99) * 1e3
+          << "ms max=" << max * 1e3 << "ms";
+  EXPECT_EQ(h.Summary("ms", 1e3), summary.str());
+}
+
+// The moments are accumulators: reading a percentile (which sorts the
+// retained samples in place) must not change sum() or mean() by a
+// single bit.
+TEST(MetricsRegistryTest, HistogramMomentsIgnorePercentileReads) {
+  size_t differing = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    obs::Histogram read_first, untouched;
+    Rng rng(seed);
+    for (int i = 0; i < 257; ++i) {
+      const double v = static_cast<double>(rng.Next64() % 1000000) / 997.0;
+      read_first.Add(v);
+      untouched.Add(v);
+    }
+    (void)read_first.Percentile(50);
+    if (std::bit_cast<uint64_t>(read_first.sum()) !=
+            std::bit_cast<uint64_t>(untouched.sum()) ||
+        std::bit_cast<uint64_t>(read_first.mean()) !=
+            std::bit_cast<uint64_t>(untouched.mean())) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 // Beyond kExactSamples observations the histogram switches to a
@@ -171,27 +228,26 @@ TEST(MetricsRegistryTest, HistogramReservoirIsDeterministic) {
 
 TEST(MetricsRegistryTest, HistogramMergeStaysExactWhenSmall) {
   obs::Histogram a, b;
-  Distribution d;
+  std::vector<double> values;
   Rng rng(11);
   for (int i = 0; i < 100; ++i) {
     const double v = static_cast<double>(rng.Next64() % 1000);
     (i % 2 == 0 ? a : b).Add(v);
+    values.push_back(v);
   }
-  // The union fits the exact regime, so merged stats must match the
-  // single-stream Distribution exactly.
+  // The union fits the exact regime, so the merged sample is the
+  // whole single stream.
   obs::Histogram merged;
   merged.Merge(a);
   merged.Merge(b);
-  Rng rng2(11);
-  for (int i = 0; i < 100; ++i) {
-    d.Add(static_cast<double>(rng2.Next64() % 1000));
-  }
   EXPECT_TRUE(merged.exact());
   EXPECT_EQ(merged.count(), 100u);
-  EXPECT_DOUBLE_EQ(merged.mean(), d.mean());
-  EXPECT_DOUBLE_EQ(merged.min(), d.min());
-  EXPECT_DOUBLE_EQ(merged.max(), d.max());
-  EXPECT_DOUBLE_EQ(merged.Percentile(50), d.Percentile(50));
+  EXPECT_DOUBLE_EQ(merged.mean(), Sum(values) / 100.0);
+  EXPECT_EQ(merged.min(), *std::min_element(values.begin(), values.end()));
+  EXPECT_EQ(merged.max(), *std::max_element(values.begin(), values.end()));
+  for (double pct : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(merged.Percentile(pct), NearestRank(values, pct)) << pct;
+  }
 }
 
 TEST(MetricsRegistryTest, HistogramMergeIntoReservoirKeepsMoments) {
@@ -487,7 +543,12 @@ TEST(TracingIntegrationTest, CacheHitEmitsInstantNotRound) {
 }
 
 TEST(MetricsIntegrationTest, RegistryMatchesTrafficStats) {
-  for (const char* backend : {"sim", "threads:2", "proc:2"}) {
+  // One backend counter per substrate that must export as a gauge.
+  const std::map<std::string, std::string> kBackendGauge = {
+      {"sim", "exec.sim.events"},
+      {"threads:2", "exec.workers"},
+      {"proc:2", "exec.proc.frames"}};
+  for (const auto& [backend, backend_gauge] : kBackendGauge) {
     SCOPED_TRACE(backend);
     Scenario scenario = MakePortfolio();
     ServiceOptions options;
@@ -520,6 +581,14 @@ TEST(MetricsIntegrationTest, RegistryMatchesTrafficStats) {
     EXPECT_EQ(snap.counters.at("service.rounds"), report.rounds);
     EXPECT_EQ(static_cast<double>(snap.gauges.at("exec.visits")),
               static_cast<double>(report.total_visits));
+    // The backend's counters export under their own "exec." names.
+    MetricsSnapshot backend_stats;
+    svc.backend().AddBackendStats(&backend_stats);
+    EXPECT_TRUE(backend_stats.counters.count(backend_gauge));
+    for (const auto& [name, value] : backend_stats.counters) {
+      EXPECT_EQ(name.rfind("exec.", 0), 0u) << name;
+      EXPECT_TRUE(snap.gauges.count(name)) << name;
+    }
     // Snapshotting twice must not double-count the injected gauges.
     MetricsSnapshot again = svc.SnapshotMetrics();
     EXPECT_EQ(again.gauges.at("exec.net.query.bytes"),

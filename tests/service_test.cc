@@ -59,19 +59,6 @@ TEST(FingerprintTest, ToStringIsHex) {
   EXPECT_EQ(fp.ToString().size(), 32u);
 }
 
-// ---- Distribution ------------------------------------------------------
-
-TEST(DistributionTest, Percentiles) {
-  Distribution d;
-  for (int i = 1; i <= 100; ++i) d.Add(i);
-  EXPECT_DOUBLE_EQ(d.Percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(d.Percentile(95), 95.0);
-  EXPECT_DOUBLE_EQ(d.Percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(d.Percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(d.mean(), 50.5);
-  EXPECT_EQ(d.count(), 100u);
-}
-
 // ---- Service vs standalone ParBoX -------------------------------------
 
 // Batched concurrent serving must answer exactly what a standalone

@@ -53,7 +53,8 @@ void ExpectReportsIdentical(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.network_messages, b.network_messages);
   EXPECT_EQ(a.visits_per_site, b.visits_per_site);
   EXPECT_EQ(a.eq_system_entries, b.eq_system_entries);
-  EXPECT_EQ(a.stats.Get("sim.events"), b.stats.Get("sim.events"));
+  EXPECT_EQ(a.stats.CounterValue("exec.sim.events"),
+            b.stats.CounterValue("exec.sim.events"));
 }
 
 // ---------- Registry ----------

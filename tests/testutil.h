@@ -108,7 +108,7 @@ inline std::vector<frag::SiteId> SitesOf(const RandomScenario& s) {
 /// True iff the session-default execution backend ($PARBOX_BACKEND)
 /// is the deterministic simulation. Tests asserting virtual-clock
 /// properties — bit-identical reports, makespans that scale with
-/// NetworkParams, "sim.events" — skip under any other backend (the
+/// NetworkParams, "exec.sim.events" — skip under any other backend (the
 /// `ctest -L backends` jobs re-run whole suites with
 /// PARBOX_BACKEND=threads).
 inline bool DefaultBackendIsSim() {
