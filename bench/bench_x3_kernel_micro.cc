@@ -1,9 +1,15 @@
 // X3 (ablation, google-benchmark): substrate kernel throughput — the
 // centralized bottomUp evaluator (the O(|T|·|q|) baseline every bound
-// in the paper is expressed against), the partial-evaluation kernel,
-// the XML parser and the corpus generator.
+// in the paper is expressed against), the partial-evaluation kernel
+// (solo, on a serving benchmark's leaf fragment, and as a 64-lane fused
+// family walk), the XML parser and the corpus generator. Kernel cases
+// count kernel ops (element × evaluated QList entry) as items.
 
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "boolexpr/expr.h"
 #include "common/rng.h"
@@ -55,6 +61,91 @@ void BM_PartialEvalFragment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartialEvalFragment);
+
+/// The serving benchmark's corpus shape: an XMark star of 8 sites, one
+/// fragment per site, `total_bytes` split evenly.
+frag::FragmentSet MakeServingStar(uint64_t total_bytes) {
+  std::vector<std::vector<int>> topology(8);
+  for (int i = 1; i < 8; ++i) topology[0].push_back(i);
+  const std::vector<uint64_t> sizes(8, total_bytes / 8);
+  auto set = frag::FragmentSet::FromDocument(
+      xmark::GenerateTreeDocument(topology, sizes, 1));
+  auto created = frag::SplitAtAllLabeled(&*set, "site");
+  return std::move(*set);
+}
+
+void BM_ColdReadLeafWalk(benchmark::State& state) {
+  // One cold read at one site: a one-lane walk over a leaf fragment
+  // (no virtual node, so the walk never leaves the masks) of a 1 MiB
+  // star shaped like the cold_read corpus.
+  const frag::FragmentSet set = MakeServingStar(1 << 20);
+  auto q = xpath::CompileQuery(
+      "[//regions/asia/item and not(//open_auction[current = \"$42\"])]");
+  frag::FragmentId leaf = set.root_fragment();
+  for (frag::FragmentId f : set.live_ids()) {
+    if (xml::CountVirtuals(set.fragment(f).root) == 0) leaf = f;
+  }
+  bexpr::ExprFactory factory;
+  uint64_t ops = 0;
+  for (auto _ : state) {
+    xpath::EvalCounters counters;
+    auto eq = core::PartialEvalFragment(&factory, *q, set, leaf, &counters);
+    benchmark::DoNotOptimize(eq);
+    ops += counters.ops;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(ops));
+}
+BENCHMARK(BM_ColdReadLeafWalk);
+
+void BM_FamilyWalk64(benchmark::State& state) {
+  // read_write's cache maintenance: the 64-query family portfolio (8
+  // chains x 8 variants, width 1816) as ONE fused walk of each of the
+  // 8 fragments of a 512 KiB star shaped like the read_write corpus;
+  // the root's walk carries the virtual spine.
+  constexpr std::array<const char*, 8> kChains = {
+      "//regions/africa/item/description",
+      "//regions/europe/item/description/parlist",
+      "//history/site/people/person/profile/interest",
+      "//history/site/regions/asia/item/description/parlist",
+      "//history/site/regions/namerica/item/description/parlist/parlist",
+      "//history/site/history/site/regions/africa/item/description/"
+      "parlist",
+      "//site/regions/africa/item/description/parlist/name/quantity/"
+      "location/payment",
+      "//regions/africa/item/description/parlist/name/quantity/location/"
+      "payment/shipping/profile",
+  };
+  std::vector<xpath::NormQuery> queries;  // popularity-rank order
+  for (size_t v = 0; v < 8; ++v) {
+    for (size_t f = 0; f < kChains.size(); ++f) {
+      const std::string chain = kChains[f];
+      const std::string text =
+          v == 0 ? "[" + chain + "]"
+                 : "[" + chain + " and //marker = \"m" +
+                       std::to_string((f + v) % 10) + "\"]";
+      auto q = xpath::CompileQuery(text);
+      queries.push_back(std::move(*q));
+    }
+  }
+  std::vector<const xpath::NormQuery*> lanes;
+  for (const xpath::NormQuery& q : queries) lanes.push_back(&q);
+  const xpath::EvalBatch batch = xpath::MakeEvalBatch(lanes);
+  const frag::FragmentSet set = MakeServingStar(512 << 10);
+  bexpr::ExprFactory factory;
+  uint64_t ops = 0;
+  for (auto _ : state) {
+    xpath::EvalCounters counters;
+    for (frag::FragmentId f : set.live_ids()) {
+      auto eqs = core::PartialEvalFragmentBatch(&factory, batch, set, f,
+                                                &counters);
+      benchmark::DoNotOptimize(eqs);
+    }
+    ops += counters.ops;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(ops));
+  state.counters["width"] = static_cast<double>(batch.total_width);
+}
+BENCHMARK(BM_FamilyWalk64)->Unit(benchmark::kMillisecond);
 
 void BM_XmlParse(benchmark::State& state) {
   xml::Document doc = MakeCorpus(static_cast<uint64_t>(state.range(0)));

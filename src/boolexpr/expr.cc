@@ -70,32 +70,14 @@ ExprId ExprFactory::Var(VarId var) {
   return Intern(ExprOp::kVar, var.Pack(), {});
 }
 
-ExprId ExprFactory::Not(ExprId a) {
-  if (a == kFalseExpr) return kTrueExpr;
-  if (a == kTrueExpr) return kFalseExpr;
+ExprId ExprFactory::MakeNot(ExprId a) {
   if (op(a) == ExprOp::kNot) return children(a)[0];  // !!x == x
   return Intern(ExprOp::kNot, 0, {a});
 }
 
-ExprId ExprFactory::And(ExprId a, ExprId b) {
-  // Allocation-free fast paths for the folds MakeNary would apply
-  // anyway: the evaluation kernel calls And/Or per (element x QList
-  // entry) and the operands are constants most of the time.
-  if (a == kFalseExpr || b == kFalseExpr) return kFalseExpr;
-  if (a == kTrueExpr) return b;
-  if (b == kTrueExpr) return a;
-  if (a == b) return a;
+ExprId ExprFactory::MakeBinary(ExprOp nary_op, ExprId a, ExprId b) {
   ExprId kids[2] = {a, b};
-  return MakeNary(ExprOp::kAnd, kids);
-}
-
-ExprId ExprFactory::Or(ExprId a, ExprId b) {
-  if (a == kTrueExpr || b == kTrueExpr) return kTrueExpr;
-  if (a == kFalseExpr) return b;
-  if (b == kFalseExpr) return a;
-  if (a == b) return a;
-  ExprId kids[2] = {a, b};
-  return MakeNary(ExprOp::kOr, kids);
+  return MakeNary(nary_op, kids);
 }
 
 ExprId ExprFactory::AndN(std::span<const ExprId> kids) {

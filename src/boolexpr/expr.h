@@ -108,9 +108,28 @@ class ExprFactory {
   ExprId True() const { return kTrueExpr; }
   ExprId FromBool(bool b) const { return b ? kTrueExpr : kFalseExpr; }
   ExprId Var(VarId var);
-  ExprId Not(ExprId a);
-  ExprId And(ExprId a, ExprId b);
-  ExprId Or(ExprId a, ExprId b);
+  // Not/And/Or fold constants inline, allocation-free (the folds
+  // MakeNary would apply anyway): the evaluation kernel's formula path
+  // calls them per (element × QList entry), mostly on constants.
+  ExprId Not(ExprId a) {
+    if (a == kFalseExpr) return kTrueExpr;
+    if (a == kTrueExpr) return kFalseExpr;
+    return MakeNot(a);
+  }
+  ExprId And(ExprId a, ExprId b) {
+    if (a == kFalseExpr || b == kFalseExpr) return kFalseExpr;
+    if (a == kTrueExpr) return b;
+    if (b == kTrueExpr) return a;
+    if (a == b) return a;
+    return MakeBinary(ExprOp::kAnd, a, b);
+  }
+  ExprId Or(ExprId a, ExprId b) {
+    if (a == kTrueExpr || b == kTrueExpr) return kTrueExpr;
+    if (a == kFalseExpr) return b;
+    if (b == kFalseExpr) return a;
+    if (a == b) return a;
+    return MakeBinary(ExprOp::kOr, a, b);
+  }
   /// n-ary forms (fold over the binary smart constructors).
   ExprId AndN(std::span<const ExprId> children);
   ExprId OrN(std::span<const ExprId> children);
@@ -164,6 +183,9 @@ class ExprFactory {
 
   /// Shared implementation of And/Or (they are exact duals).
   ExprId MakeNary(ExprOp op, std::span<const ExprId> children);
+  /// The non-constant cases of Not and of binary And/Or.
+  ExprId MakeNot(ExprId a);
+  ExprId MakeBinary(ExprOp op, ExprId a, ExprId b);
 
   std::vector<NodeData> nodes_;
   std::vector<ExprId> child_pool_;

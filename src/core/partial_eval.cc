@@ -33,7 +33,7 @@ std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
     const frag::FragmentSet& set, frag::FragmentId f,
     xpath::EvalCounters* counters, xpath::BatchEvalStats* stats) {
   auto vectors = xpath::BottomUpEvalBatch(
-      xpath::ExprDomain{factory}, batch, *set.fragment(f).root,
+      factory, batch, *set.fragment(f).root,
       FreshVarResolver{factory, batch.max_width}, counters, stats);
   std::vector<bexpr::FragmentEquations> out(vectors.size());
   for (size_t k = 0; k < vectors.size(); ++k) {
@@ -51,19 +51,27 @@ ResolvedVectors BoolEvalFragment(
     const std::function<const ResolvedVectors&(frag::FragmentId)>&
         child_vectors,
     xpath::EvalCounters* counters) {
-  xpath::BoolDomain dom;
+  // A truth-value walk: sub-fragments resolve to constants, so the walk
+  // never promotes and never writes `factory`.
+  bexpr::ExprFactory factory;
   auto vectors = xpath::BottomUpEval(
-      dom, q, *set.fragment(f).root,
-      [&](const xml::Node& vnode, std::vector<bool>* v,
-          std::vector<bool>* dv) {
+      &factory, q, *set.fragment(f).root,
+      [&](const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
+          std::vector<bexpr::ExprId>* dv) {
         const ResolvedVectors& resolved = child_vectors(vnode.fragment_ref);
-        *v = resolved.v;
-        *dv = resolved.dv;
+        for (size_t i = 0; i < q.size(); ++i) {
+          (*v)[i] = factory.FromBool(resolved.v[i]);
+          (*dv)[i] = factory.FromBool(resolved.dv[i]);
+        }
       },
       counters);
   ResolvedVectors out;
-  out.v = std::move(vectors.v);
-  out.dv = std::move(vectors.dv);
+  out.v.resize(q.size());
+  out.dv.resize(q.size());
+  for (size_t i = 0; i < q.size(); ++i) {
+    out.v[i] = vectors.v[i] == bexpr::kTrueExpr;
+    out.dv[i] = vectors.dv[i] == bexpr::kTrueExpr;
+  }
   return out;
 }
 

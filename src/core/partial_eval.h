@@ -8,10 +8,11 @@
 // PartialEvalFragmentBatch does the same for a whole batch of queries
 // in ONE walk (xpath/eval.h); the solo form is its one-lane case.
 //
-// BoolEvalFragment is the same traversal in the truth-value domain,
-// with sub-fragment results supplied by the caller — the building block
-// of NaiveDistributed, where children are fully evaluated before their
-// parent.
+// BoolEvalFragment is the same traversal with sub-fragment truth
+// values supplied by the caller — the building block of
+// NaiveDistributed, where children are fully evaluated before their
+// parent. Nothing resolves to a formula, so it never leaves the
+// kernel's masks.
 
 #ifndef PARBOX_CORE_PARTIAL_EVAL_H_
 #define PARBOX_CORE_PARTIAL_EVAL_H_
@@ -66,7 +67,7 @@ struct ResolvedVectors {
   std::vector<bool> dv;
 };
 
-/// Evaluate `q` over fragment `f` in the Boolean domain;
+/// Evaluate `q` over fragment `f` to truth values;
 /// `child_vectors(k)` must return the resolved vectors of sub-fragment
 /// `k`.
 ResolvedVectors BoolEvalFragment(

@@ -47,31 +47,31 @@ DownOutput PropagateDown(const NormQuery& q,
   const size_t n = q.size();
   DownOutput out;
 
-  // Re-derive every element's V vector in the truth domain (the second
+  // Re-derive every element's V vector as truth values (the second
   // visit's recomputation; sub-fragment values come from `values`).
+  // Nothing resolves to a formula, so the walk never writes `factory`.
   std::unordered_map<const xml::Node*, std::vector<char>> v_of;
   xpath::EvalCounters counters;
+  bexpr::ExprFactory factory;
+  auto resolved = [&](const xml::Node& vnode, bexpr::VectorKind kind,
+                      size_t i) {
+    return factory.FromBool(
+        values.Get({vnode.fragment_ref, kind, static_cast<int32_t>(i)})
+            .value_or(false));
+  };
   xpath::BottomUpEval(
-      xpath::BoolDomain{}, q, *set.fragment(f).root,
-      [&](const xml::Node& vnode, std::vector<bool>* v,
-          std::vector<bool>* dv) {
-        v->resize(n);
-        dv->resize(n);
+      &factory, q, *set.fragment(f).root,
+      [&](const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
+          std::vector<bexpr::ExprId>* dv) {
         for (size_t i = 0; i < n; ++i) {
-          (*v)[i] = values
-                        .Get({vnode.fragment_ref, bexpr::VectorKind::kV,
-                              static_cast<int32_t>(i)})
-                        .value_or(false);
-          (*dv)[i] = values
-                         .Get({vnode.fragment_ref, bexpr::VectorKind::kDV,
-                               static_cast<int32_t>(i)})
-                         .value_or(false);
+          (*v)[i] = resolved(vnode, bexpr::VectorKind::kV, i);
+          (*dv)[i] = resolved(vnode, bexpr::VectorKind::kDV, i);
         }
       },
       &counters,
-      [&](const xml::Node& node, const std::vector<bool>& vv) {
+      [&](const xml::Node& node, const std::vector<bexpr::ExprId>& vv) {
         std::vector<char> bits(n);
-        for (size_t i = 0; i < n; ++i) bits[i] = vv[i] ? 1 : 0;
+        for (size_t i = 0; i < n; ++i) bits[i] = vv[i] == bexpr::kTrueExpr;
         v_of.emplace(&node, std::move(bits));
       });
   out.ops = counters.ops;

@@ -130,7 +130,7 @@ Result<SelectionResult> RunSelectionParBoX(const frag::FragmentSet& set,
         bexpr::ExprFactory& site_factory = backend.site_factory(s);
         xpath::EvalCounters counters;
         auto vectors = xpath::BottomUpEval(
-            xpath::ExprDomain{&site_factory}, q, *set.fragment(f).root,
+            &site_factory, q, *set.fragment(f).root,
             FreshVarResolver{&site_factory, n}, &counters,
             [&](const xml::Node& node,
                 const std::vector<bexpr::ExprId>& vv) {

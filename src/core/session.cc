@@ -416,11 +416,16 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   auto eval_fragment = [&](sim::SiteId s, frag::FragmentId f) {
     xpath::EvalCounters counters;
     bexpr::ExprFactory& site_factory = backend.site_factory(s);
+    const double walk_start = tracer_ != nullptr ? backend.now() : 0.0;
     auto eq = std::make_shared<bexpr::FragmentEquations>(
         PartialEvalFragment(&site_factory, q, *set_, f, &counters));
     eng.AddOps(counters.ops);
     exec::Parcel parcel = exec::MakeTripletParcel(site_factory, eq);
-    if (tracer_ != nullptr) tracer_->SetNextComputeName("site.eval");
+    if (tracer_ != nullptr) {
+      tracer_->RecordInlineSpan("site.eval", s, walk_start, backend.now(),
+                                counters.ops);
+      tracer_->SetNextComputeName("site.reply");
+    }
     backend.Compute(s, counters.ops,
                     [&, s, parcel = std::move(parcel)]() mutable {
       backend.Send(s, coord, std::move(parcel), "triplet",

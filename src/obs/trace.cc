@@ -26,6 +26,25 @@ void Tracer::Record(TraceEvent event) {
   shards_.Local().events.push_back(std::move(event));
 }
 
+void Tracer::RecordInlineSpan(const char* name, int32_t site,
+                              double start_seconds, double end_seconds,
+                              uint64_t ops) {
+  if (!enabled()) return;
+  const TraceContext ctx = CurrentTraceContext();
+  if (!ctx.active()) return;
+  TraceEvent e;
+  e.name = name;
+  e.category = "site";
+  e.trace_id = ctx.trace_id;
+  e.span_id = MintSpanId();
+  e.parent_id = ctx.span_id;
+  e.site = site;
+  e.ts_seconds = start_seconds;
+  e.dur_seconds = end_seconds - start_seconds;
+  e.args.emplace_back("ops", std::to_string(ops));
+  Record(std::move(e));
+}
+
 namespace {
 thread_local const char* g_next_compute_name = nullptr;
 }  // namespace

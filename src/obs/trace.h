@@ -122,8 +122,15 @@ class Tracer {
   /// Append an event (any execution context; shard-local).
   void Record(TraceEvent event);
 
+  /// Record work the calling context ran inline, outside any Compute
+  /// (a site's kernel walk inside its query delivery): a span over
+  /// [start, end) in `site`'s lane, parented to the ambient span, with
+  /// the work's kernel `ops`. A no-op when disabled or untraced.
+  void RecordInlineSpan(const char* name, int32_t site, double start_seconds,
+                        double end_seconds, uint64_t ops);
+
   /// Name hint for the next Compute issued by this thread, consumed by
-  /// TracingBackend ("solve", "cache.lookup", "site.eval"; unnamed
+  /// TracingBackend ("solve", "cache.lookup", "site.reply"; unnamed
   /// computes render as "compute").
   void SetNextComputeName(const char* name);
   /// nullptr when no hint is pending.

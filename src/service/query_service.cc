@@ -425,6 +425,7 @@ void QueryService::BeginRound(std::shared_ptr<Round> round) {
         xpath::EvalCounters counters;
         xpath::BatchEvalStats stats;
         std::vector<bexpr::FragmentEquations> eqs;
+        const double walk_start = tracer_ != nullptr ? backend.now() : 0.0;
         if (set_->is_live(f)) {
           // A fragment merged away since the flush snapshot yields
           // empty triplets; the solver then reports Unresolved and the
@@ -443,7 +444,13 @@ void QueryService::BeginRound(std::shared_ptr<Round> round) {
           site->batch->items.push_back(std::move(item));
         }
         metrics_->Add(m_ops_, counters.ops);
-        if (tracer_ != nullptr) tracer_->SetNextComputeName("site.eval");
+        if (tracer_ != nullptr) {
+          // The walk ran right here, in the query delivery; the Compute
+          // below queues the site and encodes the reply.
+          tracer_->RecordInlineSpan("site.eval", s, walk_start,
+                                    backend.now(), counters.ops);
+          tracer_->SetNextComputeName("site.reply");
+        }
         backend.Compute(s, counters.ops, finish);
       }
     });

@@ -1,6 +1,7 @@
 #include "xml/dom.h"
 
 #include <cassert>
+#include <limits>
 #include <vector>
 
 namespace parbox::xml {
@@ -29,17 +30,23 @@ std::string DirectText(const Node& n) {
 
 Node* Document::AllocNode() { return arena_.New<Node>(); }
 
+void Document::SetData(Node* n, std::string_view data) {
+  assert(data.size() <= std::numeric_limits<uint32_t>::max());
+  n->data = arena_.CopyString(data.data(), data.size());
+  n->data_size = static_cast<uint32_t>(data.size());
+}
+
 Node* Document::NewElement(std::string_view label) {
   Node* n = AllocNode();
   n->kind = NodeKind::kElement;
-  n->data = arena_.CopyString(label.data(), label.size());
+  SetData(n, label);
   return n;
 }
 
 Node* Document::NewText(std::string_view content) {
   Node* n = AllocNode();
   n->kind = NodeKind::kText;
-  n->data = arena_.CopyString(content.data(), content.size());
+  SetData(n, content);
   return n;
 }
 
@@ -104,7 +111,7 @@ void Document::Detach(Node* n) {
 
 void Document::SetLabel(Node* n, std::string_view label) {
   assert(n != nullptr && n->is_element());
-  n->data = arena_.CopyString(label.data(), label.size());
+  SetData(n, label);
 }
 
 Node* Document::DeepCopy(const Node* src) {
@@ -119,11 +126,8 @@ Node* Document::DeepCopy(const Node* src) {
     Node* c = AllocNode();
     c->kind = s->kind;
     c->fragment_ref = s->fragment_ref;
-    if (s->kind == NodeKind::kVirtual) {
-      c->data = "";
-    } else {
-      std::string_view d(s->data);
-      c->data = arena_.CopyString(d.data(), d.size());
+    if (s->kind != NodeKind::kVirtual) {
+      SetData(c, std::string_view(s->data, s->data_size));
     }
     if (copied_parent == nullptr) {
       copy_root = c;
@@ -205,7 +209,10 @@ bool TreeEquals(const Node* a, const Node* b) {
     stack.pop_back();
     if (x->kind != y->kind) return false;
     if (x->fragment_ref != y->fragment_ref) return false;
-    if (std::string_view(x->data) != std::string_view(y->data)) return false;
+    if (std::string_view(x->data, x->data_size) !=
+        std::string_view(y->data, y->data_size)) {
+      return false;
+    }
     const Node* cx = x->first_child;
     const Node* cy = y->first_child;
     while (cx != nullptr && cy != nullptr) {

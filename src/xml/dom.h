@@ -35,6 +35,10 @@ inline constexpr FragmentId kNoFragment = -1;
 /// A DOM node. Create through Document; never directly.
 struct Node {
   NodeKind kind = NodeKind::kElement;
+  /// Length of `data`, under 4 GiB (ParseXml rejects larger
+  /// documents). It sits in the padding after `kind`, so label() and
+  /// text() never call strlen.
+  uint32_t data_size = 0;
   /// Element label, or text content for kText. Arena-owned, NUL-terminated.
   const char* data = "";
   /// For kVirtual: the referenced sub-fragment. Else kNoFragment.
@@ -52,11 +56,13 @@ struct Node {
 
   /// Element label ("" for non-elements).
   std::string_view label() const {
-    return is_element() ? std::string_view(data) : std::string_view();
+    return is_element() ? std::string_view(data, data_size)
+                        : std::string_view();
   }
   /// Text content ("" for non-text nodes).
   std::string_view text() const {
-    return is_text() ? std::string_view(data) : std::string_view();
+    return is_text() ? std::string_view(data, data_size)
+                     : std::string_view();
   }
 };
 
@@ -113,6 +119,8 @@ class Document {
 
  private:
   Node* AllocNode();
+  /// Arena-copy `data` into `n` (label or text), with its length.
+  void SetData(Node* n, std::string_view data);
 
   Arena arena_;
   Node* root_ = nullptr;

@@ -356,6 +356,10 @@ class Parser {
 
 Result<Document> ParseXml(std::string_view input,
                           const ParseOptions& options) {
+  // Node::data_size is 32 bits, and no label or text outgrows its input.
+  if (input.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::ParseError("document larger than 4 GiB");
+  }
   Parser parser(input, options);
   return parser.Parse();
 }

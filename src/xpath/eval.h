@@ -1,27 +1,43 @@
 // Procedure bottomUp (Fig. 3): a single-pass, bottom-up evaluation of
 // all QList entries at every element of a tree, in O(|T|·|q|).
 //
-// The same kernel serves two masters:
+// Every (element, QList entry) pair gets a truth value; an entry turns
+// into a Boolean formula (boolexpr) only through a virtual node, whose
+// sub-fragment's V/DV vectors a caller-supplied resolver supplies
+// (fresh variables for ParBoX's partial evaluation, already computed
+// truth values for NaiveDistributed, ...). The one kernel,
+// BottomUpEvalBatch, keeps truth values as bits:
 //
-//   * BoolDomain  — plain truth values. Over an unfragmented tree this
-//     *is* the best-known centralized algorithm the paper compares
-//     against; over a fragment with already-resolved sub-fragments it
-//     is NaiveDistributed's per-fragment step.
-//   * ExprDomain  — Boolean formulas (boolexpr). Over a fragment whose
-//     virtual nodes yield fresh variables it is ParBoX's partial
-//     evaluation, returning the (V, CV, DV) triplet of Fig. 3.
+//   * Masks while constant. A frame holds its V/CV/DV entries as 64-bit
+//     masks over the batch's concatenated entry space. Children and
+//     line 17 fold as word ORs, and each entry evaluates from the
+//     batch's program (EvalBatch::steps, absolute indices, built once
+//     by MakeEvalBatch) into one bit. detail::StepValue holds the
+//     cases of the program once, for bits and for formulas.
+//   * Promotion. A frame switches to ExprId vectors only when a
+//     non-constant value arrives: a virtual child whose resolver
+//     returns variables, or a promoted child with a formula among its
+//     values. So formulas live only on the "virtual spine", the
+//     elements with a virtual node below them. A promoted frame
+//     evaluates through the ExprFactory exactly as a walk on ExprId
+//     vectors throughout would; constants never intern, so the
+//     formulas, their ExprIds and the factory's node count do not
+//     depend on where the masks end.
+//   * Truth-value walks are the never-promoted case: their resolvers
+//     return constants, and the walk never writes the factory. Over an
+//     unfragmented tree (EvalBoolean) this *is* the centralized
+//     algorithm the paper compares against; over a fragment with
+//     resolved sub-fragments it is NaiveDistributed's per-fragment
+//     step; path selection's downward pass is one too.
 //
-// Virtual nodes are delegated to a caller-supplied resolver, which
-// decides what a sub-fragment's V/DV vectors look like (variables,
-// previously computed truth values, ...). The kernel is iterative — an
-// explicit post-order stack — so chain-shaped trees cannot overflow
-// the C++ stack; memory is O(depth · Σ|q|).
+// The kernel is iterative — an explicit post-order stack — so
+// chain-shaped trees cannot overflow the C++ stack; memory is
+// O(depth · Σ|q|) bits.
 //
-// There is ONE kernel, and it is fused: a single walk of a tree carries
-// a whole *batch* of queries (BottomUpEvalBatch), so the per-node costs
-// — traversal, label dispatch, frame management — are paid once per
-// batch instead of once per (tree, query). A solo walk (BottomUpEval)
-// is a one-lane batch with no donor.
+// It is also fused: a single walk of a tree carries a whole *batch* of
+// queries, so the per-node costs — traversal, label dispatch, frame
+// management — are paid once per batch instead of once per (tree,
+// query). A solo walk (BottomUpEval) is a one-lane batch with no donor.
 //
 // Cross-query CSE rides on two facts:
 //
@@ -33,15 +49,17 @@
 //   * QLists are consed deterministically, so queries derived from a
 //     shared template agree entry-for-entry on a QList *prefix*. A
 //     lane whose prefix equals an earlier lane's (its "donor") copies
-//     the donor's already-computed values for those entries at every
-//     node — each copied value IS the shared interned formula — and
-//     evaluates only its divergent suffix.
+//     the donor's already-computed V values for those entries at every
+//     node — a bit-range copy on masks; on a promoted frame each copied
+//     value IS the shared interned formula — and evaluates only its
+//     divergent suffix.
 //
 // The fused results are bit-identical (same ExprIds, same wire bytes)
 // to K one-lane walks in the same factory: suffix entries evaluate
 // exactly as a one-lane walk would, and prefix entries copy values that
 // induction makes equal to what the lane would have computed itself.
-// Verified in tests/fused_eval_test.cc.
+// Verified in tests/fused_eval_test.cc; tests/kernel_parity_test.cc
+// pins formulas, ExprIds and counts.
 
 #ifndef PARBOX_XPATH_EVAL_H_
 #define PARBOX_XPATH_EVAL_H_
@@ -49,7 +67,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <span>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,48 +79,12 @@
 
 namespace parbox::xpath {
 
-/// Truth-value domain: the centralized / fully-resolved case.
-struct BoolDomain {
-  using Value = bool;
-  /// Pairwise Or-folding of child contributions is a single bitwise op
-  /// here — no reason to batch.
-  static constexpr bool kBatchFold = false;
-  bool False() const { return false; }
-  bool FromBool(bool b) const { return b; }
-  bool And(bool a, bool b) const { return a && b; }
-  bool Or(bool a, bool b) const { return a || b; }
-  bool Not(bool a) const { return !a; }
-};
-
-/// Formula domain: partial evaluation. Wraps an ExprFactory; the
-/// factory's smart constructors implement compFm's folding.
-struct ExprDomain {
-  using Value = bexpr::ExprId;
-  /// Folding k child contributions pairwise would intern a chain of k
-  /// intermediate n-ary nodes (each hashing all its children — O(k²)
-  /// work and O(k) dead nodes per QList entry at fragment roots with
-  /// many sub-fragments). Batch mode gathers the operands and interns
-  /// only the final node, which is structurally identical to what the
-  /// pairwise chain flattens to.
-  static constexpr bool kBatchFold = true;
-  bexpr::ExprFactory* factory;
-
-  Value False() const { return factory->False(); }
-  Value FromBool(bool b) const { return factory->FromBool(b); }
-  Value And(Value a, Value b) const { return factory->And(a, b); }
-  Value Or(Value a, Value b) const { return factory->Or(a, b); }
-  Value Not(Value a) const { return factory->Not(a); }
-  Value OrN(std::span<const Value> operands) const {
-    return factory->OrN(operands);
-  }
-};
-
-/// The (V, CV, DV) triplet of Fig. 3, at one node.
-template <typename Domain>
+/// The (V, CV, DV) triplet of Fig. 3, at one node. Entries are
+/// kTrueExpr/kFalseExpr unless a virtual node below made them formulas.
 struct EvalVectors {
-  std::vector<typename Domain::Value> v;   ///< holds *here*
-  std::vector<typename Domain::Value> cv;  ///< holds at some child
-  std::vector<typename Domain::Value> dv;  ///< holds here or below
+  std::vector<bexpr::ExprId> v;   ///< holds *here*
+  std::vector<bexpr::ExprId> cv;  ///< holds at some child
+  std::vector<bexpr::ExprId> dv;  ///< holds here or below
 };
 
 /// What the kernel charges per element node: one pass over the QList.
@@ -123,11 +106,39 @@ struct BatchLane {
   uint32_t shared = 0;  ///< leading entries identical to the donor's
 };
 
+/// One instruction of a batch's program: a lane's donor-prefix copy,
+/// or the evaluation of one suffix entry (cases c0-c8 of bottomUp).
+/// Indices are absolute — into the concatenated entry space — so one
+/// pass over the program evaluates every lane at an element.
+struct EvalStep {
+  enum class Op : uint8_t {
+    kCopy,  ///< V entries [a, a + b) copy onto [at, at + b)
+    kTrue,  ///< ǫ, and a selection mark read as a Boolean
+    kFalse,
+    kLabelIs,
+    kTextIs,
+    kChild,  ///< CV[a]
+    kAnd,    ///< V[a] ∧ V[b]; also ǫ[q_a]/q_b
+    kOr,
+    kDesc,  ///< DV[a], line 17 applied: a holds here or below
+    kNot,
+  };
+  Op op = Op::kFalse;
+  uint32_t at = 0;  ///< entry written (kCopy: first destination entry)
+  uint32_t a = 0;   ///< first operand entry (kCopy: first source entry)
+  uint32_t b = 0;   ///< second operand entry (kCopy: entry count)
+  std::string_view str;  ///< kLabelIs / kTextIs operand
+};
+
 /// A batch of queries laid out for one walk. Build once per batch (the
 /// donor scan is O(K² · |q|)), then walk any number of trees/fragments
 /// with BottomUpEvalBatch.
 struct EvalBatch {
   std::vector<BatchLane> lanes;
+  /// The program: lane by lane, the lane's donor copy (if it has a
+  /// donor), then one step per suffix entry in QList order. Donors
+  /// precede their dependents, so every copy reads finished values.
+  std::vector<EvalStep> steps;
   size_t total_width = 0;  ///< Σ lane widths (concatenated space size)
   size_t max_width = 0;    ///< widest lane (resolver vector size)
 
@@ -147,31 +158,11 @@ inline size_t CommonQListPrefix(const NormQuery& a, const NormQuery& b) {
   return k;
 }
 
-/// Lay out `queries` as lanes and pick each lane's donor: the earlier
-/// lane with the longest common prefix (earliest wins ties). Queries
-/// must outlive the batch.
-inline EvalBatch MakeEvalBatch(
-    const std::vector<const NormQuery*>& queries) {
-  EvalBatch batch;
-  batch.lanes.reserve(queries.size());
-  for (const NormQuery* q : queries) {
-    BatchLane lane;
-    lane.query = q;
-    lane.offset = static_cast<uint32_t>(batch.total_width);
-    lane.width = static_cast<uint32_t>(q->size());
-    for (size_t j = 0; j < batch.lanes.size(); ++j) {
-      const size_t common = CommonQListPrefix(*q, *batch.lanes[j].query);
-      if (common > lane.shared) {
-        lane.shared = static_cast<uint32_t>(common);
-        lane.donor = static_cast<int32_t>(j);
-      }
-    }
-    batch.total_width += lane.width;
-    batch.max_width = std::max(batch.max_width, q->size());
-    batch.lanes.push_back(lane);
-  }
-  return batch;
-}
+/// Lay out `queries` as lanes, pick each lane's donor — the earlier
+/// lane with the longest common prefix (earliest wins ties) — and
+/// build the program. Queries must outlive the batch: the program's
+/// label and text operands point into them.
+EvalBatch MakeEvalBatch(const std::vector<const NormQuery*>& queries);
 
 /// Fused-walk accounting beyond EvalCounters: how much cross-query
 /// sharing the donor-copy scheme realized.
@@ -184,78 +175,189 @@ struct BatchEvalStats {
 
 /// The default per-node observer: none.
 struct NoNodeHook {
-  template <typename Values>
-  void operator()(const xml::Node&, const Values&) const {}
+  void operator()(const xml::Node&,
+                  const std::vector<bexpr::ExprId>&) const {}
 };
+
+namespace detail {
+
+inline bool TestBit(const uint64_t* mask, uint32_t i) {
+  return ((mask[i >> 6] >> (i & 63)) & 1) != 0;
+}
+
+/// OR bits [from, from + n) of `mask` onto [to, to + n). The ranges are
+/// disjoint, so the source is never overwritten mid-copy.
+inline void CopyBits(uint64_t* mask, size_t from, size_t to, size_t n) {
+  for (size_t k = 0; k < n; k += 64) {
+    const size_t len = std::min<size_t>(64, n - k);
+    const size_t src = from + k;
+    const size_t dst = to + k;
+    const size_t s = src & 63;
+    const size_t d = dst & 63;
+    uint64_t bits = mask[src >> 6] >> s;
+    if (s != 0 && s + len > 64) bits |= mask[(src >> 6) + 1] << (64 - s);
+    if (len < 64) bits &= (uint64_t{1} << len) - 1;
+    mask[dst >> 6] |= bits << d;
+    if (d != 0 && d + len > 64) mask[(dst >> 6) + 1] |= bits >> (64 - d);
+  }
+}
+
+/// StepValue's connectives on truth values (mask frames)...
+struct BitLogic {
+  using Value = bool;
+  bool Of(bool b) const { return b; }
+  bool And(bool a, bool b) const { return a & b; }
+  bool Or(bool a, bool b) const { return a | b; }
+  bool Not(bool a) const { return !a; }
+};
+
+/// ...and on formulas interned in `factory` (promoted frames).
+struct FormulaLogic {
+  using Value = bexpr::ExprId;
+  bexpr::ExprFactory* factory;
+  Value Of(bool b) const { return factory->FromBool(b); }
+  Value And(Value a, Value b) const { return factory->And(a, b); }
+  Value Or(Value a, Value b) const { return factory->Or(a, b); }
+  Value Not(Value a) const { return factory->Not(a); }
+};
+
+/// Value of evaluation step `s` (not kCopy) at element `node`, in
+/// `logic`. `v(i)` and `cv(i)` read entry i of V and CV; `desc(i)` is
+/// whether entry i holds here or below, i.e. its DV with line 17
+/// applied. The QList is topologically sorted, so every operand entry
+/// precedes s.at and its V is final.
+template <typename Logic, typename V, typename CV, typename Desc>
+inline typename Logic::Value StepValue(const EvalStep& s,
+                                       const xml::Node& node, Logic logic,
+                                       V v, CV cv, Desc desc) {
+  using Op = EvalStep::Op;
+  switch (s.op) {
+    case Op::kTrue:
+      return logic.Of(true);
+    case Op::kLabelIs:
+      return logic.Of(node.label() == s.str);
+    case Op::kTextIs:
+      return logic.Of(xml::DirectTextEquals(node, s.str));
+    case Op::kChild:
+      return cv(s.a);
+    case Op::kAnd:
+      return logic.And(v(s.a), v(s.b));
+    case Op::kOr:
+      return logic.Or(v(s.a), v(s.b));
+    case Op::kDesc:
+      return desc(s.a);
+    case Op::kNot:
+      return logic.Not(v(s.a));
+    default:
+      return logic.Of(false);
+  }
+}
+
+}  // namespace detail
 
 /// Evaluate every lane of `batch` over the subtree rooted at `root` (an
 /// element) in one walk. `resolve_virtual(node, out_v, out_dv)` fills
 /// V/DV vectors of size batch.max_width for a virtual child; entry i is
 /// shared by every lane (lane-local variable identity — see file
-/// comment). Returns one EvalVectors per lane, in lane order.
+/// comment). Formulas are interned in `factory`; a walk whose resolver
+/// returns only constants never writes it. Returns one EvalVectors per
+/// lane, in lane order.
 ///
 /// `node_hook(node, vv)` observes each element's finished V vectors in
 /// the concatenated layout (lane k's entries start at
-/// lanes[k].offset) — for a one-lane batch, the query's V vector. The
-/// selection extensions use it to retain per-node predicates.
+/// lanes[k].offset) — for a one-lane batch, the query's V vector. On a
+/// mask frame the vector is materialized from the V mask for the hook;
+/// the selection extensions use it to retain per-node predicates.
 ///
 /// `counters->ops` charges only the entries actually evaluated
 /// (Σ_k width_k − shared_k per element); donor-copied slots land in
 /// `stats->shared_entries` instead. `counters->elements` counts each
 /// element once per *walk*, not once per lane.
-template <typename Domain, typename VirtualFn, typename NodeHook = NoNodeHook>
-std::vector<EvalVectors<Domain>> BottomUpEvalBatch(
-    Domain dom, const EvalBatch& batch, const xml::Node& root,
-    VirtualFn&& resolve_virtual, EvalCounters* counters = nullptr,
-    BatchEvalStats* stats = nullptr, NodeHook node_hook = {}) {
+template <typename VirtualFn, typename NodeHook = NoNodeHook>
+std::vector<EvalVectors> BottomUpEvalBatch(
+    bexpr::ExprFactory* factory, const EvalBatch& batch,
+    const xml::Node& root, VirtualFn&& resolve_virtual,
+    EvalCounters* counters = nullptr, BatchEvalStats* stats = nullptr,
+    NodeHook node_hook = {}) {
+  using bexpr::ExprId;
+  using bexpr::kFalseExpr;
+  using bexpr::kTrueExpr;
+  using Op = EvalStep::Op;
+  using Ops = std::vector<std::pair<uint32_t, ExprId>>;
+  constexpr bool kHooked = !std::is_same_v<NodeHook, NoNodeHook>;
   assert(root.is_element());
-  using Value = typename Domain::Value;
   const size_t total = batch.total_width;
+  const size_t words = std::max<size_t>(1, (total + 63) / 64);
 
   struct Frame {
-    const xml::Node* node;
-    const xml::Node* next_child;
-    std::vector<Value> cv;
-    std::vector<Value> dv;
-    /// Batch-fold mode only (see ExprDomain::kBatchFold): non-constant
-    /// child contributions per concatenated entry, folded with one OrN
-    /// at Phase 2 instead of interning a chain of intermediates.
-    /// Constant contributions short-circuit straight into cv/dv.
-    std::vector<std::pair<uint32_t, Value>> cv_ops;
-    std::vector<std::pair<uint32_t, Value>> dv_ops;
+    const xml::Node* node = nullptr;
+    const xml::Node* next_child = nullptr;
+    /// A non-constant value arrived: Phase 2 runs on ExprIds.
+    bool promoted = false;
+    /// Promoted frames: the formula contributions per suffix entry,
+    /// folded with one OrN each in Phase 2 (constants went to the
+    /// masks).
+    Ops cv_ops;
+    Ops dv_ops;
+  };
+  // Frame d's CV mask is masks[2d·words, (2d+1)·words), its DV mask the
+  // next `words` words. Frames deeper than the current one are stale.
+  std::vector<uint64_t> masks;
+  std::vector<uint64_t> v_mask(words);
+  auto cv_mask = [&](size_t d) { return masks.data() + 2 * d * words; };
+  auto dv_mask = [&](size_t d) { return cv_mask(d) + words; };
+
+  // The concatenated ExprId layout, for promoted frames and hooks.
+  std::vector<ExprId> vv;
+  std::vector<ExprId> cv;
+  std::vector<ExprId> dv;
+  auto materialize = [total](const uint64_t* mask, std::vector<ExprId>& out) {
+    out.resize(total);
+    for (size_t at = 0; at < total; ++at) {
+      out[at] = detail::TestBit(mask, static_cast<uint32_t>(at)) ? kTrueExpr
+                                                                 : kFalseExpr;
+    }
   };
 
-  const Value kTrueValue = dom.FromBool(true);
-  // Fold one child's contribution to entry `i` into base[i] (absorbing
-  // on true, neutral on false) or defer it to the operand list.
-  auto accumulate = [&](std::vector<Value>& base,
-                        std::vector<std::pair<uint32_t, Value>>& ops,
-                        size_t i, Value value) {
-    if (value == dom.False() || base[i] == kTrueValue) return;
-    if (value == kTrueValue) {
-      base[i] = kTrueValue;
-      return;
+  // Fold one value per entry of every lane into frame `f`'s CV or DV
+  // (absorbing on true, neutral on false); `value_of(at, i)` is entry i
+  // of the lane, at absolute index `at`. A formula promotes the frame
+  // and waits for Phase 2, but only on a lane's suffix: the prefix is
+  // the donor's copy, and the donor's own entry carries that formula.
+  auto fold_lanes = [&](Frame& f, uint64_t* mask, Ops& ops, auto value_of) {
+    for (const BatchLane& lane : batch.lanes) {
+      for (uint32_t i = 0; i < lane.width; ++i) {
+        const uint32_t at = lane.offset + i;
+        const ExprId value = value_of(at, i);
+        if (value == kTrueExpr) {
+          mask[at >> 6] |= uint64_t{1} << (at & 63);
+        } else if (value != kFalseExpr && i >= lane.shared) {
+          f.promoted = true;
+          ops.emplace_back(at, value);
+        }
+      }
     }
-    ops.emplace_back(static_cast<uint32_t>(i), value);
   };
-  // Phase-2 helper: gather deferred operands per entry, one OrN each.
-  std::vector<Value> fold_scratch;
-  auto fold_ops = [&](std::vector<std::pair<uint32_t, Value>>& ops,
-                      std::vector<Value>& base) {
+  // Phase 2 of a promoted frame: gather each entry's formula operands
+  // and intern one OrN. Folding k operands pairwise would intern k
+  // intermediate nodes (O(k²) hashing at a fragment root with many
+  // sub-fragments); the final node is what that chain flattens to.
+  std::vector<ExprId> fold_scratch;
+  auto fold_ops = [&](Ops& ops, std::vector<ExprId>& base) {
     std::sort(ops.begin(), ops.end());
     for (size_t a = 0; a < ops.size();) {
       size_t b = a;
       while (b < ops.size() && ops[b].first == ops[a].first) ++b;
       const size_t i = ops[a].first;
-      if (base[i] != kTrueValue) {
+      if (base[i] != kTrueExpr) {
         if (b - a == 1) {
           base[i] = ops[a].second;
-        } else if constexpr (Domain::kBatchFold) {  // only caller
+        } else {
           fold_scratch.clear();
           for (size_t k = a; k < b; ++k) {
             fold_scratch.push_back(ops[k].second);
           }
-          base[i] = dom.OrN(fold_scratch);
+          base[i] = factory->OrN(fold_scratch);
         }
       }
       a = b;
@@ -271,34 +373,36 @@ std::vector<EvalVectors<Domain>> BottomUpEvalBatch(
     if (lane.donor >= 0) copied_per_element += lane.shared;
   }
 
-  std::vector<EvalVectors<Domain>> result(batch.lanes.size());
-  std::vector<Value> vv(total, dom.False());
-  std::vector<Value> virt_v(batch.max_width, dom.False());
-  std::vector<Value> virt_dv(batch.max_width, dom.False());
+  std::vector<EvalVectors> result(batch.lanes.size());
+  std::vector<ExprId> virt_v(batch.max_width, kFalseExpr);
+  std::vector<ExprId> virt_dv(batch.max_width, kFalseExpr);
 
   // The stack only ever grows; popped frames keep their vector
-  // capacity and are reused by the next push at that depth, so the
-  // per-element allocations disappear after the first descent.
+  // capacity and are reused by the next push at that depth.
   std::vector<Frame> stack;
   size_t depth = 0;
   const xml::Node* descend = &root;  // element to push next, if any
   while (descend != nullptr || depth > 0) {
     if (descend != nullptr) {
-      if (depth == stack.size()) stack.emplace_back();
-      Frame& pushed = stack[depth++];
+      if (depth == stack.size()) {
+        stack.emplace_back();
+        masks.resize(masks.size() + 2 * words);
+      }
+      Frame& pushed = stack[depth];
       pushed.node = descend;
       pushed.next_child = descend->first_child;
-      pushed.cv.assign(total, dom.False());
-      pushed.dv.assign(total, dom.False());
+      pushed.promoted = false;
       pushed.cv_ops.clear();
       pushed.dv_ops.clear();
+      std::fill_n(cv_mask(depth), 2 * words, 0);
+      ++depth;
       descend = nullptr;
     }
     Frame& f = stack[depth - 1];
+    uint64_t* fcv = cv_mask(depth - 1);
+    uint64_t* fdv = dv_mask(depth - 1);
 
-    // Phase 1: fold children (lines 1-5 of bottomUp). Only each lane's
-    // *suffix* accumulates — its prefix region is overwritten by the
-    // donor copy in Phase 2, so folding into it would be wasted work.
+    // Phase 1: fold children (lines 1-5 of bottomUp).
     while (f.next_child != nullptr) {
       const xml::Node* c = f.next_child;
       f.next_child = c->next_sibling;
@@ -307,98 +411,72 @@ std::vector<EvalVectors<Domain>> BottomUpEvalBatch(
         resolve_virtual(*c, &virt_v, &virt_dv);
         assert(virt_v.size() == batch.max_width &&
                virt_dv.size() == batch.max_width);
-        for (const BatchLane& lane : batch.lanes) {
-          const size_t off = lane.offset;
-          const size_t width = lane.width;
-          for (size_t i = lane.shared; i < width; ++i) {
-            const size_t at = off + i;
-            if constexpr (Domain::kBatchFold) {
-              accumulate(f.cv, f.cv_ops, at, virt_v[i]);
-              accumulate(f.dv, f.dv_ops, at, virt_dv[i]);
-            } else {
-              f.cv[at] = dom.Or(f.cv[at], virt_v[i]);
-              f.dv[at] = dom.Or(f.dv[at], virt_dv[i]);
-            }
-          }
-        }
+        fold_lanes(f, fcv, f.cv_ops,
+                   [&](size_t, size_t i) { return virt_v[i]; });
+        fold_lanes(f, fdv, f.dv_ops,
+                   [&](size_t, size_t i) { return virt_dv[i]; });
         continue;
       }
       descend = c;  // the push may grow `stack`: `f` dies here
       break;
     }
     if (descend != nullptr) continue;
-    if constexpr (Domain::kBatchFold) {
-      fold_ops(f.cv_ops, f.cv);
-      fold_ops(f.dv_ops, f.dv);
-    }
 
     // Phase 2: all children folded; compute V at this node (lines
-    // 6-17, cases c0-c8), lane by lane in order (donors precede their
-    // dependents): copy the donor's finished prefix, then evaluate only
-    // the divergent suffix. After this loop every lane's full region of
-    // vv / f.cv / f.dv is exactly what a one-lane walk of that lane's
-    // query would hold at this node.
+    // 6-17, cases c0-c8) by running the program: lane by lane, the
+    // donor's finished prefix copies, then the divergent suffix
+    // evaluates. Afterwards every lane's region of V / CV / DV is
+    // exactly what a one-lane walk of that lane's query would hold.
     const xml::Node& node = *f.node;
-    for (const BatchLane& lane : batch.lanes) {
-      const NormQuery& q = *lane.query;
-      // Lane views and bounds in locals: the domain calls below are
-      // opaque, so anything read through `lane` or the vectors' headers
-      // would be reloaded on every entry.
-      const auto lv = vv.begin() + lane.offset;
-      const auto lcv = f.cv.begin() + lane.offset;
-      const auto ldv = f.dv.begin() + lane.offset;
-      const size_t shared = lane.shared;
-      const size_t width = lane.width;
-      if (lane.donor >= 0 && shared > 0) {
-        const size_t doff = batch.lanes[lane.donor].offset;
-        // The donor's prefix is post-Phase-2 here: vv final, dv with
-        // the line-17 "v ∨ dv" update applied, cv as folded. Suffix
-        // entries below may reference prefix entries through any of
-        // the three vectors, so all three segments copy.
-        std::copy_n(vv.begin() + doff, shared, lv);
-        std::copy_n(f.cv.begin() + doff, shared, lcv);
-        std::copy_n(f.dv.begin() + doff, shared, ldv);
-      }
-      for (size_t i = shared; i < width; ++i) {
-        const NormQuery::SubQuery& sq = q.at(static_cast<SubQueryId>(i));
-        Value value;
-        switch (sq.kind) {
-          case NormKind::kEps:
-          case NormKind::kMark:  // as a Boolean, a mark is just ǫ
-            value = dom.FromBool(true);
-            break;
-          case NormKind::kLabelIs:
-            value = dom.FromBool(node.label() == sq.str);
-            break;
-          case NormKind::kTextIs:
-            value = dom.FromBool(xml::DirectTextEquals(node, sq.str));
-            break;
-          case NormKind::kChild:
-            value = lcv[sq.a];
-            break;
-          case NormKind::kSeq:
-            value = dom.And(lv[sq.a], lv[sq.b]);
-            break;
-          case NormKind::kDesc:
-            // DV of the operand is already final for this node because
-            // the QList is topologically sorted (sq.a < i).
-            value = ldv[sq.a];
-            break;
-          case NormKind::kAnd:
-            value = dom.And(lv[sq.a], lv[sq.b]);
-            break;
-          case NormKind::kOr:
-            value = dom.Or(lv[sq.a], lv[sq.b]);
-            break;
-          case NormKind::kNot:
-            value = dom.Not(lv[sq.a]);
-            break;
-          default:
-            value = dom.False();
-            break;
+    if (!f.promoted) {
+      uint64_t* v = v_mask.data();
+      std::fill_n(v, words, 0);
+      for (const EvalStep& s : batch.steps) {
+        if (s.op == Op::kCopy) {
+          detail::CopyBits(v, s.a, s.at, s.b);
+          continue;
         }
-        lv[i] = value;
-        ldv[i] = dom.Or(value, ldv[i]);  // line 17
+        // Line 17 waits for the whole program, so here DV holds only
+        // the children and "here or below" adds this element's V.
+        const bool value = detail::StepValue(
+            s, node, detail::BitLogic{},
+            [v](uint32_t i) { return detail::TestBit(v, i); },
+            [fcv](uint32_t i) { return detail::TestBit(fcv, i); },
+            [v, fdv](uint32_t i) {
+              return detail::TestBit(fdv, i) || detail::TestBit(v, i);
+            });
+        v[s.at >> 6] |= uint64_t{value} << (s.at & 63);
+      }
+      for (size_t w = 0; w < words; ++w) fdv[w] |= v[w];  // line 17
+      if constexpr (kHooked) materialize(v, vv);
+    } else {
+      // The same program on formulas, interning in the order a walk on
+      // ExprId vectors throughout would: CV operands, DV operands, then
+      // lane by lane.
+      materialize(fcv, cv);
+      materialize(fdv, dv);
+      vv.resize(total);
+      fold_ops(f.cv_ops, cv);
+      fold_ops(f.dv_ops, dv);
+      for (const EvalStep& s : batch.steps) {
+        if (s.op == Op::kCopy) {
+          // The donor's prefix is post-Phase-2 here: V final, DV with
+          // line 17 applied, CV as folded. Suffix entries may read
+          // prefix entries through any of the three, so all three copy.
+          std::copy_n(vv.begin() + s.a, s.b, vv.begin() + s.at);
+          std::copy_n(cv.begin() + s.a, s.b, cv.begin() + s.at);
+          std::copy_n(dv.begin() + s.a, s.b, dv.begin() + s.at);
+          continue;
+        }
+        // Line 17 runs per step here, so every dv[i] with i < s.at
+        // already holds "here or below".
+        const ExprId value = detail::StepValue(
+            s, node, detail::FormulaLogic{factory},
+            [&](uint32_t i) { return vv[i]; },
+            [&](uint32_t i) { return cv[i]; },
+            [&](uint32_t i) { return dv[i]; });
+        vv[s.at] = value;
+        dv[s.at] = factory->Or(value, dv[s.at]);  // line 17
       }
     }
     if (counters != nullptr) {
@@ -406,34 +484,37 @@ std::vector<EvalVectors<Domain>> BottomUpEvalBatch(
       counters->elements += 1;
     }
     if (stats != nullptr) stats->shared_entries += copied_per_element;
-    node_hook(node, vv);
+    if constexpr (kHooked) node_hook(node, vv);
 
-    // Phase 3: fold this node's (V, DV) into the parent (or finish) —
-    // again only each lane's suffix; the parent's prefix regions come
-    // from its donor copy.
+    // Phase 3: fold this node's (V, DV) into the parent (or finish).
     if (depth == 1) {
+      if (!f.promoted) {
+        materialize(v_mask.data(), vv);
+        materialize(fcv, cv);
+        materialize(fdv, dv);
+      }
       for (size_t k = 0; k < batch.lanes.size(); ++k) {
         const BatchLane& lane = batch.lanes[k];
-        result[k].v.assign(vv.begin() + lane.offset,
-                           vv.begin() + lane.offset + lane.width);
-        result[k].cv.assign(f.cv.begin() + lane.offset,
-                            f.cv.begin() + lane.offset + lane.width);
-        result[k].dv.assign(f.dv.begin() + lane.offset,
-                            f.dv.begin() + lane.offset + lane.width);
+        const auto from = static_cast<std::ptrdiff_t>(lane.offset);
+        const auto to = from + static_cast<std::ptrdiff_t>(lane.width);
+        result[k].v.assign(vv.begin() + from, vv.begin() + to);
+        result[k].cv.assign(cv.begin() + from, cv.begin() + to);
+        result[k].dv.assign(dv.begin() + from, dv.begin() + to);
       }
     } else {
       Frame& parent = stack[depth - 2];
-      for (const BatchLane& lane : batch.lanes) {
-        const size_t end = lane.offset + lane.width;
-        for (size_t at = lane.offset + lane.shared; at < end; ++at) {
-          if constexpr (Domain::kBatchFold) {
-            accumulate(parent.cv, parent.cv_ops, at, vv[at]);
-            accumulate(parent.dv, parent.dv_ops, at, f.dv[at]);
-          } else {
-            parent.cv[at] = dom.Or(parent.cv[at], vv[at]);
-            parent.dv[at] = dom.Or(parent.dv[at], f.dv[at]);
-          }
+      uint64_t* pcv = cv_mask(depth - 2);
+      uint64_t* pdv = dv_mask(depth - 2);
+      if (!f.promoted) {
+        for (size_t w = 0; w < words; ++w) {
+          pcv[w] |= v_mask[w];
+          pdv[w] |= fdv[w];
         }
+      } else {
+        fold_lanes(parent, pcv, parent.cv_ops,
+                   [&](size_t at, size_t) { return vv[at]; });
+        fold_lanes(parent, pdv, parent.dv_ops,
+                   [&](size_t at, size_t) { return dv[at]; });
       }
     }
     --depth;
@@ -444,14 +525,13 @@ std::vector<EvalVectors<Domain>> BottomUpEvalBatch(
 /// A solo walk: BottomUpEvalBatch over the one-lane batch of `q`.
 /// `resolve_virtual` fills vectors of size |q|; `node_hook(node, v)`
 /// observes each element's finished V vector.
-template <typename Domain, typename VirtualFn, typename NodeHook = NoNodeHook>
-EvalVectors<Domain> BottomUpEval(Domain dom, const NormQuery& q,
-                                 const xml::Node& root,
-                                 VirtualFn&& resolve_virtual,
-                                 EvalCounters* counters = nullptr,
-                                 NodeHook node_hook = {}) {
+template <typename VirtualFn, typename NodeHook = NoNodeHook>
+EvalVectors BottomUpEval(bexpr::ExprFactory* factory, const NormQuery& q,
+                         const xml::Node& root, VirtualFn&& resolve_virtual,
+                         EvalCounters* counters = nullptr,
+                         NodeHook node_hook = {}) {
   return std::move(
-      BottomUpEvalBatch(dom, MakeEvalBatch({&q}), root,
+      BottomUpEvalBatch(factory, MakeEvalBatch({&q}), root,
                         std::forward<VirtualFn>(resolve_virtual), counters,
                         /*stats=*/nullptr, std::move(node_hook))
           .front());

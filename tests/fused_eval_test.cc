@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "boolexpr/expr.h"
@@ -193,6 +194,81 @@ TEST(FusedEvalTest, RandomQualBatchesAreIdExact) {
     for (const auto& q : qs) ptrs.push_back(&q);
     ExpectFusedMatchesSolo(ptrs, /*seed=*/1000 + trial);
   }
+  // Batches wider than one 64-entry mask word. Half the lanes conjoin
+  // an earlier lane's qualifier with a fresh one, so their QLists start
+  // with that lane's whole QList: donor copies at word-unaligned
+  // offsets.
+  for (int trial = 0; trial < 6 * testutil::TrialMultiplier(); ++trial) {
+    std::vector<std::unique_ptr<xpath::QualExpr>> asts;
+    std::vector<xpath::NormQuery> qs;
+    size_t width = 0;
+    while (width <= 64 * 3) {
+      std::unique_ptr<xpath::QualExpr> ast =
+          testutil::RandomQual(&rng, /*depth=*/4);
+      if (!asts.empty() && rng.Uniform(2) == 0) {
+        ast = xpath::QualExpr::And(asts[rng.Uniform(asts.size())]->Clone(),
+                                   std::move(ast));
+      }
+      qs.push_back(xpath::Normalize(*ast));
+      width += qs.back().size();
+      asts.push_back(std::move(ast));
+    }
+    std::vector<const xpath::NormQuery*> ptrs;
+    for (const auto& q : qs) ptrs.push_back(&q);
+    const xpath::EvalBatch batch = xpath::MakeEvalBatch(ptrs);
+    ASSERT_GT(batch.total_width, 64u * 3);
+    size_t donors = 0;
+    for (const xpath::BatchLane& lane : batch.lanes) {
+      donors += lane.donor >= 0 ? 1 : 0;
+    }
+    EXPECT_GT(donors, 0u);
+    ExpectFusedMatchesSolo(ptrs, /*seed=*/2000 + trial);
+  }
+}
+
+// Sub-fragments that resolve to truth values keep a walk on its masks,
+// fused or not. Every lane must still match its solo walk, including
+// the CV/DV prefix regions a donor lane never copies.
+TEST(FusedEvalTest, TruthValueResolverBatchMatchesSolo) {
+  std::vector<xpath::NormQuery> qs;
+  qs.push_back(Compile("[//a[b]]"));
+  qs.push_back(Compile("[//a[b] and c]"));
+  qs.push_back(Compile("[//a[b] and not(d/e)]"));
+  qs.push_back(Compile("[*/c or //d[e = \"t1\"]]"));
+  std::vector<const xpath::NormQuery*> ptrs;
+  for (const auto& q : qs) ptrs.push_back(&q);
+  const auto batch = xpath::MakeEvalBatch(ptrs);
+  ASSERT_GE(batch.lanes[2].donor, 0);
+  Scenario sc = MakeScenario(/*seed=*/61);
+
+  // Entry i of a sub-fragment's vectors depends on (fragment, i) only,
+  // as the batch contract requires.
+  auto truth = [](const xml::Node& vnode, std::vector<bexpr::ExprId>* v,
+                  std::vector<bexpr::ExprId>* dv) {
+    for (size_t i = 0; i < v->size(); ++i) {
+      const uint64_t h =
+          static_cast<uint64_t>(vnode.fragment_ref) * 0x9e3779b97f4a7c15ULL ^
+          (i + 1) * 0xbf58476d1ce4e5b9ULL;
+      const bool here = (h >> 17) & 1;
+      (*v)[i] = here ? bexpr::kTrueExpr : bexpr::kFalseExpr;
+      (*dv)[i] = here || ((h >> 29) & 1) ? bexpr::kTrueExpr : bexpr::kFalseExpr;
+    }
+  };
+  size_t with_virtuals = 0;
+  for (frag::FragmentId f : sc.set.live_ids()) {
+    const xml::Node& root = *sc.set.fragment(f).root;
+    if (xml::CountVirtuals(&root) > 0) ++with_virtuals;
+    bexpr::ExprFactory factory;
+    const auto fused = xpath::BottomUpEvalBatch(&factory, batch, root, truth);
+    for (size_t k = 0; k < qs.size(); ++k) {
+      const auto solo = xpath::BottomUpEval(&factory, qs[k], root, truth);
+      EXPECT_EQ(fused[k].v, solo.v) << "fragment " << f << " lane " << k;
+      EXPECT_EQ(fused[k].cv, solo.cv) << "fragment " << f << " lane " << k;
+      EXPECT_EQ(fused[k].dv, solo.dv) << "fragment " << f << " lane " << k;
+    }
+    EXPECT_EQ(factory.total_nodes(), 2u) << "a truth-value walk interned";
+  }
+  EXPECT_GT(with_virtuals, 0u);
 }
 
 TEST(FusedEvalTest, SingleLaneDegeneratesToSolo) {
@@ -224,12 +300,12 @@ TEST(FusedEvalTest, NodeHookLanesMatchSoloHooks) {
     const xml::Node& root = *sc.set.fragment(f).root;
     bexpr::ExprFactory factory;
     Seen fused;
-    xpath::BottomUpEvalBatch(xpath::ExprDomain{&factory}, batch, root,
+    xpath::BottomUpEvalBatch(&factory, batch, root,
                              FreshVarResolver{&factory, batch.max_width},
                              nullptr, nullptr, record(&fused));
     for (size_t k = 0; k < qs.size(); ++k) {
       Seen solo;
-      xpath::BottomUpEval(xpath::ExprDomain{&factory}, qs[k], root,
+      xpath::BottomUpEval(&factory, qs[k], root,
                           FreshVarResolver{&factory, qs[k].size()},
                           nullptr, record(&solo));
       ASSERT_EQ(solo.size(), fused.size());

@@ -11,7 +11,8 @@
 //   * meter equivalence — the service-recorded wire counters match the
 //     substrate's own TrafficStats, tag by tag, on both backends;
 //   * a single traced query produces the full causal tree: query ->
-//     admission.wait -> round -> per-site site.eval -> solve, with
+//     admission.wait -> round -> per-site send[query] -> site.eval (the
+//     kernel walk) and site.reply (queue + reply encode) -> solve, with
 //     non-zero durations.
 //
 // Runs under `ctest -L backends` (and re-runs whole with
@@ -458,12 +459,14 @@ TEST(TracingIntegrationTest, SingleQueryProducesFullSpanTree) {
     const std::vector<TraceEvent> events = tracer.Collect();
     std::map<std::string, const TraceEvent*> by_name;
     std::map<uint64_t, const TraceEvent*> by_span;
-    size_t site_evals = 0;
+    std::vector<const TraceEvent*> site_evals;
+    size_t site_replies = 0;
     for (const TraceEvent& e : events) {
       ASSERT_EQ(e.trace_id, trace_id) << e.name;
       by_name.emplace(e.name, &e);
       if (e.span_id != 0) by_span.emplace(e.span_id, &e);
-      if (e.name == "site.eval") ++site_evals;
+      if (e.name == "site.eval") site_evals.push_back(&e);
+      if (e.name == "site.reply") ++site_replies;
     }
 
     // The causal chain: query -> admission.wait and query -> round ->
@@ -473,9 +476,21 @@ TEST(TracingIntegrationTest, SingleQueryProducesFullSpanTree) {
       EXPECT_GT(by_name.at(name)->dur_seconds, 0.0) << name;
     }
     // One evaluation per site (ParBoX's bound), each parented under
-    // the round through its query send.
-    EXPECT_EQ(site_evals,
-              static_cast<size_t>(scenario.st.num_sites()));
+    // the round through its query send: the kernel walk as its own
+    // span, carrying its ops, then the reply compute.
+    const size_t sites = static_cast<size_t>(scenario.st.num_sites());
+    EXPECT_EQ(site_evals.size(), sites);
+    EXPECT_EQ(site_replies, sites);
+    for (const TraceEvent* eval : site_evals) {
+      EXPECT_GE(eval->dur_seconds, 0.0);
+      ASSERT_TRUE(by_span.count(eval->parent_id));
+      const TraceEvent* send = by_span.at(eval->parent_id);
+      EXPECT_EQ(send->name, "send[query]");
+      EXPECT_EQ(send->parent_id, by_name.at("round")->span_id);
+      ASSERT_EQ(eval->args.size(), 1u);
+      EXPECT_EQ(eval->args[0].first, "ops");
+      EXPECT_GT(std::stoull(eval->args[0].second), 0u);
+    }
     EXPECT_EQ(by_name.at("admission.wait")->parent_id,
               by_name.at("query")->span_id);
     EXPECT_EQ(by_name.at("round")->parent_id,
