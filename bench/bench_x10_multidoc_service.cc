@@ -72,13 +72,15 @@ int main() {
       opts.backend = backend;
       auto svc = service::QueryService::Create(&dep.set, &dep.st, opts);
       Check(svc.status());
+      std::vector<service::QueryOutcome> outcomes;
       auto report = service::RunOpenLoop(
           svc->get(), *workload,
           {.num_queries = kQueriesPerDoc,
-           .seed = 7 + static_cast<uint64_t>(d)});
+           .seed = 7 + static_cast<uint64_t>(d)},
+          &outcomes);
       Check(report.status());
       Check((*svc)->status());
-      for (const service::QueryOutcome& o : (*svc)->outcomes()) {
+      for (const service::QueryOutcome& o : outcomes) {
         (*answers)[d].push_back(o.answer ? 1 : 0);
       }
       *wall_seconds += report->makespan_seconds;
@@ -105,22 +107,26 @@ int main() {
     auto svc = service::CatalogService::Create(cat->get(), options);
     Check(svc.status());
     // The same per-document query sequences as the isolated runs.
+    std::vector<std::vector<service::QueryOutcome>> outcomes(kDocs);
     for (int d = 0; d < kDocs; ++d) {
       Rng draw(7 + static_cast<uint64_t>(d));
       for (size_t idx :
            workload->DrawIndices(kQueriesPerDoc, &draw)) {
         auto q = workload->Materialize(idx);
         Check(q.status());
-        Check((*svc)->Submit(doc_name(d), std::move(*q), 0.0).status());
+        Check((*svc)
+                  ->Submit(doc_name(d), std::move(*q), 0.0,
+                           [&outcomes, d](const service::QueryOutcome& o) {
+                             outcomes[d].push_back(o);
+                           })
+                  .status());
       }
     }
     const double makespan = (*svc)->Run();
     Check((*svc)->status());
     answers->assign(kDocs, {});
     for (int d = 0; d < kDocs; ++d) {
-      const service::QueryService* qs =
-          (*svc)->document_service(doc_name(d));
-      for (const service::QueryOutcome& o : qs->outcomes()) {
+      for (const service::QueryOutcome& o : outcomes[d]) {
         (*answers)[d].push_back(o.answer ? 1 : 0);
       }
     }

@@ -58,7 +58,9 @@ int main() {
     options.backend = backend;
     options.cache_capacity = 0;  // every query does real site work
     service::QueryService svc(&d.set, &d.st, options);
-    auto report = service::RunClosedLoop(&svc, *workload, loop);
+    std::vector<service::QueryOutcome> outcomes;
+    auto report = service::RunClosedLoop(&svc, *workload, loop,
+                                         /*indices_out=*/nullptr, &outcomes);
     Check(report.status());
     Check(svc.status());
     Served out;
@@ -67,7 +69,7 @@ int main() {
     out.p99_ms = report->latency.Percentile(99) * 1e3;
     // Answers keyed by submission id (completion order may differ).
     out.answers.resize(loop.num_queries);
-    for (const service::QueryOutcome& o : svc.outcomes()) {
+    for (const service::QueryOutcome& o : outcomes) {
       out.answers[o.query_id] = o.answer ? 1 : 0;
     }
     const obs::MetricsSnapshot snap = svc.SnapshotMetrics();

@@ -102,9 +102,10 @@ int main() {
         ::kill(victim, SIGKILL);
       });
     }
+    std::vector<service::QueryOutcome> outcomes;
     auto report = service::RunClosedLoopWith(&svc, make_query, kQueries,
                                              kConcurrency,
-                                             /*think_seconds=*/0.0);
+                                             /*think_seconds=*/0.0, &outcomes);
     if (killer.joinable()) killer.join();
     Check(report.status());
     Check(svc.status());
@@ -114,7 +115,7 @@ int main() {
     out.qps = report->throughput_qps;
     out.p99_ms = report->latency.Percentile(99) * 1e3;
     out.answers.resize(kQueries);
-    for (const service::QueryOutcome& o : svc.outcomes()) {
+    for (const service::QueryOutcome& o : outcomes) {
       out.answers[o.query_id] = o.answer ? 1 : 0;
     }
     const obs::MetricsSnapshot snap = svc.SnapshotMetrics();

@@ -72,14 +72,19 @@ int main() {
       options.cache_capacity = 0;
       if (!fused) options.max_batch_queries = 1;
       service::QueryService svc(&d.set, &d.st, options);
+      std::vector<service::QueryOutcome> outcomes;
       const auto t0 = std::chrono::steady_clock::now();
       for (int m = 0; m < kQueries; ++m) {
-        Check(svc.Submit(family_query(m), 0.0).status());
+        Check(svc.Submit(family_query(m), 0.0,
+                         [&outcomes](const service::QueryOutcome& o) {
+                           outcomes.push_back(o);
+                         })
+                  .status());
       }
       svc.Run();
       const auto t1 = std::chrono::steady_clock::now();
       Check(svc.status());
-      for (const auto& outcome : svc.outcomes()) {
+      for (const auto& outcome : outcomes) {
         if (outcome.answer != expected[outcome.query_id]) {
           std::fprintf(stderr,
                        "ANSWER MISMATCH: %s %s query %llu\n",
@@ -130,12 +135,16 @@ int main() {
 
   // ---- Subsumption leg: base answered from a cached variant ----
   service::QueryService svc(&d.set, &d.st);
-  Check(svc.Submit(family_query(1), 0.0).status());  // variant, cached
+  std::vector<service::QueryOutcome> outcomes;
+  auto record = [&outcomes](const service::QueryOutcome& o) {
+    outcomes.push_back(o);
+  };
+  Check(svc.Submit(family_query(1), 0.0, record).status());  // variant
   svc.Run();
   Check(svc.status());
   const uint64_t bytes_before = svc.backend().traffic().total_bytes();
   const std::vector<uint64_t> visits_before = svc.backend().visits();
-  Check(svc.Submit(family_query(0), svc.now()).status());  // base
+  Check(svc.Submit(family_query(0), svc.now(), record).status());  // base
   svc.Run();
   Check(svc.status());
   const service::ServiceReport sub_report = svc.BuildReport();
@@ -143,8 +152,8 @@ int main() {
       svc.backend().visits() == visits_before &&
       svc.backend().traffic().total_bytes() == bytes_before;
   const bool sub_correct =
-      svc.outcomes().size() == 2 && svc.outcomes()[1].subsumption_hit &&
-      svc.outcomes()[1].answer == expected[0];
+      outcomes.size() == 2 && outcomes[1].subsumption_hit &&
+      outcomes[1].answer == expected[0];
   std::printf("subsumption: %llu hit(s), zero-cost %s, answer %s\n",
               static_cast<unsigned long long>(sub_report.subsumption_hits),
               sub_zero_cost ? "yes" : "NO",

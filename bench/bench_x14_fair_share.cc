@@ -129,8 +129,9 @@ int main() {
           doc_names[0],
           service::TenantConfig{.weight = 1.0, .max_in_flight = 2}));
     }
-    auto report =
-        service::RunCrossDocOpenLoop(svc->get(), *workload, doc_names, p);
+    std::vector<std::vector<service::QueryOutcome>> outcomes;
+    auto report = service::RunCrossDocOpenLoop(svc->get(), *workload,
+                                               doc_names, p, &outcomes);
     Check(report.status());
     SharedRun run;
     run.agg_qps = report->throughput_qps;
@@ -138,17 +139,18 @@ int main() {
     obs::Histogram cold;
     run.answers.assign(kDocs, {});
     for (int d = 0; d < kDocs; ++d) {
-      const service::QueryService* qs =
-          (*svc)->document_service(doc_names[d]);
       std::vector<std::pair<uint64_t, bool>> byid;
-      for (const service::QueryOutcome& o : qs->outcomes()) {
+      for (const service::QueryOutcome& o : outcomes[d]) {
         byid.emplace_back(o.query_id, o.answer);
       }
       std::sort(byid.begin(), byid.end());
       for (const auto& [id, answer] : byid) {
         run.answers[d].push_back(answer ? 1 : 0);
       }
-      if (d > 0) cold.Merge(qs->BuildReport().latency);
+      if (d > 0) {
+        cold.Merge(
+            (*svc)->document_service(doc_names[d])->BuildReport().latency);
+      }
     }
     run.cold_p99 = cold.Percentile(99);
     return run;

@@ -36,13 +36,14 @@ int main() {
     options.backend = backend;
     options.cache_capacity = 0;  // every query does real site work
     service::QueryService svc(&d.set, &d.st, options);
-    auto report = service::RunOpenLoop(&svc, *workload,
-                                       {.num_queries = 32, .seed = 7});
+    std::vector<service::QueryOutcome> outcomes;
+    auto report = service::RunOpenLoop(
+        &svc, *workload, {.num_queries = 32, .seed = 7}, &outcomes);
     Check(report.status());
     Check(svc.status());
     if (answers != nullptr) {
       answers->clear();
-      for (const service::QueryOutcome& o : svc.outcomes()) {
+      for (const service::QueryOutcome& o : outcomes) {
         answers->push_back(o.answer ? 1 : 0);
       }
     }

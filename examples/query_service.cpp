@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "fragment/delta.h"
 #include "fragment/strategies.h"
@@ -29,9 +30,10 @@ parbox::xpath::NormQuery Compile(const char* text) {
   return std::move(*q);
 }
 
-void PrintOutcomes(const parbox::service::QueryService& svc, size_t from) {
-  for (size_t i = from; i < svc.outcomes().size(); ++i) {
-    const auto& o = svc.outcomes()[i];
+void PrintOutcomes(const std::vector<parbox::service::QueryOutcome>& outcomes,
+                   size_t from) {
+  for (size_t i = from; i < outcomes.size(); ++i) {
+    const auto& o = outcomes[i];
     std::printf("  q%llu -> %-5s  %.3f ms  %s\n",
                 static_cast<unsigned long long>(o.query_id),
                 o.answer ? "true" : "false", o.latency_seconds() * 1e3,
@@ -60,23 +62,30 @@ int main() {
   //    formula factory, one per-site partition plan, for its lifetime.
   //    Handing it the mutable deployment lets it apply deltas too.
   service::QueryService svc(&*set, &*st);
+  // The service reports each outcome to the Submit that asked for it;
+  // this walkthrough keeps them all, in completion order.
+  std::vector<service::QueryOutcome> outcomes;
+  auto record = [&outcomes](const service::QueryOutcome& o) {
+    outcomes.push_back(o);
+  };
 
   // 3. Three users ask at once; two ask the same thing. The batch
   //    visits each site once and evaluates the YHOO query once.
   std::printf("burst of three queries (two identical):\n");
-  Check(svc.Submit(Compile(xmark::kYhooQuery), 0.0).status());
-  Check(svc.Submit(Compile(xmark::kYhooQuery), 0.0).status());
-  Check(svc.Submit(Compile(xmark::kGoogSellQuery), 0.0).status());
+  Check(svc.Submit(Compile(xmark::kYhooQuery), 0.0, record).status());
+  Check(svc.Submit(Compile(xmark::kYhooQuery), 0.0, record).status());
+  Check(svc.Submit(Compile(xmark::kGoogSellQuery), 0.0, record).status());
   svc.Run();
-  PrintOutcomes(svc, 0);
+  PrintOutcomes(outcomes, 0);
 
   // 4. Ask again later: pure cache hits, no site is visited.
   std::printf("\nsame questions again:\n");
-  size_t before = svc.outcomes().size();
-  Check(svc.Submit(Compile(xmark::kYhooQuery), svc.now()).status());
-  Check(svc.Submit(Compile(xmark::kGoogSellQuery), svc.now()).status());
+  size_t before = outcomes.size();
+  Check(svc.Submit(Compile(xmark::kYhooQuery), svc.now(), record).status());
+  Check(
+      svc.Submit(Compile(xmark::kGoogSellQuery), svc.now(), record).status());
   svc.Run();
-  PrintOutcomes(svc, before);
+  PrintOutcomes(outcomes, before);
 
   // 5. Update the document through the service: a YHOO stock lists on
   //    Bache's NASDAQ market (fragment F3). Each delta re-evaluates F3
@@ -97,11 +106,12 @@ int main() {
 
   // 6. Re-ask: invalidated answers re-evaluate, the rest still hit.
   std::printf("\nafter the update:\n");
-  before = svc.outcomes().size();
-  Check(svc.Submit(Compile(xmark::kYhooQuery), svc.now()).status());
-  Check(svc.Submit(Compile(xmark::kGoogSellQuery), svc.now()).status());
+  before = outcomes.size();
+  Check(svc.Submit(Compile(xmark::kYhooQuery), svc.now(), record).status());
+  Check(
+      svc.Submit(Compile(xmark::kGoogSellQuery), svc.now(), record).status());
   svc.Run();
-  PrintOutcomes(svc, before);
+  PrintOutcomes(outcomes, before);
 
   std::printf("\n%s\n", svc.BuildReport().ToString().c_str());
   return 0;

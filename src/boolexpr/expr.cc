@@ -205,23 +205,27 @@ Tri ExprFactory::EvalPartial(ExprId e, const Assignment& assignment) const {
       break;
   }
 
-  // Iterative post-order with memoization (formulas are DAGs).
-  std::unordered_map<ExprId, Tri> memo;
-  std::vector<std::pair<ExprId, bool>> stack{{e, false}};
+  // Iterative post-order with memoization (formulas are DAGs). The
+  // solver calls this once per formula entry, so the memo and stack are
+  // per-thread scratch, cleared rather than reallocated per call.
+  static thread_local FlatMap<ExprId, Tri> memo;
+  static thread_local std::vector<std::pair<ExprId, bool>> stack;
+  memo.Clear();
+  stack.assign(1, {e, false});
   while (!stack.empty()) {
     auto [x, expanded] = stack.back();
     stack.pop_back();
-    if (memo.count(x) > 0) continue;
+    if (memo.Find(x) != nullptr) continue;
     if (!expanded) {
       switch (op(x)) {
         case ExprOp::kConst:
-          memo[x] = x == kTrueExpr ? Tri::kTrue : Tri::kFalse;
+          memo.Insert(x, x == kTrueExpr ? Tri::kTrue : Tri::kFalse);
           break;
         case ExprOp::kVar: {
           std::optional<bool> v = assignment.Get(var(x));
-          memo[x] = !v.has_value() ? Tri::kUnknown
-                    : *v           ? Tri::kTrue
-                                   : Tri::kFalse;
+          memo.Insert(x, !v.has_value() ? Tri::kUnknown
+                         : *v           ? Tri::kTrue
+                                        : Tri::kFalse);
           break;
         }
         default:
@@ -233,26 +237,26 @@ Tri ExprFactory::EvalPartial(ExprId e, const Assignment& assignment) const {
     }
     // Children are memoized; combine (Kleene logic).
     if (op(x) == ExprOp::kNot) {
-      Tri c = memo[children(x)[0]];
-      memo[x] = c == Tri::kUnknown ? Tri::kUnknown
-                : c == Tri::kTrue  ? Tri::kFalse
-                                   : Tri::kTrue;
+      Tri c = *memo.Find(children(x)[0]);
+      memo.Insert(x, c == Tri::kUnknown ? Tri::kUnknown
+                     : c == Tri::kTrue  ? Tri::kFalse
+                                        : Tri::kTrue);
     } else {
       const bool is_and = op(x) == ExprOp::kAnd;
       Tri absorbing = is_and ? Tri::kFalse : Tri::kTrue;
       Tri result = is_and ? Tri::kTrue : Tri::kFalse;
       for (ExprId c : children(x)) {
-        Tri t = memo[c];
+        Tri t = *memo.Find(c);
         if (t == absorbing) {
           result = absorbing;
           break;
         }
         if (t == Tri::kUnknown) result = Tri::kUnknown;
       }
-      memo[x] = result;
+      memo.Insert(x, result);
     }
   }
-  return memo[e];
+  return *memo.Find(e);
 }
 
 ExprId ExprFactory::Substitute(ExprId e, const Assignment& assignment) {

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/status.h"
 
 namespace parbox::bexpr {
@@ -79,19 +80,23 @@ enum class ExprOp : uint8_t { kConst, kVar, kNot, kAnd, kOr };
 /// Kleene three-valued truth, for LazyParBoX's "can we answer yet?".
 enum class Tri : uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
-/// Partial assignment of truth values to variables.
+/// Partial assignment of truth values to variables, in a flat table
+/// keyed by VarId::Pack() (whose all-ones value is reserved: a fragment
+/// id below 2^19 - 1 keeps every packed id clear of it).
 class Assignment {
  public:
-  void Set(VarId var, bool value) { values_[var.Pack()] = value; }
+  void Set(VarId var, bool value) { values_.Set(var.Pack(), value); }
   std::optional<bool> Get(VarId var) const {
-    auto it = values_.find(var.Pack());
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
+    const bool* value = values_.Find(var.Pack());
+    if (value == nullptr) return std::nullopt;
+    return *value;
   }
   size_t size() const { return values_.size(); }
+  /// Room for `n` variables without rehashing.
+  void Reserve(size_t n) { values_.Reserve(n); }
 
  private:
-  std::unordered_map<uint32_t, bool> values_;
+  FlatMap<uint32_t, bool> values_;
 };
 
 /// Owns and interns formula nodes; all operations live here.

@@ -1,6 +1,6 @@
 #include "boolexpr/serialize.h"
 
-#include <unordered_map>
+#include "common/flat_table.h"
 
 namespace parbox::bexpr {
 
@@ -23,27 +23,32 @@ size_t VarintSize(uint64_t v) {
   return size;
 }
 
+using TopoIndex = FlatMap<ExprId, uint32_t>;
+
 /// Topological order over the union of the root DAGs; `index` maps each
 /// node to its position. Shared by the encoder and the size counter so
 /// the two can never disagree.
 std::vector<ExprId> TopoOrder(const ExprFactory& factory,
                               std::span<const ExprId> roots,
-                              std::unordered_map<ExprId, uint32_t>* index) {
+                              TopoIndex* index) {
   std::vector<ExprId> order;
   std::vector<std::pair<ExprId, bool>> stack;
+  index->Reserve(roots.size());
+  order.reserve(roots.size());
+  stack.reserve(2 * roots.size());
   for (ExprId r : roots) stack.emplace_back(r, false);
   while (!stack.empty()) {
     auto [x, expanded] = stack.back();
     stack.pop_back();
-    if (index->count(x) > 0) continue;
+    if (index->Find(x) != nullptr) continue;
     if (expanded) {
-      (*index)[x] = static_cast<uint32_t>(order.size());
+      index->Insert(x, static_cast<uint32_t>(order.size()));
       order.push_back(x);
       continue;
     }
     stack.emplace_back(x, true);
     for (ExprId c : factory.children(x)) {
-      if (index->count(c) == 0) stack.emplace_back(c, false);
+      if (index->Find(c) == nullptr) stack.emplace_back(c, false);
     }
   }
   return order;
@@ -70,7 +75,7 @@ bool GetVarint(std::string_view* in, uint64_t* out) {
 
 std::string SerializeExprs(const ExprFactory& factory,
                            std::span<const ExprId> roots) {
-  std::unordered_map<ExprId, uint32_t> index;
+  TopoIndex index;
   const std::vector<ExprId> order = TopoOrder(factory, roots, &index);
 
   std::string out;
@@ -88,19 +93,19 @@ std::string SerializeExprs(const ExprFactory& factory,
       default: {
         auto kids = factory.children(e);
         PutVarint(&out, kids.size());
-        for (ExprId c : kids) PutVarint(&out, index.at(c));
+        for (ExprId c : kids) PutVarint(&out, *index.Find(c));
         break;
       }
     }
   }
   PutVarint(&out, roots.size());
-  for (ExprId r : roots) PutVarint(&out, index.at(r));
+  for (ExprId r : roots) PutVarint(&out, *index.Find(r));
   return out;
 }
 
 uint64_t SerializedExprsSize(const ExprFactory& factory,
                              std::span<const ExprId> roots) {
-  std::unordered_map<ExprId, uint32_t> index;
+  TopoIndex index;
   const std::vector<ExprId> order = TopoOrder(factory, roots, &index);
 
   uint64_t size = VarintSize(order.size());
@@ -116,13 +121,13 @@ uint64_t SerializedExprsSize(const ExprFactory& factory,
       default: {
         auto kids = factory.children(e);
         size += VarintSize(kids.size());
-        for (ExprId c : kids) size += VarintSize(index.at(c));
+        for (ExprId c : kids) size += VarintSize(*index.Find(c));
         break;
       }
     }
   }
   size += VarintSize(roots.size());
-  for (ExprId r : roots) size += VarintSize(index.at(r));
+  for (ExprId r : roots) size += VarintSize(*index.Find(r));
   return size;
 }
 

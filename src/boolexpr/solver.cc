@@ -29,7 +29,11 @@ std::vector<int32_t> PostOrder(
 Result<Assignment> SolveBottomUp(
     ExprFactory* factory, const std::vector<FragmentEquations>& equations,
     const std::vector<std::vector<int32_t>>& children_of, int32_t root) {
+  // One V and one DV variable per entry: size the table once.
+  size_t variables = 0;
+  for (const FragmentEquations& eq : equations) variables += 2 * eq.v.size();
   Assignment assignment;
+  assignment.Reserve(variables);
   for (int32_t f : PostOrder(children_of, root)) {
     if (f < 0 || static_cast<size_t>(f) >= equations.size()) {
       return Status::InvalidArgument("fragment id out of range");

@@ -571,8 +571,7 @@ void QueryService::Complete(uint64_t id, bool answer, bool cache_hit,
     }
     if (sink_->DueAt(t)) EmitStatsLine(t);
   }
-  outcomes_.push_back(outcome);
-  if (sub.done) sub.done(outcomes_.back());
+  if (sub.done) sub.done(outcome);
 }
 
 double QueryService::Run() { return session_.backend().Drain(); }
@@ -858,7 +857,7 @@ ServiceReport QueryService::BuildReport() const {
 
 void QueryService::AddToReport(ServiceReport* report) const {
   const exec::ExecBackend& backend = session_.backend();
-  report->completed += outcomes_.size();
+  report->completed += metrics_->CounterValue(m_completed_);
   report->latency.Merge(metrics_->HistogramValue(m_latency_));
   report->admission_wait.Merge(metrics_->HistogramValue(m_admission_wait_));
   report->cache_hits += metrics_->CounterValue(m_cache_hits_);

@@ -266,8 +266,10 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Enqueue `q` to arrive at virtual time `arrival_seconds` (clamped
-  /// to now()). `done`, if given, runs at completion — closed-loop
-  /// drivers use it to submit the next query. Returns the query id.
+  /// to now()). `done`, if given, runs at completion with the query's
+  /// outcome — the only record of it, since the service keeps none;
+  /// closed-loop drivers also use it to submit the next query. Returns
+  /// the query id.
   Result<uint64_t> Submit(xpath::NormQuery q, double arrival_seconds,
                           CompletionFn done = nullptr);
 
@@ -282,8 +284,6 @@ class QueryService {
   /// First internal failure, if any (malformed equation system).
   const Status& status() const { return first_error_; }
 
-  /// Completed queries, in completion order.
-  const std::vector<QueryOutcome>& outcomes() const { return outcomes_; }
   /// This service's report: AddToReport into an empty report, plus
   /// the makespan and throughput.
   ServiceReport BuildReport() const;
@@ -543,7 +543,6 @@ class QueryService {
   /// Recycled retained systems (see AcquireSystem).
   std::vector<core::RetainedSystem> system_pool_;
 
-  std::vector<QueryOutcome> outcomes_;
   uint64_t update_epoch_ = 0;  ///< bumped per document update
   Status first_error_ = Status::OK();
 };

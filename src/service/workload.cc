@@ -76,9 +76,21 @@ std::vector<size_t> Workload::DrawIndices(size_t n, Rng* rng) const {
   return out;
 }
 
+namespace {
+
+/// The completion callback that files outcomes into `*out` (none when
+/// `out` is null).
+QueryService::CompletionFn RecordInto(std::vector<QueryOutcome>* out) {
+  if (out == nullptr) return nullptr;
+  return [out](const QueryOutcome& outcome) { out->push_back(outcome); };
+}
+
+}  // namespace
+
 Result<ServiceReport> RunOpenLoop(QueryService* service,
                                   const Workload& workload,
-                                  const OpenLoopOptions& options) {
+                                  const OpenLoopOptions& options,
+                                  std::vector<QueryOutcome>* outcomes_out) {
   Rng rng(options.seed);
   const std::vector<size_t> indices =
       workload.DrawIndices(options.num_queries, &rng);
@@ -91,8 +103,9 @@ Result<ServiceReport> RunOpenLoop(QueryService* service,
     }
     PARBOX_ASSIGN_OR_RETURN(xpath::NormQuery q,
                             workload.Materialize(index));
-    PARBOX_ASSIGN_OR_RETURN(uint64_t id,
-                            service->Submit(std::move(q), arrival));
+    PARBOX_ASSIGN_OR_RETURN(
+        uint64_t id,
+        service->Submit(std::move(q), arrival, RecordInto(outcomes_out)));
     (void)id;
   }
   service->Run();
@@ -100,10 +113,10 @@ Result<ServiceReport> RunOpenLoop(QueryService* service,
   return service->BuildReport();
 }
 
-Result<ServiceReport> RunClosedLoopWith(QueryService* service,
-                                        const QueryFactory& make_query,
-                                        size_t num_queries, int concurrency,
-                                        double think_seconds) {
+Result<ServiceReport> RunClosedLoopWith(
+    QueryService* service, const QueryFactory& make_query,
+    size_t num_queries, int concurrency, double think_seconds,
+    std::vector<QueryOutcome>* outcomes_out) {
   if (concurrency < 1) {
     return Status::InvalidArgument("need at least one client");
   }
@@ -118,8 +131,8 @@ Result<ServiceReport> RunClosedLoopWith(QueryService* service,
   // Submits the next sequence entry; a no-op once exhausted. Owned by
   // shared_ptr so completion callbacks can re-enter it.
   auto submit_next = std::make_shared<std::function<void(double)>>();
-  *submit_next = [service, &make_query, think_seconds, state,
-                  submit_next](double arrival) {
+  *submit_next = [service, &make_query, think_seconds, state, submit_next,
+                  outcomes_out](double arrival) {
     if (!state->error.ok() || state->next >= state->total) return;
     Result<xpath::NormQuery> q = make_query(state->next++);
     if (!q.ok()) {
@@ -128,7 +141,9 @@ Result<ServiceReport> RunClosedLoopWith(QueryService* service,
     }
     Result<uint64_t> id = service->Submit(
         std::move(*q), arrival,
-        [service, think_seconds, state, submit_next](const QueryOutcome&) {
+        [service, think_seconds, state, submit_next,
+         outcomes_out](const QueryOutcome& outcome) {
+          if (outcomes_out != nullptr) outcomes_out->push_back(outcome);
           (*submit_next)(service->now() + think_seconds);
         });
     if (!id.ok()) state->error = id.status();
@@ -183,7 +198,9 @@ CrossDocPlan MakeCrossDocPlan(const Workload& workload, size_t num_docs,
 
 Result<ServiceReport> RunCrossDocOpenLoop(
     CatalogService* service, const Workload& workload,
-    const std::vector<std::string>& docs, const CrossDocPlan& plan) {
+    const std::vector<std::string>& docs, const CrossDocPlan& plan,
+    std::vector<std::vector<QueryOutcome>>* outcomes_out) {
+  if (outcomes_out != nullptr) outcomes_out->assign(docs.size(), {});
   for (const CrossDocPlan::Item& item : plan.items) {
     if (item.doc >= docs.size()) {
       return Status::InvalidArgument(
@@ -194,7 +211,10 @@ Result<ServiceReport> RunCrossDocOpenLoop(
                             workload.Materialize(item.query));
     PARBOX_ASSIGN_OR_RETURN(
         uint64_t id,
-        service->Submit(docs[item.doc], std::move(q), item.arrival));
+        service->Submit(docs[item.doc], std::move(q), item.arrival,
+                        RecordInto(outcomes_out == nullptr
+                                       ? nullptr
+                                       : &(*outcomes_out)[item.doc])));
     (void)id;
   }
   service->Run();
@@ -205,7 +225,8 @@ Result<ServiceReport> RunCrossDocOpenLoop(
 Result<ServiceReport> RunClosedLoop(QueryService* service,
                                     const Workload& workload,
                                     const ClosedLoopOptions& options,
-                                    std::vector<size_t>* indices_out) {
+                                    std::vector<size_t>* indices_out,
+                                    std::vector<QueryOutcome>* outcomes_out) {
   Rng rng(options.seed);
   const std::vector<size_t> indices =
       workload.DrawIndices(options.num_queries, &rng);
@@ -215,7 +236,7 @@ Result<ServiceReport> RunClosedLoop(QueryService* service,
           service,
           [&](size_t i) { return workload.Materialize(indices[i]); },
           options.num_queries, options.concurrency,
-          options.think_seconds));
+          options.think_seconds, outcomes_out));
   if (indices_out != nullptr) *indices_out = indices;
   return report;
 }

@@ -97,21 +97,26 @@ struct ClosedLoopOptions {
   uint64_t seed = 42;
 };
 
+/// Every driver below takes an optional `outcomes_out`, which receives
+/// each submission's outcome in completion order (the service itself
+/// keeps no outcome log).
+
 /// Submit `indices` (or a freshly drawn sequence) open-loop, run the
 /// service to completion and return its report.
-Result<ServiceReport> RunOpenLoop(QueryService* service,
-                                  const Workload& workload,
-                                  const OpenLoopOptions& options);
+Result<ServiceReport> RunOpenLoop(
+    QueryService* service, const Workload& workload,
+    const OpenLoopOptions& options,
+    std::vector<QueryOutcome>* outcomes_out = nullptr);
 
 /// Drive the service with a fixed population of clients: the i-th
 /// completion triggers the next submission. Runs to completion.
 /// `indices_out`, if non-null, receives the portfolio index of each
 /// submission in submission (= query id) order.
-Result<ServiceReport> RunClosedLoop(QueryService* service,
-                                    const Workload& workload,
-                                    const ClosedLoopOptions& options,
-                                    std::vector<size_t>* indices_out =
-                                        nullptr);
+Result<ServiceReport> RunClosedLoop(
+    QueryService* service, const Workload& workload,
+    const ClosedLoopOptions& options,
+    std::vector<size_t>* indices_out = nullptr,
+    std::vector<QueryOutcome>* outcomes_out = nullptr);
 
 /// Produces the query for submission number `i` (0-based).
 using QueryFactory =
@@ -119,10 +124,10 @@ using QueryFactory =
 
 /// Closed-loop drive with a caller-supplied query source instead of a
 /// Workload portfolio (e.g. parboxq --serve re-asks one query text).
-Result<ServiceReport> RunClosedLoopWith(QueryService* service,
-                                        const QueryFactory& make_query,
-                                        size_t num_queries, int concurrency,
-                                        double think_seconds);
+Result<ServiceReport> RunClosedLoopWith(
+    QueryService* service, const QueryFactory& make_query,
+    size_t num_queries, int concurrency, double think_seconds,
+    std::vector<QueryOutcome>* outcomes_out = nullptr);
 
 // ---- Cross-document (multi-tenant) driving ----
 
@@ -155,10 +160,12 @@ CrossDocPlan MakeCrossDocPlan(const Workload& workload, size_t num_docs,
 
 /// Submit `plan` against `service` (plan doc i -> docs[i]), run the
 /// shared substrate to completion, and return the aggregate report
-/// (per-document rows included).
+/// (per-document rows included). `(*outcomes_out)[i]` receives docs[i]'s
+/// outcomes.
 Result<ServiceReport> RunCrossDocOpenLoop(
     CatalogService* service, const Workload& workload,
-    const std::vector<std::string>& docs, const CrossDocPlan& plan);
+    const std::vector<std::string>& docs, const CrossDocPlan& plan,
+    std::vector<std::vector<QueryOutcome>>* outcomes_out = nullptr);
 
 }  // namespace parbox::service
 

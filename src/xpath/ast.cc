@@ -1,5 +1,7 @@
 #include "xpath/ast.h"
 
+#include "xpath/lexer.h"
+
 namespace parbox::xpath {
 
 std::unique_ptr<PathExpr> PathExpr::Self() {
@@ -118,6 +120,26 @@ std::unique_ptr<QualExpr> QualExpr::Clone() const {
 
 namespace {
 
+/// A literal the parser reads back as `s`: quoted with `"` unless `s`
+/// holds one (a parsed literal never holds both quote characters).
+void RenderLiteral(const std::string& s, std::string* out) {
+  const char quote = s.find('"') == std::string::npos ? '"' : '\'';
+  *out += quote;
+  *out += s;
+  *out += quote;
+}
+
+/// `label() = A` renders A bare when it lexes as one name.
+void RenderLabelValue(const std::string& s, std::string* out) {
+  Result<std::vector<Token>> tokens = Tokenize(s);
+  if (tokens.ok() && tokens->size() == 2 &&
+      (*tokens)[0].kind == TokenKind::kName && (*tokens)[0].text == s) {
+    *out += s;
+  } else {
+    RenderLiteral(s, out);
+  }
+}
+
 void Render(const PathExpr& p, std::string* out);
 
 void Render(const QualExpr& q, std::string* out) {
@@ -127,13 +149,12 @@ void Render(const QualExpr& q, std::string* out) {
       break;
     case QualKind::kTextEquals:
       Render(*q.path, out);
-      *out += "/text() = \"";
-      *out += q.str;
-      *out += "\"";
+      *out += "/text() = ";
+      RenderLiteral(q.str, out);
       break;
     case QualKind::kLabelEquals:
       *out += "label() = ";
-      *out += q.str;
+      RenderLabelValue(q.str, out);
       break;
     case QualKind::kNot:
       *out += "not(";

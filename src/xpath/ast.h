@@ -8,6 +8,19 @@
 // paper itself, e.g. [/portofolio/broker/name = "Merill Lynch"]), an
 // optional surrounding [ ... ], a leading `/` or `//`, and `!q`.
 //
+// Nesting is bounded by kMaxQueryDepth. A parsed query's syntax tree is
+// at most that many nodes deep, counting PathExpr and QualExpr nodes
+// alike: a chain of n `and`/`or` terms, n `/`/`//` steps or n `[q]`
+// qualifiers is at least n deep. The text also nests at most that many
+// levels, counting each enclosing `(`, `not(` and `!` as one and each
+// enclosing qualifier `[` as two (the optional surrounding [ ... ] does
+// not count). ParseQuery rejects deeper input with a ParseError at the
+// token that crosses the bound, so the parser, Normalize, the
+// destructors, ToString/Clone and the reference evaluator, which all
+// recurse once per level, stay within a fixed stack depth whatever the
+// input. The bound admits the longest path the formula variables can
+// address (bexpr::VarId: 4096 QList entries, a path of 1365 steps).
+//
 // Surface trees are an exchange format: evaluation always goes through
 // the normalized form (normalize.h). A separate naive reference
 // evaluator (reference_eval.h) interprets surface trees directly and
@@ -20,6 +33,9 @@
 #include <string>
 
 namespace parbox::xpath {
+
+/// The deepest query ParseQuery accepts (see the comment above).
+inline constexpr int kMaxQueryDepth = 2048;
 
 struct QualExpr;
 

@@ -6,12 +6,7 @@ namespace parbox::xpath {
 
 namespace {
 
-void PutI32(std::string* out, int32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((static_cast<uint32_t>(v) >> shift) &
-                                     0xFF));
-  }
-}
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;  // FNV-1a 64-bit prime
 
 /// splitmix64 finalizer — decorrelates the two FNV lanes.
 uint64_t Mix(uint64_t x) {
@@ -21,18 +16,42 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void AppendEntryBytes(std::string* out, const NormQuery::SubQuery& n) {
-  out->push_back(static_cast<char>(n.kind));
-  PutI32(out, n.a);
-  PutI32(out, n.b);
-  PutI32(out, static_cast<int32_t>(n.str.size()));
-  *out += n.str;
+template <typename Put>
+void EmitI32(int32_t v, Put& put) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    put(static_cast<uint8_t>(static_cast<uint32_t>(v) >> shift));
+  }
 }
 
-QueryFingerprint SealPrefixDigest(uint64_t lo, uint64_t hi, size_t len) {
+/// Feeds one entry's canonical bytes to `put`: the kind byte, then a,
+/// b and the payload length as little-endian int32, then the payload.
+template <typename Put>
+void EmitEntry(const NormQuery::SubQuery& n, Put& put) {
+  put(static_cast<uint8_t>(n.kind));
+  EmitI32(n.a, put);
+  EmitI32(n.b, put);
+  EmitI32(static_cast<int32_t>(n.str.size()), put);
+  for (char c : n.str) put(static_cast<uint8_t>(c));
+}
+
+/// The two FNV-1a lanes of a digest, fed the same bytes as they are
+/// emitted, so no canonical byte string is built.
+struct Lanes {
+  uint64_t lo;
+  uint64_t hi;
+  void operator()(uint8_t c) {
+    lo = (lo ^ c) * kFnvPrime;
+    hi = (hi ^ c) * kFnvPrime;
+  }
+};
+
+/// The lanes every prefix digest starts from.
+Lanes PrefixLanes() { return {kFnv1a64Basis, Mix(kFnv1a64Basis)}; }
+
+QueryFingerprint SealPrefixDigest(const Lanes& lanes, size_t len) {
   QueryFingerprint fp;
-  fp.lo = lo;
-  fp.hi = Mix(hi ^ static_cast<uint64_t>(len));
+  fp.lo = lanes.lo;
+  fp.hi = Mix(lanes.hi ^ static_cast<uint64_t>(len));
   return fp;
 }
 
@@ -42,7 +61,7 @@ uint64_t Fnv1a64(std::string_view bytes, uint64_t basis) {
   uint64_t h = basis;
   for (char c : bytes) {
     h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;  // FNV-1a 64-bit prime
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -50,38 +69,29 @@ uint64_t Fnv1a64(std::string_view bytes, uint64_t basis) {
 std::string CanonicalQueryBytes(const NormQuery& q) {
   std::string out;
   out.reserve(16 * q.size());
+  auto append = [&out](uint8_t c) { out.push_back(static_cast<char>(c)); };
   for (size_t i = 0; i < q.size(); ++i) {
-    AppendEntryBytes(&out, q.at(static_cast<SubQueryId>(i)));
+    EmitEntry(q.at(static_cast<SubQueryId>(i)), append);
   }
-  PutI32(&out, q.root());
+  EmitI32(q.root(), append);
   return out;
 }
 
 QueryFingerprint PrefixDigest(const NormQuery& q, size_t len) {
-  uint64_t lo = kFnv1a64Basis;
-  uint64_t hi = Mix(kFnv1a64Basis);
-  std::string entry;
+  Lanes lanes = PrefixLanes();
   for (size_t i = 0; i < len; ++i) {
-    entry.clear();
-    AppendEntryBytes(&entry, q.at(static_cast<SubQueryId>(i)));
-    lo = Fnv1a64(entry, lo);
-    hi = Fnv1a64(entry, hi);
+    EmitEntry(q.at(static_cast<SubQueryId>(i)), lanes);
   }
-  return SealPrefixDigest(lo, hi, len);
+  return SealPrefixDigest(lanes, len);
 }
 
 std::vector<QueryFingerprint> AllPrefixDigests(const NormQuery& q) {
   std::vector<QueryFingerprint> out;
   out.reserve(q.size());
-  uint64_t lo = kFnv1a64Basis;
-  uint64_t hi = Mix(kFnv1a64Basis);
-  std::string entry;
+  Lanes lanes = PrefixLanes();
   for (size_t i = 0; i < q.size(); ++i) {
-    entry.clear();
-    AppendEntryBytes(&entry, q.at(static_cast<SubQueryId>(i)));
-    lo = Fnv1a64(entry, lo);
-    hi = Fnv1a64(entry, hi);
-    out.push_back(SealPrefixDigest(lo, hi, i + 1));
+    EmitEntry(q.at(static_cast<SubQueryId>(i)), lanes);
+    out.push_back(SealPrefixDigest(lanes, i + 1));
   }
   return out;
 }
@@ -98,10 +108,21 @@ bool IsQListPrefix(const NormQuery& a, const NormQuery& b) {
 }
 
 QueryFingerprint FingerprintQuery(const NormQuery& q) {
-  const std::string bytes = CanonicalQueryBytes(q);
+  // The digest of CanonicalQueryBytes(q), streamed. The hi lane's basis
+  // folds in the byte count, so count the bytes first: 13 per entry
+  // plus its payload, and 4 for the root id.
+  uint64_t size = 4;
+  for (size_t i = 0; i < q.size(); ++i) {
+    size += 13 + q.at(static_cast<SubQueryId>(i)).str.size();
+  }
+  Lanes lanes{kFnv1a64Basis, Mix(kFnv1a64Basis ^ size)};
+  for (size_t i = 0; i < q.size(); ++i) {
+    EmitEntry(q.at(static_cast<SubQueryId>(i)), lanes);
+  }
+  EmitI32(q.root(), lanes);
   QueryFingerprint fp;
-  fp.lo = Fnv1a64(bytes);
-  fp.hi = Fnv1a64(bytes, Mix(kFnv1a64Basis ^ bytes.size()));
+  fp.lo = lanes.lo;
+  fp.hi = lanes.hi;
   return fp;
 }
 

@@ -59,7 +59,9 @@ struct QueryFingerprintHash {
 /// normal forms yield equal bytes.
 std::string CanonicalQueryBytes(const NormQuery& q);
 
-/// Digest of CanonicalQueryBytes(q).
+/// Digest of CanonicalQueryBytes(q): lo is its FNV-1a, hi its FNV-1a
+/// from a basis that folds in its length. Computed by streaming the
+/// bytes into both lanes, without building the string.
 QueryFingerprint FingerprintQuery(const NormQuery& q);
 
 // ---- QList-prefix digests (cache subsumption) ----

@@ -3,7 +3,6 @@
 #ifndef PARBOX_XPATH_LEXER_H_
 #define PARBOX_XPATH_LEXER_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -29,10 +28,12 @@ enum class TokenKind : uint8_t {
   kEnd,
 };
 
+/// A token's text is a view into the tokenized input, which must
+/// outlive it; the parser copies what the syntax tree keeps.
 struct Token {
   TokenKind kind;
-  std::string text;  // name or unquoted string payload
-  size_t offset;     // byte offset in the input, for error messages
+  std::string_view text;  // name or unquoted string payload
+  size_t offset;          // byte offset in the input, for error messages
 };
 
 /// Tokenize the whole input. Fails on unterminated strings or unknown

@@ -21,37 +21,42 @@ const char* NormKindName(NormKind kind) {
 }
 
 SubQueryId NormQuery::Intern(NormKind kind, SubQueryId a, SubQueryId b,
-                             std::string str) {
-  // Key: kind byte + children + payload. Children ids are unambiguous
-  // fixed-width prefixes, so no separator collisions are possible.
-  std::string key;
-  key.push_back(static_cast<char>(kind));
-  key.append(reinterpret_cast<const char*>(&a), sizeof(a));
-  key.append(reinterpret_cast<const char*>(&b), sizeof(b));
-  key += str;
-  auto it = intern_.find(key);
-  if (it != intern_.end()) return it->second;
-  SubQueryId id = static_cast<SubQueryId>(nodes_.size());
-  nodes_.push_back({kind, a, b, std::move(str)});
-  intern_.emplace(std::move(key), id);
+                             std::string_view str) {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over the payload
+  for (char c : str) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  hash ^= (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+          static_cast<uint32_t>(b);
+  hash = (hash ^ static_cast<uint8_t>(kind)) * 0x9e3779b97f4a7c15ULL;
+  const SubQueryId found = intern_.Find(hash, [&](SubQueryId id) {
+    const SubQuery& n = nodes_[id];
+    return n.kind == kind && n.a == a && n.b == b && n.str == str;
+  });
+  if (found >= 0) return found;
+  const SubQueryId id = static_cast<SubQueryId>(nodes_.size());
+  if (nodes_.empty()) {
+    // One allocation each for a typical query: doubling from one entry
+    // reaches the same capacity for 17 to 32 entries, in six steps.
+    nodes_.reserve(32);
+    intern_.Reserve(32);
+  }
+  nodes_.push_back({kind, a, b, std::string(str)});
+  intern_.Insert(hash, id);
   return id;
 }
 
-SubQueryId NormQuery::Eps() {
-  return Intern(NormKind::kEps, -1, -1, "");
+SubQueryId NormQuery::Eps() { return Intern(NormKind::kEps, -1, -1); }
+SubQueryId NormQuery::Mark() { return Intern(NormKind::kMark, -1, -1); }
+SubQueryId NormQuery::LabelIs(std::string_view label) {
+  return Intern(NormKind::kLabelIs, -1, -1, label);
 }
-SubQueryId NormQuery::Mark() {
-  return Intern(NormKind::kMark, -1, -1, "");
-}
-SubQueryId NormQuery::LabelIs(std::string label) {
-  return Intern(NormKind::kLabelIs, -1, -1, std::move(label));
-}
-SubQueryId NormQuery::TextIs(std::string value) {
-  return Intern(NormKind::kTextIs, -1, -1, std::move(value));
+SubQueryId NormQuery::TextIs(std::string_view value) {
+  return Intern(NormKind::kTextIs, -1, -1, value);
 }
 SubQueryId NormQuery::Child(SubQueryId a) {
   assert(a >= 0 && static_cast<size_t>(a) < nodes_.size());
-  return Intern(NormKind::kChild, a, -1, "");
+  return Intern(NormKind::kChild, a, -1);
 }
 SubQueryId NormQuery::Seq(SubQueryId a, SubQueryId b) {
   assert(a >= 0 && b >= 0);
@@ -63,23 +68,23 @@ SubQueryId NormQuery::Seq(SubQueryId a, SubQueryId b) {
     SubQueryId merged = And(a, nodes_[b].a);
     return Seq(merged, nodes_[b].b);
   }
-  return Intern(NormKind::kSeq, a, b, "");
+  return Intern(NormKind::kSeq, a, b);
 }
 SubQueryId NormQuery::Desc(SubQueryId a) {
   assert(a >= 0);
-  return Intern(NormKind::kDesc, a, -1, "");
+  return Intern(NormKind::kDesc, a, -1);
 }
 SubQueryId NormQuery::And(SubQueryId a, SubQueryId b) {
   assert(a >= 0 && b >= 0);
-  return Intern(NormKind::kAnd, a, b, "");
+  return Intern(NormKind::kAnd, a, b);
 }
 SubQueryId NormQuery::Or(SubQueryId a, SubQueryId b) {
   assert(a >= 0 && b >= 0);
-  return Intern(NormKind::kOr, a, b, "");
+  return Intern(NormKind::kOr, a, b);
 }
 SubQueryId NormQuery::Not(SubQueryId a) {
   assert(a >= 0);
-  return Intern(NormKind::kNot, a, -1, "");
+  return Intern(NormKind::kNot, a, -1);
 }
 
 bool NormQuery::IsWellFormed() const {

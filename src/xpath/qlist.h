@@ -22,15 +22,19 @@
 // one QList entry and ids are assigned in creation order — which *is* a
 // topological order (a sub-query is always created before anything that
 // references it). The query answer is the entry at root() — the last
-// interesting position of the list, exactly as in the paper.
+// interesting position of the list, exactly as in the paper. The
+// consing table files entry ids only (common/flat_table.h) and compares
+// candidates against the entries themselves, so it holds no key copies.
 
 #ifndef PARBOX_XPATH_QLIST_H_
 #define PARBOX_XPATH_QLIST_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
+
+#include "common/flat_table.h"
 
 namespace parbox::xpath {
 
@@ -80,8 +84,8 @@ class NormQuery {
   SubQueryId Eps();
   /// Selection endpoint (see kMark).
   SubQueryId Mark();
-  SubQueryId LabelIs(std::string label);
-  SubQueryId TextIs(std::string value);
+  SubQueryId LabelIs(std::string_view label);
+  SubQueryId TextIs(std::string_view value);
   SubQueryId Child(SubQueryId a);
   /// ǫ[a]/b. Applies the paper's ǫ-merge rules: Seq(a, Eps) = a and
   /// Seq(a, Seq(b, rest)) = Seq(a ∧ b, rest).
@@ -112,10 +116,10 @@ class NormQuery {
 
  private:
   SubQueryId Intern(NormKind kind, SubQueryId a, SubQueryId b,
-                    std::string str);
+                    std::string_view str = {});
 
   std::vector<SubQuery> nodes_;
-  std::unordered_map<std::string, SubQueryId> intern_;
+  FlatIdTable intern_;  ///< entry ids, filed by a hash of the entry
   SubQueryId root_ = -1;
 };
 

@@ -197,13 +197,14 @@ TEST(BackendDifferentialTest, ServiceAnswerStreamsAgreeAcrossBackends) {
     service::QueryService svc(
         static_cast<const FragmentSet*>(&scenario.set), &scenario.st,
         options);
+    std::vector<service::QueryOutcome> outcomes;
     auto report = service::RunOpenLoop(
-        &svc, *workload, {.num_queries = 64, .seed = 99});
+        &svc, *workload, {.num_queries = 64, .seed = 99}, &outcomes);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(svc.status().ok()) << svc.status().ToString();
     // Answers by submission id (completion order may differ).
     std::vector<std::pair<uint64_t, bool>> answers;
-    for (const service::QueryOutcome& outcome : svc.outcomes()) {
+    for (const service::QueryOutcome& outcome : outcomes) {
       answers.emplace_back(outcome.query_id, outcome.answer);
     }
     std::sort(answers.begin(), answers.end());
@@ -248,11 +249,12 @@ TEST(BackendDifferentialTest, FusedRoundsBitIdenticalAcrossBackends) {
         options);
     // One burst: every family round is a fused multi-lane batch, and
     // zipf re-draws of a family's base exercise subsumption.
+    std::vector<service::QueryOutcome> outcomes;
     auto report = service::RunOpenLoop(
-        &svc, *workload, {.num_queries = 48, .seed = 7});
+        &svc, *workload, {.num_queries = 48, .seed = 7}, &outcomes);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     ServedSlice s;
-    for (const service::QueryOutcome& outcome : svc.outcomes()) {
+    for (const service::QueryOutcome& outcome : outcomes) {
       s.answers.emplace_back(outcome.query_id, outcome.answer);
     }
     std::sort(s.answers.begin(), s.answers.end());
@@ -341,15 +343,16 @@ TEST(BackendDifferentialTest, FairShareSchedulerBitIdenticalAcrossBackends) {
                                             .max_in_flight = 1})
                       .ok());
     }
+    std::vector<std::vector<service::QueryOutcome>> outcomes;
     auto report = service::RunCrossDocOpenLoop(svc->get(), *workload,
-                                               docs, plan);
+                                               docs, plan, &outcomes);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     std::map<std::string, std::vector<std::pair<uint64_t, bool>>> answers;
-    for (const std::string& d : docs) {
-      const service::QueryService* qs = (*svc)->document_service(d);
-      EXPECT_NE(qs, nullptr);
+    for (size_t di = 0; di < docs.size(); ++di) {
+      const std::string& d = docs[di];
+      EXPECT_NE((*svc)->document_service(d), nullptr);
       auto& a = answers[d];
-      for (const service::QueryOutcome& o : qs->outcomes()) {
+      for (const service::QueryOutcome& o : outcomes[di]) {
         a.emplace_back(o.query_id, o.answer);
       }
       std::sort(a.begin(), a.end());

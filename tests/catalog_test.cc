@@ -35,6 +35,7 @@ using catalog::Catalog;
 using catalog::CatalogOptions;
 using catalog::Document;
 using service::CatalogService;
+using service::QueryOutcome;
 using service::QueryService;
 using service::ServiceOptions;
 using service::ServiceReport;
@@ -103,13 +104,17 @@ TEST(CatalogDifferentialTest, MultiDocServiceMatchesDedicatedServices) {
     ASSERT_TRUE(st.ok());
     auto svc = QueryService::Create(&d.set, &*st, options);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    std::vector<QueryOutcome> outcomes;
     for (auto& q : MakeQueries(seed * 31, kQueries)) {
-      ASSERT_TRUE((*svc)->Submit(std::move(q), 0.0).ok());
+      ASSERT_TRUE((*svc)
+                      ->Submit(std::move(q), 0.0,
+                               testutil::RecordInto(&outcomes))
+                      .ok());
     }
     (*svc)->Run();
     ASSERT_TRUE((*svc)->status().ok()) << (*svc)->status().ToString();
     std::vector<bool> answers(kQueries);
-    for (const auto& o : (*svc)->outcomes()) {
+    for (const auto& o : outcomes) {
       answers[o.query_id] = o.answer;
     }
     dedicated_answers.push_back(std::move(answers));
@@ -132,10 +137,12 @@ TEST(CatalogDifferentialTest, MultiDocServiceMatchesDedicatedServices) {
   }
   auto svc = CatalogService::Create(cat->get(), options);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  std::vector<std::vector<QueryOutcome>> outcomes(std::size(kSeeds));
   for (size_t di = 0; di < std::size(kSeeds); ++di) {
     for (auto& q : MakeQueries(kSeeds[di] * 31, kQueries)) {
       auto id = (*svc)->Submit("doc" + std::to_string(kSeeds[di]),
-                               std::move(q), 0.0);
+                               std::move(q), 0.0,
+                               testutil::RecordInto(&outcomes[di]));
       ASSERT_TRUE(id.ok()) << id.status().ToString();
     }
   }
@@ -147,9 +154,9 @@ TEST(CatalogDifferentialTest, MultiDocServiceMatchesDedicatedServices) {
     const QueryService* qs =
         (*svc)->document_service("doc" + std::to_string(kSeeds[di]));
     ASSERT_NE(qs, nullptr);
-    ASSERT_EQ(qs->outcomes().size(), static_cast<size_t>(kQueries));
+    ASSERT_EQ(outcomes[di].size(), static_cast<size_t>(kQueries));
     std::vector<bool> answers(kQueries);
-    for (const auto& o : qs->outcomes()) {
+    for (const auto& o : outcomes[di]) {
       // Query ids are service-local (0..kQueries-1 in submit order).
       answers[o.query_id] = o.answer;
     }
@@ -203,8 +210,13 @@ TEST(CatalogDifferentialTest, BatchedAndCachedEquivalenceOnSim) {
     keep_alive.push_back(std::move(*svc));
     deployments.push_back(std::move(d));
   }
+  std::vector<std::vector<QueryOutcome>> dedicated_outcomes(
+      std::size(kSeeds));
   submit_all([&](size_t di, xpath::NormQuery q, double at, int) {
-    ASSERT_TRUE(keep_alive[di]->Submit(std::move(q), at).ok());
+    ASSERT_TRUE(keep_alive[di]
+                    ->Submit(std::move(q), at,
+                             testutil::RecordInto(&dedicated_outcomes[di]))
+                    .ok());
   });
   for (auto& dsvc : keep_alive) {
     dsvc->Run();
@@ -224,11 +236,12 @@ TEST(CatalogDifferentialTest, BatchedAndCachedEquivalenceOnSim) {
   }
   auto svc = CatalogService::Create(cat->get());
   ASSERT_TRUE(svc.ok());
+  std::vector<std::vector<QueryOutcome>> outcomes(std::size(kSeeds));
   submit_all([&](size_t di, xpath::NormQuery q, double at, int) {
-    ASSERT_TRUE(
-        (*svc)
-            ->Submit(std::to_string(kSeeds[di]), std::move(q), at)
-            .ok());
+    ASSERT_TRUE((*svc)
+                    ->Submit(std::to_string(kSeeds[di]), std::move(q), at,
+                             testutil::RecordInto(&outcomes[di]))
+                    .ok());
   });
   (*svc)->Run();
   ASSERT_TRUE((*svc)->status().ok());
@@ -247,12 +260,12 @@ TEST(CatalogDifferentialTest, BatchedAndCachedEquivalenceOnSim) {
     EXPECT_EQ(r.network_bytes, dedicated[di].network_bytes);
     EXPECT_EQ(r.network_messages, dedicated[di].network_messages);
     EXPECT_EQ(qs->backend().visits(), dedicated_visits[di]);
-    ASSERT_EQ(qs->outcomes().size(), dedicated[di].completed);
-    for (size_t i = 0; i < qs->outcomes().size(); ++i) {
-      EXPECT_EQ(qs->outcomes()[i].query_id,
-                keep_alive[di]->outcomes()[i].query_id);
-      EXPECT_EQ(qs->outcomes()[i].answer,
-                keep_alive[di]->outcomes()[i].answer);
+    ASSERT_EQ(outcomes[di].size(), dedicated[di].completed);
+    ASSERT_EQ(dedicated_outcomes[di].size(), dedicated[di].completed);
+    for (size_t i = 0; i < outcomes[di].size(); ++i) {
+      EXPECT_EQ(outcomes[di][i].query_id,
+                dedicated_outcomes[di][i].query_id);
+      EXPECT_EQ(outcomes[di][i].answer, dedicated_outcomes[di][i].answer);
     }
   }
 }
@@ -281,13 +294,17 @@ TEST(CatalogMoveTest, MoveMidStreamChangesNoAnswerAndKeepsCache) {
 
   // Fill the cache.
   const int kQueries = 5;
+  std::vector<QueryOutcome> outcomes;
   for (auto& q : MakeQueries(411, kQueries)) {
-    ASSERT_TRUE((*svc)->Submit("live", std::move(q), 0.0).ok());
+    ASSERT_TRUE((*svc)
+                    ->Submit("live", std::move(q), 0.0,
+                             testutil::RecordInto(&outcomes))
+                    .ok());
   }
   (*svc)->Run();
   ASSERT_TRUE((*svc)->status().ok());
   std::vector<bool> before(kQueries);
-  for (const auto& o : qs->outcomes()) before[o.query_id] = o.answer;
+  for (const auto& o : outcomes) before[o.query_id] = o.answer;
   const size_t cached = qs->cache_size();
   EXPECT_GT(cached, 0u);
 
@@ -323,13 +340,16 @@ TEST(CatalogMoveTest, MoveMidStreamChangesNoAnswerAndKeepsCache) {
   // A move is not an update: the cache keeps serving, same answers.
   EXPECT_EQ(qs->cache_size(), cached);
   for (auto& q : MakeQueries(411, kQueries)) {
-    ASSERT_TRUE((*svc)->Submit("live", std::move(q), qs->now()).ok());
+    ASSERT_TRUE((*svc)
+                    ->Submit("live", std::move(q), qs->now(),
+                             testutil::RecordInto(&outcomes))
+                    .ok());
   }
   (*svc)->Run();
   ASSERT_TRUE((*svc)->status().ok());
-  ASSERT_EQ(qs->outcomes().size(), static_cast<size_t>(2 * kQueries));
-  for (size_t i = kQueries; i < qs->outcomes().size(); ++i) {
-    const auto& o = qs->outcomes()[i];
+  ASSERT_EQ(outcomes.size(), static_cast<size_t>(2 * kQueries));
+  for (size_t i = kQueries; i < outcomes.size(); ++i) {
+    const auto& o = outcomes[i];
     EXPECT_TRUE(o.cache_hit) << "query " << o.query_id;
     EXPECT_EQ(o.answer, before[o.query_id % kQueries]);
   }

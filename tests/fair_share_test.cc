@@ -97,15 +97,16 @@ Workload MakeSkewedWorkload() {
   return std::move(*workload);
 }
 
-/// Per-document (query_id, answer) streams, sorted by id.
+/// Per-document (query_id, answer) streams, sorted by id, from the
+/// outcomes RunCrossDocOpenLoop collected for `d.docs`.
 std::map<std::string, std::vector<std::pair<uint64_t, bool>>> AnswersByDoc(
-    const FairDeployment& d) {
+    const FairDeployment& d,
+    const std::vector<std::vector<service::QueryOutcome>>& outcomes) {
   std::map<std::string, std::vector<std::pair<uint64_t, bool>>> out;
-  for (const std::string& doc : d.docs) {
-    const QueryService* qs = d.service->document_service(doc);
-    EXPECT_NE(qs, nullptr);
-    auto& answers = out[doc];
-    for (const service::QueryOutcome& o : qs->outcomes()) {
+  for (size_t di = 0; di < d.docs.size(); ++di) {
+    EXPECT_NE(d.service->document_service(d.docs[di]), nullptr);
+    auto& answers = out[d.docs[di]];
+    for (const service::QueryOutcome& o : outcomes[di]) {
       answers.emplace_back(o.query_id, o.answer);
     }
     std::sort(answers.begin(), answers.end());
@@ -131,10 +132,12 @@ TEST(FairShareServiceTest, SchedulerOnOffAnswersIdentical) {
                       ->ConfigureTenant("d0", TenantConfig{.weight = 4.0})
                       .ok());
     }
+    std::vector<std::vector<service::QueryOutcome>> outcomes;
     auto report =
-        service::RunCrossDocOpenLoop(d.service.get(), workload, d.docs, plan);
+        service::RunCrossDocOpenLoop(d.service.get(), workload, d.docs, plan,
+                                     &outcomes);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::make_pair(AnswersByDoc(d), report->sched_deferred);
+    return std::make_pair(AnswersByDoc(d, outcomes), report->sched_deferred);
   };
 
   const auto [fair_answers, fair_deferred] = run(true);
@@ -351,25 +354,19 @@ TEST(FairShareServiceTest, UpdateLaneAppliesAheadOfReadBacklog) {
         apply_status = r.status();
       });
   // A probe submitted well after the update's arrival must see it.
-  ASSERT_TRUE(d.service->Submit("d0", std::move(*probe), 0.5).ok());
+  std::vector<service::QueryOutcome> outcomes;
+  ASSERT_TRUE(d.service
+                  ->Submit("d0", std::move(*probe), 0.5,
+                           testutil::RecordInto(&outcomes))
+                  .ok());
 
   d.service->Run();
   ASSERT_TRUE(d.service->status().ok())
       << d.service->status().ToString();
   EXPECT_TRUE(applied);
   EXPECT_TRUE(apply_status.ok()) << apply_status.ToString();
-  const auto& outcomes = qs->outcomes();
-  ASSERT_FALSE(outcomes.empty());
-  // The probe is the last-submitted query on d0.
-  uint64_t max_id = 0;
-  bool probe_answer = false;
-  for (const service::QueryOutcome& o : outcomes) {
-    if (o.query_id >= max_id) {
-      max_id = o.query_id;
-      probe_answer = o.answer;
-    }
-  }
-  EXPECT_TRUE(probe_answer) << "probe did not observe the update";
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes[0].answer) << "probe did not observe the update";
 }
 
 TEST(FairShareServiceTest, SubmitDeltaUnknownDocumentFails) {

@@ -410,18 +410,24 @@ Scenario MakePortfolio() {
 /// Serve a small mixed workload (one repeat => one cache hit) against
 /// a fresh service over `*scenario`; the service outlives the call so
 /// tests can inspect outcomes.
-std::unique_ptr<QueryService> ServeMixed(Scenario* scenario,
-                                         const std::string& backend,
-                                         Tracer* tracer) {
+std::unique_ptr<QueryService> ServeMixed(
+    Scenario* scenario, const std::string& backend, Tracer* tracer,
+    std::vector<service::QueryOutcome>* outcomes = nullptr) {
   ServiceOptions options;
   options.backend = backend;
   options.tracer = tracer;
   auto svc = std::make_unique<QueryService>(&scenario->set, &scenario->st,
                                             options);
-  EXPECT_TRUE(svc->Submit(Compile(xmark::kYhooQuery), 0.0).ok());
-  EXPECT_TRUE(svc->Submit(Compile(xmark::kGoogSellQuery), 0.0).ok());
+  auto record = [outcomes] {
+    return outcomes != nullptr ? testutil::RecordInto(outcomes)
+                               : QueryService::CompletionFn();
+  };
+  EXPECT_TRUE(svc->Submit(Compile(xmark::kYhooQuery), 0.0, record()).ok());
+  EXPECT_TRUE(
+      svc->Submit(Compile(xmark::kGoogSellQuery), 0.0, record()).ok());
   svc->Run();
-  EXPECT_TRUE(svc->Submit(Compile(xmark::kYhooQuery), 1.0).ok());  // hit
+  EXPECT_TRUE(
+      svc->Submit(Compile(xmark::kYhooQuery), 1.0, record()).ok());  // hit
   svc->Run();
   EXPECT_TRUE(svc->status().ok()) << svc->status().ToString();
   return svc;
@@ -448,12 +454,15 @@ TEST(TracingIntegrationTest, SingleQueryProducesFullSpanTree) {
     Tracer tracer;
     options.tracer = &tracer;
     QueryService svc(&scenario.set, &scenario.st, options);
-    ASSERT_TRUE(svc.Submit(Compile(xmark::kYhooQuery), 0.0).ok());
+    std::vector<service::QueryOutcome> outcomes;
+    ASSERT_TRUE(svc.Submit(Compile(xmark::kYhooQuery), 0.0,
+                           testutil::RecordInto(&outcomes))
+                    .ok());
     svc.Run();
     ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
 
-    ASSERT_EQ(svc.outcomes().size(), 1u);
-    const uint64_t trace_id = svc.outcomes()[0].trace_id;
+    ASSERT_EQ(outcomes.size(), 1u);
+    const uint64_t trace_id = outcomes[0].trace_id;
     ASSERT_NE(trace_id, 0u);
 
     const std::vector<TraceEvent> events = tracer.Collect();
@@ -666,10 +675,12 @@ TEST(MetricsIntegrationTest, SinkEmitsIntervalAndSlowQueryLines) {
 TEST(MetricsIntegrationTest, OutcomesCarryTraceIds) {
   Scenario scenario = MakePortfolio();
   Tracer tracer;
-  std::unique_ptr<QueryService> svc = ServeMixed(&scenario, "sim", &tracer);
-  ASSERT_EQ(svc->outcomes().size(), 3u);
+  std::vector<service::QueryOutcome> outcomes;
+  std::unique_ptr<QueryService> svc =
+      ServeMixed(&scenario, "sim", &tracer, &outcomes);
+  ASSERT_EQ(outcomes.size(), 3u);
   std::set<uint64_t> trace_ids;
-  for (const auto& outcome : svc->outcomes()) {
+  for (const auto& outcome : outcomes) {
     EXPECT_NE(outcome.trace_id, 0u);
     trace_ids.insert(outcome.trace_id);
   }

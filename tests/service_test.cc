@@ -82,16 +82,18 @@ TEST(QueryServiceTest, BatchedAnswersMatchSequentialParBoX) {
       expected.push_back(report->answer);
     }
 
+    std::vector<service::QueryOutcome> outcomes;
+    const auto record = testutil::RecordInto(&outcomes);
     QueryService svc(&scenario.set, &scenario.st);
     for (const auto& ast : asts) {
       // Every submission twice: dedup must not change answers.
-      ASSERT_TRUE(svc.Submit(xpath::Normalize(*ast), 0.0).ok());
-      ASSERT_TRUE(svc.Submit(xpath::Normalize(*ast), 0.0).ok());
+      ASSERT_TRUE(svc.Submit(xpath::Normalize(*ast), 0.0, record).ok());
+      ASSERT_TRUE(svc.Submit(xpath::Normalize(*ast), 0.0, record).ok());
     }
     svc.Run();
     ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
-    ASSERT_EQ(svc.outcomes().size(), asts.size() * 2);
-    for (const auto& outcome : svc.outcomes()) {
+    ASSERT_EQ(outcomes.size(), asts.size() * 2);
+    for (const auto& outcome : outcomes) {
       EXPECT_EQ(outcome.answer, expected[outcome.query_id / 2])
           << "seed " << seed << " query " << outcome.query_id;
     }
@@ -133,18 +135,20 @@ TEST(QueryServiceTest, CacheHitAnswersWithoutSiteVisits) {
                                      frag::AssignOneSitePerFragment(*set));
   ASSERT_TRUE(st.ok());
 
+  std::vector<service::QueryOutcome> outcomes;
+  const auto record = testutil::RecordInto(&outcomes);
   QueryService svc(&*set, &*st);
-  ASSERT_TRUE(svc.Submit(Compile(xmark::kYhooQuery), 0.0).ok());
+  ASSERT_TRUE(svc.Submit(Compile(xmark::kYhooQuery), 0.0, record).ok());
   svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 1u);
-  const bool first_answer = svc.outcomes()[0].answer;
+  ASSERT_EQ(outcomes.size(), 1u);
+  const bool first_answer = outcomes[0].answer;
   const uint64_t bytes_before = svc.backend().traffic().total_bytes();
   std::vector<uint64_t> visits_before = svc.backend().visits();
 
-  ASSERT_TRUE(svc.Submit(Compile(xmark::kYhooQuery), svc.now()).ok());
+  ASSERT_TRUE(svc.Submit(Compile(xmark::kYhooQuery), svc.now(), record).ok());
   svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 2u);
-  const service::QueryOutcome& hit = svc.outcomes()[1];
+  ASSERT_EQ(outcomes.size(), 2u);
+  const service::QueryOutcome& hit = outcomes[1];
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.answer, first_answer);
   // No site visited, nothing on the network.
@@ -173,10 +177,12 @@ TEST(QueryServiceTest, DeltaEvictsOnlyAnswerChangingEntries) {
                                      frag::AssignOneSitePerFragment(set));
   ASSERT_TRUE(st.ok());
 
+  std::vector<service::QueryOutcome> outcomes;
+  const auto record = testutil::RecordInto(&outcomes);
   QueryService svc(&set, &*st);
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), 0.0).ok());      // false
-  ASSERT_TRUE(svc.Submit(Compile("[//stock]"), 0.0).ok());    // true
-  ASSERT_TRUE(svc.Submit(Compile("[//broker]"), 0.0).ok());   // true
+  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), 0.0, record).ok());     // false
+  ASSERT_TRUE(svc.Submit(Compile("[//stock]"), 0.0, record).ok());   // true
+  ASSERT_TRUE(svc.Submit(Compile("[//broker]"), 0.0, record).ok());  // true
   svc.Run();
   ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
   ASSERT_EQ(svc.cache_size(), 3u);
@@ -200,17 +206,17 @@ TEST(QueryServiceTest, DeltaEvictsOnlyAnswerChangingEntries) {
 
   // [//stock] and [//broker] still answer from cache, correctly;
   // [//zzz] re-evaluates against the updated document.
-  ASSERT_TRUE(svc.Submit(Compile("[//stock]"), svc.now()).ok());
-  ASSERT_TRUE(svc.Submit(Compile("[//broker]"), svc.now()).ok());
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now()).ok());
+  ASSERT_TRUE(svc.Submit(Compile("[//stock]"), svc.now(), record).ok());
+  ASSERT_TRUE(svc.Submit(Compile("[//broker]"), svc.now(), record).ok());
+  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now(), record).ok());
   svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 6u);
-  EXPECT_TRUE(svc.outcomes()[3].cache_hit);
-  EXPECT_TRUE(svc.outcomes()[3].answer);
-  EXPECT_TRUE(svc.outcomes()[4].cache_hit);
-  EXPECT_TRUE(svc.outcomes()[4].answer);
-  EXPECT_FALSE(svc.outcomes()[5].cache_hit);
-  EXPECT_TRUE(svc.outcomes()[5].answer);
+  ASSERT_EQ(outcomes.size(), 6u);
+  EXPECT_TRUE(outcomes[3].cache_hit);
+  EXPECT_TRUE(outcomes[3].answer);
+  EXPECT_TRUE(outcomes[4].cache_hit);
+  EXPECT_TRUE(outcomes[4].answer);
+  EXPECT_FALSE(outcomes[5].cache_hit);
+  EXPECT_TRUE(outcomes[5].answer);
 
   // Every answer the service ever gave matches a fresh ParBoX run on
   // the document state it answered for (spot-check the final state).
@@ -234,6 +240,8 @@ TEST(QueryServiceTest, ConcurrentReadsInterleavedWithApply) {
                                      frag::AssignOneSitePerFragment(set));
   ASSERT_TRUE(st.ok());
 
+  std::vector<service::QueryOutcome> outcomes;
+  const auto record = testutil::RecordInto(&outcomes);
   QueryService svc(&set, &*st);
 
   // A delta lands mid-round, after the sites evaluated [//zzz] (both
@@ -241,7 +249,7 @@ TEST(QueryServiceTest, ConcurrentReadsInterleavedWithApply) {
   // the coordinator composes: the racing round's pre-update result
   // must not enter the cache (epoch guard), and a submission arriving
   // *after* the delta must not ride the stale in-flight round.
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), 0.0).ok());
+  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), 0.0, record).ok());
   bool mid_round_applied = false;
   svc.backend().ScheduleAt(3.5e-4, [&] {
     auto applied =
@@ -250,12 +258,12 @@ TEST(QueryServiceTest, ConcurrentReadsInterleavedWithApply) {
     mid_round_applied = true;
   });
   svc.backend().ScheduleAt(3.6e-4, [&] {
-    ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now()).ok());
+    ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now(), record).ok());
   });
   svc.Run();
   ASSERT_TRUE(mid_round_applied);
   ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
-  ASSERT_EQ(svc.outcomes().size(), 2u);
+  ASSERT_EQ(outcomes.size(), 2u);
   // On the sim's deterministic clock the racing read provably
   // evaluated before the delta and answered false. On a real-time
   // backend the race is genuine — the in-flight read may land on
@@ -263,16 +271,16 @@ TEST(QueryServiceTest, ConcurrentReadsInterleavedWithApply) {
   // sim pins its answer. Either way the post-delta reader must see
   // the insert, not the stale round.
   if (testutil::DefaultBackendIsSim()) {
-    EXPECT_FALSE(svc.outcomes()[0].answer);
+    EXPECT_FALSE(outcomes[0].answer);
   }
-  EXPECT_TRUE(svc.outcomes()[1].answer);
-  EXPECT_FALSE(svc.outcomes()[1].cache_hit);
+  EXPECT_TRUE(outcomes[1].answer);
+  EXPECT_FALSE(outcomes[1].cache_hit);
 
   // The cache, too, answers the post-update truth from here on.
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now()).ok());
+  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now(), record).ok());
   svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 3u);
-  EXPECT_TRUE(svc.outcomes()[2].answer);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(outcomes[2].answer);
 
   // Updates from completion callbacks: each completion applies a delta
   // flipping the answer, then resubmits; every resubmission must see
@@ -296,22 +304,25 @@ TEST(QueryServiceTest, ConcurrentReadsInterleavedWithApply) {
                      frag::Delta::InsertSubtree(*f_s, s_node, "zzz"))
                   .ok());
         }
-        ASSERT_TRUE(
-            svc.Submit(Compile("[//zzz]"), svc.now(), flip_loop).ok());
+        ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now(),
+                               testutil::RecordInto(&outcomes, flip_loop))
+                        .ok());
       };
-  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now(), flip_loop).ok());
+  ASSERT_TRUE(svc.Submit(Compile("[//zzz]"), svc.now(),
+                         testutil::RecordInto(&outcomes, flip_loop))
+                  .ok());
   svc.Run();
   ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
 
   // Each outcome alternates with the flips; the last one reflects the
   // final document state, and a fresh ParBoX run agrees.
-  ASSERT_EQ(svc.outcomes().size(), 3u + 5u);
-  const bool final_answer = svc.outcomes().back().answer;
+  ASSERT_EQ(outcomes.size(), 3u + 5u);
+  const bool final_answer = outcomes.back().answer;
   auto fresh = core::RunParBoX(set, *st, Compile("[//zzz]"));
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->answer, final_answer);
-  for (size_t i = 3; i + 1 < svc.outcomes().size(); ++i) {
-    EXPECT_NE(svc.outcomes()[i].answer, svc.outcomes()[i + 1].answer)
+  for (size_t i = 3; i + 1 < outcomes.size(); ++i) {
+    EXPECT_NE(outcomes[i].answer, outcomes[i + 1].answer)
         << "outcome " << i << " did not observe the interleaved flip";
   }
 }
@@ -358,7 +369,9 @@ TEST(WorkloadTest, ClosedLoopServesEverythingAndMatchesParBoX) {
   options.concurrency = 8;
   options.seed = 7;
   std::vector<size_t> indices;
-  auto report = RunClosedLoop(&svc, *workload, options, &indices);
+  std::vector<service::QueryOutcome> outcomes;
+  auto report =
+      RunClosedLoop(&svc, *workload, options, &indices, &outcomes);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->completed, 24u);
   ASSERT_EQ(indices.size(), 24u);
@@ -366,7 +379,7 @@ TEST(WorkloadTest, ClosedLoopServesEverythingAndMatchesParBoX) {
   // Outcomes arrive in completion order; query ids are submission
   // order, which is the order indices were drawn in.
   std::vector<bool> answer_by_id(indices.size());
-  for (const auto& outcome : svc.outcomes()) {
+  for (const auto& outcome : outcomes) {
     answer_by_id[outcome.query_id] = outcome.answer;
   }
   double sequential_seconds = 0.0;
@@ -420,19 +433,21 @@ TEST(QueryServiceTest, SubsumptionAnswersWithoutSiteVisits) {
                                   Compile(family.base.c_str()));
   ASSERT_TRUE(expected.ok());
 
+  std::vector<service::QueryOutcome> outcomes;
+  const auto record = testutil::RecordInto(&outcomes);
   QueryService svc(&scenario.set, &scenario.st);
   // Cache the longer query the normal way (one round).
-  ASSERT_TRUE(svc.Submit(Compile(family.deeper.c_str()), 0.0).ok());
+  ASSERT_TRUE(svc.Submit(Compile(family.deeper.c_str()), 0.0, record).ok());
   svc.Run();
-  ASSERT_EQ(svc.outcomes().size(), 1u);
+  ASSERT_EQ(outcomes.size(), 1u);
 
   const uint64_t bytes_before = svc.backend().traffic().total_bytes();
   const std::vector<uint64_t> visits_before = svc.backend().visits();
-  ASSERT_TRUE(svc.Submit(Compile(family.base.c_str()), svc.now()).ok());
+  ASSERT_TRUE(svc.Submit(Compile(family.base.c_str()), svc.now(), record).ok());
   svc.Run();
   ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
-  ASSERT_EQ(svc.outcomes().size(), 2u);
-  const service::QueryOutcome& hit = svc.outcomes()[1];
+  ASSERT_EQ(outcomes.size(), 2u);
+  const service::QueryOutcome& hit = outcomes[1];
   // Answered by re-solving the cached entry's truncated system: a
   // cache hit of the subsumption kind, zero site visits, nothing on
   // the network — and the exact standalone answer.
@@ -446,10 +461,10 @@ TEST(QueryServiceTest, SubsumptionAnswersWithoutSiteVisits) {
   EXPECT_EQ(report.cache_hits, 1u);
   // The subsumption answer is a first-class entry now: resubmitting
   // the base exact-hits it.
-  ASSERT_TRUE(svc.Submit(Compile(family.base.c_str()), svc.now()).ok());
+  ASSERT_TRUE(svc.Submit(Compile(family.base.c_str()), svc.now(), record).ok());
   svc.Run();
-  EXPECT_TRUE(svc.outcomes()[2].cache_hit);
-  EXPECT_FALSE(svc.outcomes()[2].subsumption_hit);
+  EXPECT_TRUE(outcomes[2].cache_hit);
+  EXPECT_FALSE(outcomes[2].subsumption_hit);
 }
 
 // Property: subsumption-served answers equal a fresh standalone
@@ -465,8 +480,10 @@ TEST(QueryServiceTest, SubsumptionPropertyMatchesFreshParBoX) {
     Rng rng(seed * 31 + 7);
     ChainFamily family = RandomChainFamily(&rng);
 
+    std::vector<service::QueryOutcome> outcomes;
+    const auto record = testutil::RecordInto(&outcomes);
     QueryService svc(&scenario.set, &scenario.st);
-    ASSERT_TRUE(svc.Submit(Compile(family.deepest.c_str()), 0.0).ok());
+    ASSERT_TRUE(svc.Submit(Compile(family.deepest.c_str()), 0.0, record).ok());
     svc.Run();
 
     // Both shorter levels must be served by subsumption, correctly.
@@ -474,10 +491,10 @@ TEST(QueryServiceTest, SubsumptionPropertyMatchesFreshParBoX) {
       auto expected =
           core::RunParBoX(scenario.set, scenario.st, Compile(text.c_str()));
       ASSERT_TRUE(expected.ok());
-      ASSERT_TRUE(svc.Submit(Compile(text.c_str()), svc.now()).ok());
+      ASSERT_TRUE(svc.Submit(Compile(text.c_str()), svc.now(), record).ok());
       svc.Run();
       ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
-      const service::QueryOutcome& out = svc.outcomes().back();
+      const service::QueryOutcome& out = outcomes.back();
       EXPECT_TRUE(out.subsumption_hit) << "seed " << seed << " " << text;
       EXPECT_EQ(out.answer, expected->answer)
           << "seed " << seed << " " << text;
@@ -494,10 +511,10 @@ TEST(QueryServiceTest, SubsumptionPropertyMatchesFreshParBoX) {
       auto expected =
           core::RunParBoX(scenario.set, scenario.st, Compile(text.c_str()));
       ASSERT_TRUE(expected.ok());
-      ASSERT_TRUE(svc.Submit(Compile(text.c_str()), svc.now()).ok());
+      ASSERT_TRUE(svc.Submit(Compile(text.c_str()), svc.now(), record).ok());
       svc.Run();
       ASSERT_TRUE(svc.status().ok()) << svc.status().ToString();
-      EXPECT_EQ(svc.outcomes().back().answer, expected->answer)
+      EXPECT_EQ(outcomes.back().answer, expected->answer)
           << "seed " << seed << " post-delta " << text;
     }
   }
@@ -560,6 +577,7 @@ TEST(QueryServiceTest, FusedRoundMatchesOneQueryRounds) {
     testutil::RandomScenario b = testutil::MakeRandomScenario(seed, 120, 5);
     ServiceOptions one_query_rounds;
     one_query_rounds.max_batch_queries = 1;
+    std::vector<service::QueryOutcome> fused_outcomes, solo_outcomes;
     QueryService fused(&a.set, &a.st);
     QueryService solo(&b.set, &b.st, one_query_rounds);
 
@@ -567,23 +585,25 @@ TEST(QueryServiceTest, FusedRoundMatchesOneQueryRounds) {
     ChainFamily family = RandomChainFamily(&rng);
     const std::vector<std::string> texts = {family.base, family.deeper,
                                             family.deepest, "[not(//a[b])]"};
-    for (QueryService* svc : {&fused, &solo}) {
+    for (auto [svc, outcomes] : {std::pair{&fused, &fused_outcomes},
+                                 std::pair{&solo, &solo_outcomes}}) {
       // One burst of fusable queries plus an unrelated one.
       for (const std::string& text : texts) {
-        ASSERT_TRUE(svc->Submit(Compile(text.c_str()), 0.0).ok());
+        ASSERT_TRUE(svc->Submit(Compile(text.c_str()), 0.0,
+                                testutil::RecordInto(outcomes))
+                        .ok());
       }
       svc->Run();
       ASSERT_TRUE(svc->status().ok()) << svc->status().ToString();
     }
 
-    ASSERT_EQ(fused.outcomes().size(), texts.size());
-    ASSERT_EQ(solo.outcomes().size(), texts.size());
+    ASSERT_EQ(fused_outcomes.size(), texts.size());
+    ASSERT_EQ(solo_outcomes.size(), texts.size());
     std::vector<bool> fused_answers(texts.size());
     std::vector<bool> solo_answers(texts.size());
     for (size_t i = 0; i < texts.size(); ++i) {
-      fused_answers[fused.outcomes()[i].query_id] =
-          fused.outcomes()[i].answer;
-      solo_answers[solo.outcomes()[i].query_id] = solo.outcomes()[i].answer;
+      fused_answers[fused_outcomes[i].query_id] = fused_outcomes[i].answer;
+      solo_answers[solo_outcomes[i].query_id] = solo_outcomes[i].answer;
     }
     for (size_t i = 0; i < texts.size(); ++i) {
       auto expected =
@@ -634,10 +654,12 @@ TEST(WorkloadTest, FamilyPortfolioFusesAndMatchesParBoX) {
   options.concurrency = 16;
   options.seed = 5;
   std::vector<size_t> indices;
-  auto report = RunClosedLoop(&svc, *workload, options, &indices);
+  std::vector<service::QueryOutcome> outcomes;
+  auto report =
+      RunClosedLoop(&svc, *workload, options, &indices, &outcomes);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->completed, 32u);
-  for (const auto& outcome : svc.outcomes()) {
+  for (const auto& outcome : outcomes) {
     EXPECT_EQ(outcome.answer, expected[indices[outcome.query_id]])
         << "submission " << outcome.query_id;
   }

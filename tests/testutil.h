@@ -1,5 +1,7 @@
 // Shared helpers for the parbox test suite: random surface queries and
-// random fragmentations for property-based tests.
+// random fragmentations for property-based tests, the serving
+// benchmark's query texts, and an outcome recorder for QueryService
+// submissions.
 
 #ifndef PARBOX_TESTS_TESTUTIL_H_
 #define PARBOX_TESTS_TESTUTIL_H_
@@ -14,6 +16,7 @@
 #include "fragment/fragment.h"
 #include "fragment/source_tree.h"
 #include "fragment/strategies.h"
+#include "service/query_service.h"
 #include "xmark/generator.h"
 #include "xpath/ast.h"
 
@@ -73,6 +76,74 @@ inline std::unique_ptr<xpath::QualExpr> RandomQual(Rng* rng, int depth) {
       return QualExpr::Or(RandomQual(rng, depth - 1),
                           RandomQual(rng, depth - 1));
   }
+}
+
+/// The CompletionFn that files each outcome into `*log`, in completion
+/// order, then runs `then` (the service keeps no outcome log itself).
+inline service::QueryService::CompletionFn RecordInto(
+    std::vector<service::QueryOutcome>* log,
+    service::QueryService::CompletionFn then = nullptr) {
+  return [log, then = std::move(then)](const service::QueryOutcome& o) {
+    log->push_back(o);
+    if (then) then(o);
+  };
+}
+
+/// The serving benchmark's hot_read portfolio: 8 descendant chains x 8
+/// variants (variant 0 bare, the rest conjoined with a marker test), in
+/// popularity-rank order.
+inline std::vector<std::string> HotReadFamilyTexts() {
+  static constexpr const char* kChains[] = {
+      "//regions/africa/item/description",
+      "//regions/europe/item/description/parlist",
+      "//history/site/people/person/profile/interest",
+      "//history/site/regions/asia/item/description/parlist",
+      "//history/site/regions/namerica/item/description/parlist/parlist",
+      "//history/site/history/site/regions/africa/item/description/"
+      "parlist",
+      "//site/regions/africa/item/description/parlist/name/quantity/"
+      "location/payment",
+      "//regions/africa/item/description/parlist/name/quantity/location/"
+      "payment/shipping/profile",
+  };
+  std::vector<std::string> out(64);
+  for (size_t f = 0; f < 8; ++f) {
+    for (size_t v = 0; v < 8; ++v) {
+      const std::string chain = kChains[f];
+      out[v * 8 + f] = v == 0 ? "[" + chain + "]"
+                              : "[" + chain + " and //marker = \"m" +
+                                    std::to_string((f + v) % 10) + "\"]";
+    }
+  }
+  return out;
+}
+
+/// `n` texts shaped like the serving benchmark's cold reads: a region's
+/// items conjoined with an auction price test, a third of them negated.
+inline std::vector<std::string> ColdReadStyleTexts(uint64_t seed, size_t n) {
+  static constexpr const char* kRegions[] = {
+      "africa", "asia", "australia", "europe", "namerica", "samerica"};
+  Rng rng(seed);
+  std::vector<std::string> out;
+  for (size_t i = 0; i < n; ++i) {
+    std::string text = "[//regions/";
+    text += kRegions[rng.Uniform(6)];
+    text += "/item and ";
+    const std::string money = "$" + std::to_string(rng.UniformInt(1, 999));
+    switch (rng.Uniform(3)) {
+      case 0:
+        text += "//open_auction[initial = \"" + money + "\"]]";
+        break;
+      case 1:
+        text += "//closed_auction[price = \"" + money + "\"]]";
+        break;
+      default:
+        text += "not(//open_auction[current = \"" + money + "\"])]";
+        break;
+    }
+    out.push_back(std::move(text));
+  }
+  return out;
 }
 
 /// A random fragmented document: small random tree, `splits` random

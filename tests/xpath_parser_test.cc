@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "xml/parser.h"
 #include "xpath/ast.h"
+#include "xpath/fingerprint.h"
 #include "xpath/lexer.h"
+#include "xpath/normalize.h"
 #include "xpath/parser.h"
+#include "xpath/reference_eval.h"
 
 namespace parbox::xpath {
 namespace {
@@ -195,6 +201,84 @@ INSTANTIATE_TEST_SUITE_P(
                       "[label() = z or //y/text() = \"v\"]",
                       "[*[.//q] or (a and b)]",
                       "[//stock[code = \"GOOG\" and sell = \"376\"]]"));
+
+// ---------- Nesting bound ----------
+
+std::string Repeat(std::string_view s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// `n` terms joined by " and ": a left-deep chain n tree levels deep.
+std::string AndChain(int n) {
+  std::string out = "a";
+  for (int i = 1; i < n; ++i) out += " and a";
+  return out;
+}
+
+/// Checks the input is rejected with a ParseError at `offset`.
+void ExpectTooDeep(const std::string& text, size_t offset) {
+  auto q = CompileQuery(text);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  EXPECT_NE(q.status().message().find("nested deeper than"),
+            std::string::npos)
+      << q.status().ToString();
+  EXPECT_NE(q.status().message().find(" at offset " + std::to_string(offset)),
+            std::string::npos)
+      << q.status().ToString();
+}
+
+// Each input below overflowed the stack (SIGSEGV) before the bound.
+TEST(QueryDepthTest, NestedGroupsRejected) {
+  // 10,000 '(' (20 KB): the first one past the bound is at its index.
+  ExpectTooDeep(Repeat("(", 10000) + "a" + Repeat(")", 10000),
+                kMaxQueryDepth);
+}
+
+TEST(QueryDepthTest, NestedNotRejected) {
+  ExpectTooDeep(Repeat("not(", 10000) + "a" + Repeat(")", 10000),
+                4 * kMaxQueryDepth);
+}
+
+TEST(QueryDepthTest, NestedQualifiersRejected) {
+  // A qualifier counts two levels: the '[' of step kMaxQueryDepth/2 + 1.
+  ExpectTooDeep(Repeat("a[", 10000) + "a" + Repeat("]", 10000),
+                2 * (kMaxQueryDepth / 2) + 1);
+}
+
+TEST(QueryDepthTest, LongAndChainRejected) {
+  // Term i sits at 6i, and the `and` before it at 6i - 4: the chain's
+  // tree outgrows the bound at term kMaxQueryDepth - 1.
+  ExpectTooDeep(AndChain(100000), 6 * (kMaxQueryDepth - 1) - 4);
+}
+
+TEST(QueryDepthTest, DeepestAcceptedQueriesStayWithinTheStack) {
+  auto doc = xml::ParseXml("<a><a>t</a></a>");
+  ASSERT_TRUE(doc.ok());
+  std::string path = "a";
+  for (int i = 2; i < kMaxQueryDepth - 1; ++i) path += "/a";
+  const int nots = kMaxQueryDepth - 2;
+  const int quals = (kMaxQueryDepth - 2) / 2;
+  for (const std::string& text :
+       {Repeat("(", kMaxQueryDepth) + "a" + Repeat(")", kMaxQueryDepth),
+        Repeat("not(", nots) + "a" + Repeat(")", nots),
+        Repeat("!", nots) + "a",
+        Repeat("a[", quals) + "a" + Repeat("]", quals),
+        AndChain(kMaxQueryDepth - 1), path}) {
+    SCOPED_TRACE(text.substr(0, 16));
+    auto ast = ParseQuery(text);
+    ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+    const NormQuery q = Normalize(**ast);
+    EXPECT_TRUE(q.IsWellFormed());
+    ReferenceEval(**ast, *doc->root());
+    const std::string rendered = ToString(*(*ast)->Clone());
+    auto again = CompileQuery(rendered);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(FingerprintQuery(*again), FingerprintQuery(q));
+  }
+}
 
 }  // namespace
 }  // namespace parbox::xpath

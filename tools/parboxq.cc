@@ -26,6 +26,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -354,8 +355,11 @@ int ServeCatalog(const CliOptions& options) {
   auto remaining = std::make_shared<std::vector<size_t>>(
       options.input_paths.size(), per_doc);
   auto failed = std::make_shared<Status>(Status::OK());
+  // Each document's first completed answer, for the summary below.
+  auto first_answer = std::make_shared<std::vector<std::optional<bool>>>(
+      options.input_paths.size());
   auto ask = std::make_shared<std::function<void(size_t, double)>>();
-  *ask = [&options, service, remaining, failed, ask, think](
+  *ask = [&options, service, remaining, failed, first_answer, ask, think](
              size_t di, double delay) {
     if ((*remaining)[di] == 0 || !failed->ok()) return;
     --(*remaining)[di];
@@ -370,7 +374,10 @@ int ServeCatalog(const CliOptions& options) {
     auto id = service->Submit(
         doc, std::move(*q), arrival,
         // A completion is this client asking again, after thinking.
-        [ask, di, think](const service::QueryOutcome&) {
+        [first_answer, ask, di, think](const service::QueryOutcome& o) {
+          if (!(*first_answer)[di].has_value()) {
+            (*first_answer)[di] = o.answer;
+          }
           (*ask)(di, think);
         });
     if (!id.ok()) *failed = id.status();
@@ -384,7 +391,8 @@ int ServeCatalog(const CliOptions& options) {
   if (!failed->ok()) return Fail(*failed);
   if (!(*svc)->status().ok()) return Fail((*svc)->status());
   obs::MetricsSnapshot statz;
-  for (const std::string& path : options.input_paths) {
+  for (size_t di = 0; di < options.input_paths.size(); ++di) {
+    const std::string& path = options.input_paths[di];
     service::QueryService* qs = service->document_service(path);
     qs->FlushStats();
     // Each call injects that document's substrate gauges into the
@@ -393,9 +401,7 @@ int ServeCatalog(const CliOptions& options) {
     auto report = (*svc)->BuildReport(path);
     if (!report.ok()) return Fail(report.status());
     std::printf("\n--- %s (answer: %s) ---\n%s\n", path.c_str(),
-                !qs->outcomes().empty() && qs->outcomes().front().answer
-                    ? "true"
-                    : "false",
+                (*first_answer)[di].value_or(false) ? "true" : "false",
                 report->ToString().c_str());
   }
   std::printf("\n=== catalog aggregate (%zu documents, backend %s) ===\n%s\n",
@@ -532,17 +538,17 @@ int main(int argc, char** argv) {
     if (!options.trace_path.empty()) svc_options.tracer = &tracer;
     svc_options.sink = &sink;
     service::QueryService svc(&*set, &*st, svc_options);
+    std::vector<service::QueryOutcome> outcomes;
     auto report = service::RunClosedLoopWith(
         &svc, [&](size_t) { return xpath::CompileQuery(options.query); },
         static_cast<size_t>(std::max(options.serve_queries, 0)),
-        options.serve_clients, options.serve_think_ms / 1e3);
+        options.serve_clients, options.serve_think_ms / 1e3, &outcomes);
     if (!report.ok()) return Fail(report.status());
-    if (svc.outcomes().empty()) {
+    if (outcomes.empty()) {
       return Fail(Status::InvalidArgument("nothing served"));
     }
     svc.FlushStats();
-    std::printf("answer: %s\n",
-                svc.outcomes().front().answer ? "true" : "false");
+    std::printf("answer: %s\n", outcomes.front().answer ? "true" : "false");
     std::printf("%s\n", report->ToString().c_str());
     if (options.statz) {
       std::printf("\n%s", svc.SnapshotMetrics().ToString().c_str());
