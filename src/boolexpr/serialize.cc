@@ -134,8 +134,13 @@ uint64_t SerializedExprsSize(const ExprFactory& factory,
 Result<std::vector<ExprId>> DeserializeExprs(ExprFactory* factory,
                                              std::string_view data) {
   auto malformed = [] { return Status::ParseError("malformed expr wire data"); };
+  // Counts are checked against the bytes left before anything is
+  // reserved: every node takes at least 2 bytes (op + payload), every
+  // child or root index at least 1.
   uint64_t node_count = 0;
-  if (!GetVarint(&data, &node_count)) return malformed();
+  if (!GetVarint(&data, &node_count) || node_count > data.size() / 2) {
+    return malformed();
+  }
   std::vector<ExprId> decoded;
   decoded.reserve(node_count);
   for (uint64_t i = 0; i < node_count; ++i) {
@@ -169,7 +174,9 @@ Result<std::vector<ExprId>> DeserializeExprs(ExprFactory* factory,
       case ExprOp::kAnd:
       case ExprOp::kOr: {
         uint64_t count = 0;
-        if (!GetVarint(&data, &count) || count < 2) return malformed();
+        if (!GetVarint(&data, &count) || count < 2 || count > data.size()) {
+          return malformed();
+        }
         std::vector<ExprId> kids;
         kids.reserve(count);
         for (uint64_t k = 0; k < count; ++k) {
@@ -188,7 +195,9 @@ Result<std::vector<ExprId>> DeserializeExprs(ExprFactory* factory,
     }
   }
   uint64_t root_count = 0;
-  if (!GetVarint(&data, &root_count)) return malformed();
+  if (!GetVarint(&data, &root_count) || root_count > data.size()) {
+    return malformed();
+  }
   std::vector<ExprId> roots;
   roots.reserve(root_count);
   for (uint64_t i = 0; i < root_count; ++i) {

@@ -10,6 +10,36 @@ Engine::Engine(Session* session, const xpath::NormQuery& q,
       coordinator_(session->coordinator()),
       query_bytes_(query_bytes) {}
 
+void Engine::StartQueryRound(RetainedSystem* system, std::string_view tag,
+                             std::vector<SiteWork> work, RoundDoneFn done) {
+  if (batch_.lanes.empty()) batch_ = xpath::MakeEvalBatch({q_});
+  StartRound({.backend = &backend(),
+              .coordinator = coordinator_,
+              .factory = &factory(),
+              .set = &set(),
+              .tracer = session_->tracer(),
+              .batch = &batch_,
+              .systems = {system},
+              .tag = tag,
+              .work = std::move(work)},
+             [this, done = std::move(done)](RoundResult result) {
+               AddOps(result.ops);
+               done(std::move(result));
+             });
+}
+
+void Engine::Solve(RetainedSystem* system, Status* failure) {
+  const uint64_t solve_ops = q_->size() * set().live_count();
+  AddOps(solve_ops);
+  obs::Tracer* tracer = session_->tracer();
+  if (tracer != nullptr) tracer->SetNextComputeName("solve");
+  backend().Compute(coordinator_, solve_ops, [this, system, failure] {
+    Result<bool> answer = system->Resolve(&factory(), plan_->children,
+                                          set().root_fragment(), q_->root());
+    if (!answer.ok()) *failure = answer.status();
+  });
+}
+
 RunReport Engine::Finish(std::string algorithm, bool answer,
                          uint64_t eq_system_entries) {
   exec::ExecBackend& backend = session_->backend();
@@ -26,6 +56,9 @@ RunReport Engine::Finish(std::string algorithm, bool answer,
   report.eq_system_entries = eq_system_entries;
   for (const auto& [tag, bytes] : traffic.bytes_by_tag()) {
     report.stats.counters["net." + tag + ".bytes"] = bytes;
+  }
+  for (const auto& [tag, messages] : traffic.messages_by_tag()) {
+    report.stats.counters["net." + tag + ".messages"] = messages;
   }
   backend.AddBackendStats(&report.stats);
   report.stats.counters["formula.interned_nodes"] =

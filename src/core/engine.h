@@ -10,8 +10,11 @@
 
 #include "boolexpr/expr.h"
 #include "core/report.h"
+#include "core/retained.h"
+#include "core/round.h"
 #include "core/session.h"
 #include "exec/backend.h"
+#include "xpath/eval.h"
 
 namespace parbox::core {
 
@@ -52,6 +55,17 @@ class Engine {
     total_ops_.fetch_add(ops, std::memory_order_relaxed);
   }
 
+  /// Start the one-query round of q() (core/round.h): `work` under
+  /// the request `tag`, spliced into `*system` at the coordinator.
+  /// The round's ops are added to the report before `done` runs.
+  void StartQueryRound(RetainedSystem* system, std::string_view tag,
+                       std::vector<SiteWork> work, RoundDoneFn done);
+
+  /// Stage 3: charge q().size() ops per live fragment to the
+  /// coordinator and solve `*system` there; a failure lands in
+  /// `*failure`.
+  void Solve(RetainedSystem* system, Status* failure);
+
   /// Assemble the report from the backend's measurements.
   RunReport Finish(std::string algorithm, bool answer,
                    uint64_t eq_system_entries);
@@ -63,6 +77,8 @@ class Engine {
   sim::SiteId coordinator_;
   uint64_t query_bytes_;
   std::atomic<uint64_t> total_ops_{0};
+  /// q() laid out as a one-lane batch by StartQueryRound.
+  xpath::EvalBatch batch_;
 };
 
 }  // namespace parbox::core

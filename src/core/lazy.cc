@@ -77,23 +77,26 @@ Result<RunReport> LazyParBoXEvaluator::Run(Engine& eng) const {
                    [&, f, s, depth](exec::Parcel) {
         xpath::EvalCounters counters;
         bexpr::ExprFactory& site_factory = backend.site_factory(s);
-        auto eq = std::make_shared<bexpr::FragmentEquations>(
-            PartialEvalFragment(&site_factory, q, set, f, &counters));
+        auto reply = std::make_shared<exec::TripletBatch>();
+        reply->items.push_back(
+            {0, f, PartialEvalFragment(&site_factory, q, set, f, &counters)});
         eng.AddOps(counters.ops);
-        exec::Parcel parcel = exec::MakeTripletParcel(site_factory, eq);
+        exec::Parcel parcel =
+            exec::MakeTripletBatchParcel(site_factory, std::move(reply));
         backend.Compute(s, counters.ops,
-                        [&, s, depth,
+                        [&, f, s, depth,
                          parcel = std::move(parcel)]() mutable {
           backend.Send(s, coord, std::move(parcel), "triplet",
-                       [&, depth](exec::Parcel delivered) {
-            Result<bexpr::FragmentEquations> got =
-                exec::TakeTriplet(std::move(delivered), &eng.factory());
-            if (!got.ok()) {
-              failure = got.status();
+                       [&, f, depth](exec::Parcel delivered) {
+            Result<exec::TripletBatch> got = exec::TakeTripletBatch(
+                std::move(delivered), &eng.factory());
+            if (!got.ok() || got->items.size() != 1) {
+              failure = got.ok() ? Status::Internal("malformed lazy reply")
+                                 : got.status();
               return;
             }
-            equations[got->fragment] = std::move(*got);
-            available[got->fragment] = &equations[got->fragment];
+            equations[f] = std::move(got->items[0].eq);
+            available[f] = &equations[f];
             ++evaluated;
             if (--pending != 0) return;
             // All of this depth collected: try to answer.

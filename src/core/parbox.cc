@@ -5,7 +5,8 @@
 //          query.
 // Stage 2: all sites partially evaluate the query over each of their
 //          fragments in parallel (sites run concurrently; fragments on
-//          one site serialize) and ship back the (V, CV, DV) triplets.
+//          one site serialize) and ship back the (V, CV, DV) triplets,
+//          one reply per site.
 // Stage 3: the coordinator solves the resulting system of Boolean
 //          equations with one bottom-up pass of the source tree.
 //
@@ -13,18 +14,17 @@
 // O(|q|·card(F)) independent of |T|; total computation O(|q|·(|T| +
 // card(F))).
 //
-// Runs on any ExecBackend: site work interns into the site's factory
-// and triplets cross to the coordinator as Coded parcels, so on a real
-// thread pool stage 2 is genuine parallelism with the wire codec in
-// between, while on the sim every event is bit-identical to the
-// pre-backend figures.
-
-#include <memory>
+// One core::Round (core/round.h) over the plan: one "query" message
+// per site, one walk per fragment in the site's context, and ONE
+// triplet batch back per site, spliced into a retained system that the
+// coordinator then solves. On a real thread pool stage 2 is genuine
+// parallelism with the wire codec in between; on the sim every event
+// is deterministic.
 
 #include "core/engine.h"
 #include "core/evaluator.h"
-#include "core/partial_eval.h"
-#include "exec/codec.h"
+#include "core/retained.h"
+#include "core/round.h"
 
 namespace parbox::core {
 
@@ -45,68 +45,20 @@ PARBOX_REGISTER_EVALUATOR(2, ParBoXEvaluator);
 Result<RunReport> ParBoXEvaluator::Run(Engine& eng) const {
   const frag::FragmentSet& set = eng.set();
   const xpath::NormQuery& q = eng.q();
-  exec::ExecBackend& backend = eng.backend();
-  const sim::SiteId coord = eng.coordinator();
-
-  std::vector<bexpr::FragmentEquations> equations(set.table_size());
-  size_t pending = set.live_count();
-  bool answer = false;
+  RetainedSystem system;
+  system.Reset(set.table_size());
   Status failure = Status::OK();
-
-  // Stage 3, run once every triplet has arrived. The solver walks the
-  // plan's pre-built children table instead of rebuilding it per run.
-  auto compose = [&]() {
-    const uint64_t solve_ops = q.size() * set.live_count();
-    eng.AddOps(solve_ops);
-    backend.Compute(coord, solve_ops, [&]() {
-      Result<bool> result =
-          bexpr::SolveForAnswer(&eng.factory(), equations,
-                                eng.plan().children, set.root_fragment(),
-                                q.root());
-      if (result.ok()) {
-        answer = *result;
-      } else {
-        failure = result.status();
-      }
-    });
-  };
-
-  // Stages 1 and 2, over the pre-partitioned per-site plan.
-  for (const auto& [s, fragments] : eng.plan().site_fragments) {
-    backend.RecordVisit(s);  // the only visit this site will get
-    backend.Send(coord, s, exec::Parcel::OfSize(eng.query_bytes()),
-                 "query", [&, s, &fragments = fragments](exec::Parcel) {
-      for (frag::FragmentId f : fragments) {
-        // The real partial evaluation happens here, in the site's
-        // context and into the site's factory; its measured cost is
-        // charged to the site's serialized compute queue.
-        xpath::EvalCounters counters;
-        bexpr::ExprFactory& site_factory = backend.site_factory(s);
-        auto eq = std::make_shared<bexpr::FragmentEquations>(
-            PartialEvalFragment(&site_factory, q, set, f, &counters));
-        eng.AddOps(counters.ops);
-        exec::Parcel parcel = exec::MakeTripletParcel(site_factory, eq);
-        backend.Compute(s, counters.ops,
-                        [&, s, parcel = std::move(parcel)]() mutable {
-          backend.Send(s, coord, std::move(parcel), "triplet",
-                       [&](exec::Parcel delivered) {
-            Result<bexpr::FragmentEquations> got =
-                exec::TakeTriplet(std::move(delivered), &eng.factory());
-            if (!got.ok()) {
-              failure = got.status();
-              return;
-            }
-            equations[got->fragment] = std::move(*got);
-            if (--pending == 0) compose();
-          });
-        });
-      }
-    });
-  }
-
-  backend.Drain();
+  // Stages 1 and 2 over the pre-partitioned per-site plan, then stage
+  // 3 once every site's triplets have been spliced.
+  eng.StartQueryRound(&system, "query",
+                      PlanWork(eng.plan(), eng.query_bytes()),
+                      [&](RoundResult round) {
+                        failure = round.status;
+                        if (failure.ok()) eng.Solve(&system, &failure);
+                      });
+  eng.backend().Drain();
   PARBOX_RETURN_IF_ERROR(failure);
-  return eng.Finish(std::string(display_name()), answer,
+  return eng.Finish(std::string(display_name()), system.answer(),
                     3 * q.size() * set.live_count());
 }
 

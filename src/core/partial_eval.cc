@@ -1,7 +1,5 @@
 #include "core/partial_eval.h"
 
-#include "boolexpr/serialize.h"
-
 namespace parbox::core {
 
 void FreshVarResolver::operator()(const xml::Node& vnode,
@@ -73,16 +71,6 @@ ResolvedVectors BoolEvalFragment(
     out.dv[i] = vectors.dv[i] == bexpr::kTrueExpr;
   }
   return out;
-}
-
-uint64_t TripletWireBytes(const bexpr::ExprFactory& factory,
-                          const bexpr::FragmentEquations& eq) {
-  std::vector<bexpr::ExprId> roots;
-  roots.reserve(eq.v.size() * 3);
-  roots.insert(roots.end(), eq.v.begin(), eq.v.end());
-  roots.insert(roots.end(), eq.cv.begin(), eq.cv.end());
-  roots.insert(roots.end(), eq.dv.begin(), eq.dv.end());
-  return bexpr::SerializedExprsSize(factory, roots);
 }
 
 }  // namespace parbox::core

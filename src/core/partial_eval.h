@@ -77,11 +77,6 @@ ResolvedVectors BoolEvalFragment(
         child_vectors,
     xpath::EvalCounters* counters);
 
-/// Wire size of a fragment's triplet (V, CV, DV serialized together) —
-/// what the site ships to the coordinator.
-uint64_t TripletWireBytes(const bexpr::ExprFactory& factory,
-                          const bexpr::FragmentEquations& eq);
-
 }  // namespace parbox::core
 
 #endif  // PARBOX_CORE_PARTIAL_EVAL_H_

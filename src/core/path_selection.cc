@@ -7,8 +7,8 @@
 
 #include "boolexpr/solver.h"
 #include "core/engine.h"
-#include "core/partial_eval.h"
-#include "exec/codec.h"
+#include "core/retained.h"
+#include "core/round.h"
 #include "xpath/eval.h"
 
 namespace parbox::core {
@@ -168,10 +168,10 @@ Result<PathSelectionResult> RunPathSelection(
   const sim::SiteId coord = eng.coordinator();
   const size_t n = q.size();
 
-  std::vector<bexpr::FragmentEquations> equations(set.table_size());
+  RetainedSystem up;
+  up.Reset(set.table_size());
   PathSelectionResult result;
   result.selected_by_fragment.resize(set.table_size());
-  size_t pending_up = set.live_count();
   // Written once at the coordinator, read-only in every site context
   // of the down pass (ordered by the context deliveries).
   bexpr::Assignment values;
@@ -219,14 +219,17 @@ Result<PathSelectionResult> RunPathSelection(
         });
       };
 
-  // ---- Solve, then kick off the down pass at the root fragment ----
-  auto compose = [&]() {
+  // ---- Up pass: plain ParBoX, one round over the plan; then solve
+  // and kick off the down pass at the root fragment ----
+  auto compose = [&](RoundResult round) {
+    failure = round.status;
+    if (!failure.ok()) return;
     const uint64_t solve_ops = n * set.live_count();
     eng.AddOps(solve_ops);
     backend.Compute(coord, solve_ops, [&]() {
       Result<bexpr::Assignment> solved =
-          bexpr::SolveBottomUp(&eng.factory(), equations,
-                               set.ChildrenTable(), set.root_fragment());
+          bexpr::SolveBottomUp(&eng.factory(), up.table(),
+                               eng.plan().children, set.root_fragment());
       if (!solved.ok()) {
         failure = solved.status();
         return;
@@ -243,36 +246,8 @@ Result<PathSelectionResult> RunPathSelection(
     });
   };
 
-  // ---- Up pass: plain ParBoX ----
-  for (sim::SiteId s = 0; s < st.num_sites(); ++s) {
-    if (st.fragments_at(s).empty()) continue;
-    backend.RecordVisit(s);  // first visit
-    backend.Send(coord, s, exec::Parcel::OfSize(eng.query_bytes()),
-                 "query", [&, s](exec::Parcel) {
-      for (FragmentId f : st.fragments_at(s)) {
-        xpath::EvalCounters counters;
-        bexpr::ExprFactory& site_factory = backend.site_factory(s);
-        auto eq = std::make_shared<bexpr::FragmentEquations>(
-            PartialEvalFragment(&site_factory, q, set, f, &counters));
-        eng.AddOps(counters.ops);
-        exec::Parcel parcel = exec::MakeTripletParcel(site_factory, eq);
-        backend.Compute(s, counters.ops,
-                        [&, s, parcel = std::move(parcel)]() mutable {
-          backend.Send(s, coord, std::move(parcel), "triplet",
-                       [&](exec::Parcel delivered) {
-            Result<bexpr::FragmentEquations> got =
-                exec::TakeTriplet(std::move(delivered), &eng.factory());
-            if (!got.ok()) {
-              failure = got.status();
-              return;
-            }
-            equations[got->fragment] = std::move(*got);
-            if (--pending_up == 0) compose();
-          });
-        });
-      }
-    });
-  }
+  eng.StartQueryRound(&up, "query", PlanWork(eng.plan(), eng.query_bytes()),
+                      compose);
 
   backend.Drain();
   PARBOX_RETURN_IF_ERROR(failure);

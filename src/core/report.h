@@ -41,7 +41,7 @@ struct RunReport {
   uint64_t eq_system_entries = 0;
 
   /// Fine-grained counters: traffic broken down by message kind
-  /// ("net.query.bytes", "net.triplet.bytes", "net.data.bytes", ...),
+  /// ("net.query.bytes", "net.triplet.messages", "net.data.bytes", ...),
   /// the backend's own counters ("exec.sim.events", "exec.tasks", ...)
   /// and interned formula nodes.
   obs::MetricsSnapshot stats;

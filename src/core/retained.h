@@ -10,7 +10,8 @@
 //
 // Three holders share this one value type: core::MaterializedView (the
 // view's answer), the per-fingerprint incremental state of
-// core::Session, and each entry of the QueryService result cache.
+// core::Session, and each entry of the QueryService result cache. A
+// core::Round (core/round.h) splices every site's replies into them.
 
 #ifndef PARBOX_CORE_RETAINED_H_
 #define PARBOX_CORE_RETAINED_H_
@@ -36,6 +37,10 @@ class RetainedSystem {
   /// .fragment is -1 while the slot is a hole.
   const bexpr::FragmentEquations& triplet(frag::FragmentId f) const {
     return table_[static_cast<size_t>(f)];
+  }
+  /// Every slot, indexed by fragment id (what the solver walks).
+  const std::vector<bexpr::FragmentEquations>& table() const {
+    return table_;
   }
 
   /// Drop every triplet and the answer, leaving `table_size` holes.

@@ -109,7 +109,7 @@ Result<SelectionResult> RunSelectionParBoX(const frag::FragmentSet& set,
     backend.Compute(coord, solve_ops, [&]() {
       Result<bexpr::Assignment> solved =
           bexpr::SolveBottomUp(&eng.factory(), equations,
-                               set.ChildrenTable(), set.root_fragment());
+                               eng.plan().children, set.root_fragment());
       if (!solved.ok()) {
         std::lock_guard<std::mutex> lock(failure_mutex);
         if (failure.ok()) failure = solved.status();
@@ -137,24 +137,31 @@ Result<SelectionResult> RunSelectionParBoX(const frag::FragmentSet& set,
               retained[f].per_node.emplace_back(&node, vv[q.root()]);
             });
         eng.AddOps(counters.ops);
-        auto eq = std::make_shared<bexpr::FragmentEquations>();
-        eq->fragment = f;
-        eq->v = std::move(vectors.v);
-        eq->cv = std::move(vectors.cv);
-        eq->dv = std::move(vectors.dv);
-        exec::Parcel parcel = exec::MakeTripletParcel(site_factory, eq);
+        auto reply = std::make_shared<exec::TripletBatch>();
+        exec::TripletBatch::Item& item = reply->items.emplace_back();
+        item.slot = f;
+        item.eq.fragment = f;
+        item.eq.v = std::move(vectors.v);
+        item.eq.cv = std::move(vectors.cv);
+        item.eq.dv = std::move(vectors.dv);
+        exec::Parcel parcel =
+            exec::MakeTripletBatchParcel(site_factory, std::move(reply));
         backend.Compute(s, counters.ops,
-                        [&, s, parcel = std::move(parcel)]() mutable {
+                        [&, f, s, parcel = std::move(parcel)]() mutable {
           backend.Send(s, coord, std::move(parcel), "triplet",
-                       [&](exec::Parcel delivered) {
-            Result<bexpr::FragmentEquations> got =
-                exec::TakeTriplet(std::move(delivered), &eng.factory());
-            if (!got.ok()) {
+                       [&, f](exec::Parcel delivered) {
+            Result<exec::TripletBatch> got = exec::TakeTripletBatch(
+                std::move(delivered), &eng.factory());
+            if (!got.ok() || got->items.size() != 1) {
               std::lock_guard<std::mutex> lock(failure_mutex);
-              if (failure.ok()) failure = got.status();
+              if (failure.ok()) {
+                failure = got.ok()
+                              ? Status::Internal("malformed selection reply")
+                              : got.status();
+              }
               return;
             }
-            equations[got->fragment] = std::move(*got);
+            equations[f] = std::move(got->items[0].eq);
             if (--pending_up == 0) compose();
           });
         });

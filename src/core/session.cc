@@ -8,8 +8,7 @@
 
 #include "core/engine.h"
 #include "core/evaluator.h"
-#include "core/partial_eval.h"
-#include "exec/codec.h"
+#include "core/round.h"
 #include "exec/sim_backend.h"
 #include "obs/trace_backend.h"
 #include "xpath/fingerprint.h"
@@ -352,7 +351,6 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   Engine eng(this, *query.query_, query.query_bytes_, std::move(p));
   exec::ExecBackend& backend = *backend_;
   const xpath::NormQuery& q = *query.query_;
-  const sim::SiteId coord = eng.coordinator();
   IncrementalState& state = inc_states_[query.fp_];
 
   // Root span for the incremental run; active through the coordinator
@@ -377,83 +375,27 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   const size_t log_snapshot = log_base_ + dirty_log_.size();
   exec_log_floor_ = log_snapshot;
 
-  bool answer = false;
-  bool solved = false;
   Status failure = Status::OK();
+  bool finished = false;
   const char* mode = "full";
-  // Outstanding triplet deliveries; decremented by event-loop lambdas
-  // inside cluster_.Run(), so it must outlive both branches below.
-  size_t pending = 0;
-
   // Stage 3 (shared by the full and delta paths): one bottom-up solve
-  // of the retained equation system at the coordinator.
-  auto solve = [&]() {
-    const uint64_t solve_ops = q.size() * set_->live_count();
-    eng.AddOps(solve_ops);
-    if (tracer_ != nullptr) tracer_->SetNextComputeName("solve");
-    backend.Compute(coord, solve_ops, [&]() {
-      Result<bool> result = state.system.Resolve(
-          factory_.get(), eng.plan().children, set_->root_fragment(),
-          q.root());
-      if (result.ok()) {
-        answer = *result;
-        solved = true;
-      } else {
-        failure = result.status();
-      }
-    });
-  };
-
-  // Stage 2, per fragment (shared by both branches): partially
-  // evaluate `f` at site `s` — in `s`'s execution context, into `s`'s
-  // factory — charge the compute, ship the triplet to the coordinator
-  // through the parcel codec, retain it (ids valid in the session
-  // factory), and solve once the last one lands. The retained clean
-  // triplets stay sound under the thread pool for the same reason as
-  // on the sim: deserializing a structurally identical formula into
-  // the session's hash-consing factory reproduces bit-identical
+  // of the retained equation system at the coordinator. The retained
+  // clean triplets stay sound under the thread pool for the same
+  // reason as on the sim: decoding a structurally identical formula
+  // into the session's hash-consing factory reproduces bit-identical
   // ExprIds, so reusing stored ids *is* re-evaluation minus the work.
-  auto eval_fragment = [&](sim::SiteId s, frag::FragmentId f) {
-    xpath::EvalCounters counters;
-    bexpr::ExprFactory& site_factory = backend.site_factory(s);
-    const double walk_start = tracer_ != nullptr ? backend.now() : 0.0;
-    auto eq = std::make_shared<bexpr::FragmentEquations>(
-        PartialEvalFragment(&site_factory, q, *set_, f, &counters));
-    eng.AddOps(counters.ops);
-    exec::Parcel parcel = exec::MakeTripletParcel(site_factory, eq);
-    if (tracer_ != nullptr) {
-      tracer_->RecordInlineSpan("site.eval", s, walk_start, backend.now(),
-                                counters.ops);
-      tracer_->SetNextComputeName("site.reply");
-    }
-    backend.Compute(s, counters.ops,
-                    [&, s, parcel = std::move(parcel)]() mutable {
-      backend.Send(s, coord, std::move(parcel), "triplet",
-                   [&](exec::Parcel delivered) {
-        Result<bexpr::FragmentEquations> got =
-            exec::TakeTriplet(std::move(delivered), factory_.get());
-        if (!got.ok()) {
-          failure = got.status();
-          return;
-        }
-        state.system.Splice(std::move(*got));
-        if (--pending == 0) solve();
-      });
-    });
+  auto solve = [&](RoundResult round) {
+    finished = true;
+    failure = round.status;
+    if (failure.ok()) eng.Solve(&state.system, &failure);
   };
 
   if (full) {
-    // Seed pass: the ParBoX flow, with the triplets retained for later
-    // delta runs.
+    // Seed pass: the ParBoX round, with the triplets retained for
+    // later delta runs.
     state.system.Reset(set_->table_size());
-    pending = set_->live_count();
-    for (const auto& [s, fragments] : eng.plan().site_fragments) {
-      backend.RecordVisit(s);
-      backend.Send(coord, s, exec::Parcel::OfSize(eng.query_bytes()),
-                   "query", [&, s, &fragments = fragments](exec::Parcel) {
-        for (frag::FragmentId f : fragments) eval_fragment(s, f);
-      });
-    }
+    eng.StartQueryRound(&state.system, "query",
+                        PlanWork(eng.plan(), eng.query_bytes()), solve);
   } else {
     std::vector<DirtyRecord> dirty = CollectDirty(state);
     if (dirty.empty()) {
@@ -462,53 +404,31 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
       mode = "clean";
       const uint64_t lookup_ops = 16 + q.size();
       eng.AddOps(lookup_ops);
-      const bool cached = state.system.answer();
       if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.lookup");
-      backend.Compute(coord, lookup_ops, [&answer, &solved, cached]() {
-        answer = cached;
-        solved = true;
-      });
+      backend.Compute(eng.coordinator(), lookup_ops,
+                      [&finished] { finished = true; });
     } else {
-      // Delta pass: ship each dirty site one "update" message carrying
-      // the deltas it has not seen; it re-evaluates only its dirty
-      // fragments and ships the fresh triplets back. Clean fragments'
-      // retained formulas are reused verbatim (hash-consing keeps
-      // their ExprIds bit-stable across runs).
+      // Delta pass: each dirty site gets one "update" message carrying
+      // the deltas it has not seen, re-evaluates only its dirty
+      // fragments and replies once. Clean fragments' retained formulas
+      // are reused verbatim (hash-consing keeps their ExprIds
+      // bit-stable across runs). 16 bytes name the query (its
+      // fingerprint) the site should re-evaluate under.
       mode = "delta";
-      struct SiteWork {
-        sim::SiteId site;
-        std::vector<frag::FragmentId> fragments;
-        uint64_t update_bytes = 0;
-      };
-      auto work = std::make_shared<std::vector<SiteWork>>();
+      std::vector<SiteWork> work;
       std::unordered_map<sim::SiteId, size_t> site_at;
       site_at.reserve(dirty.size());
       for (const DirtyRecord& rec : dirty) {
         const sim::SiteId s = st_->site_of(rec.fragment);
-        auto [it, inserted] = site_at.try_emplace(s, work->size());
+        auto [it, inserted] = site_at.try_emplace(s, work.size());
         if (inserted) {
-          work->push_back({s, {rec.fragment}, rec.wire_bytes});
+          work.push_back({s, {rec.fragment}, rec.wire_bytes + 16});
         } else {
-          SiteWork& w = (*work)[it->second];
-          w.fragments.push_back(rec.fragment);
-          w.update_bytes += rec.wire_bytes;
+          work[it->second].fragments.push_back(rec.fragment);
+          work[it->second].request_bytes += rec.wire_bytes;
         }
-        ++pending;
       }
-      for (size_t wi = 0; wi < work->size(); ++wi) {
-        const SiteWork& w = (*work)[wi];
-        const sim::SiteId s = w.site;
-        backend.RecordVisit(s);
-        // 16 bytes name the query (its fingerprint) the site should
-        // re-evaluate the dirty fragments under.
-        backend.Send(coord, s,
-                     exec::Parcel::OfSize(w.update_bytes + 16), "update",
-                     [&, work, wi, s](exec::Parcel) {
-          for (frag::FragmentId f : (*work)[wi].fragments) {
-            eval_fragment(s, f);
-          }
-        });
-      }
+      eng.StartQueryRound(&state.system, "update", std::move(work), solve);
     }
   }
 
@@ -518,7 +438,7 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
     e.name = "execute.incremental";
     e.trace_id = trace_ctx.trace_id;
     e.span_id = trace_ctx.span_id;
-    e.site = coord;
+    e.site = eng.coordinator();
     e.ts_seconds = trace_t0;
     e.dur_seconds = backend.now() - trace_t0;
     e.args.emplace_back("mode", mode);
@@ -528,17 +448,17 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   state.log_pos = log_snapshot;
   state.refrag_epoch = refrag_epoch_;
   // A broken run must not seed reuse.
-  state.valid = failure.ok() && solved;
+  state.valid = failure.ok() && finished;
   PARBOX_RETURN_IF_ERROR(failure);
-  if (!solved) {
+  if (!finished) {
     return Status::Internal("incremental run finished without an answer");
   }
   const uint64_t entries =
       std::string_view(mode) == "clean"
           ? 0
           : 3 * static_cast<uint64_t>(q.size()) * set_->live_count();
-  return eng.Finish(std::string("IncrementalParBoX[") + mode + "]", answer,
-                    entries);
+  return eng.Finish(std::string("IncrementalParBoX[") + mode + "]",
+                    state.system.answer(), entries);
 }
 
 void Session::FollowPlacement(

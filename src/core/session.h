@@ -36,16 +36,17 @@
 //   auto report = session->ExecuteIncremental(*q);  // revisits only f
 //
 // Apply marks exactly the touched fragment dirty; ExecuteIncremental
-// re-runs partial evaluation on dirty fragments only (one "update"
-// message to each dirty site, one triplet back), reuses the cached
-// triplet formulas of every clean fragment — hash-consing makes an
-// unchanged fragment's formulas bit-identical across runs — and
-// re-solves the equation system at the coordinator. Answers are
-// always identical to a from-scratch run; the whole delta pipeline is
-// metered on the simulated cluster like any other evaluation. Route
-// every mutation of the deployment through Apply: out-of-band edits
-// (e.g. a MaterializedView sharing the set) leave the cached triplets
-// stale. Fragmentation changes (split/merge) invalidate the cached
+// re-runs partial evaluation on dirty fragments only (one core::Round,
+// core/round.h: one "update" message to each dirty site and one
+// triplet batch back per site, however many of its fragments are
+// dirty), reuses the cached triplet formulas of every clean fragment —
+// hash-consing makes an unchanged fragment's formulas bit-identical
+// across runs — and re-solves the equation system at the coordinator.
+// Answers are always identical to a from-scratch run; the whole delta
+// pipeline is metered on the simulated cluster like any other
+// evaluation. Route every mutation of the deployment through Apply:
+// out-of-band edits (e.g. a MaterializedView sharing the set) leave
+// the cached triplets stale. Fragmentation changes (split/merge) invalidate the cached
 // state wholesale via InvalidatePlan, and the next ExecuteIncremental
 // falls back to a full pass.
 
@@ -183,10 +184,11 @@ class Session {
   /// incremental run, reuse the cached triplet formulas of every clean
   /// fragment, and re-solve the equation system at the coordinator.
   /// The first call per fingerprint (or the first after a
-  /// fragmentation change) is a full ParBoX-shaped pass that seeds the
-  /// cached triplets. The answer is always identical to a from-scratch
-  /// run of any registered evaluator. The report's algorithm field
-  /// names the path taken: IncrementalParBoX[full|delta|clean].
+  /// fragmentation change) is a full ParBoX round that seeds the
+  /// cached triplets. Either way each visited site replies once. The
+  /// answer is always identical to a from-scratch run of any
+  /// registered evaluator. The report's algorithm field names the
+  /// path taken: IncrementalParBoX[full|delta|clean].
   Result<RunReport> ExecuteIncremental(const PreparedQuery& query);
 
   /// Fragments an ExecuteIncremental of `query` would re-evaluate now.

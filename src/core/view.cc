@@ -1,6 +1,7 @@
 #include "core/view.h"
 
 #include "core/partial_eval.h"
+#include "core/round.h"
 #include "exec/sim_backend.h"
 #include "xpath/eval.h"
 
@@ -19,10 +20,7 @@ Result<MaterializedView> MaterializedView::Create(
   view.site_of_ = std::move(site_of_fragment);
   PARBOX_RETURN_IF_ERROR(view.RebuildSourceTree());
   view.system_.Reset(set->table_size());
-  for (frag::FragmentId f : set->live_ids()) {
-    uint64_t ops = 0;
-    view.RecomputeTriplet(f, &ops);
-  }
+  for (frag::FragmentId f : set->live_ids()) view.RecomputeTriplet(f);
   PARBOX_RETURN_IF_ERROR(view.Resolve());
   return view;
 }
@@ -35,12 +33,8 @@ Status MaterializedView::RebuildSourceTree() {
   return Status::OK();
 }
 
-bool MaterializedView::RecomputeTriplet(frag::FragmentId f, uint64_t* ops) {
-  xpath::EvalCounters counters;
-  const bool changed = system_.Splice(
-      PartialEvalFragment(&factory_, *q_, *set_, f, &counters));
-  *ops += counters.ops;
-  return changed;
+void MaterializedView::RecomputeTriplet(frag::FragmentId f) {
+  system_.Splice(PartialEvalFragment(&factory_, *q_, *set_, f, nullptr));
 }
 
 Status MaterializedView::Resolve() {
@@ -57,53 +51,47 @@ Result<frag::AppliedDelta> MaterializedView::Apply(const frag::Delta& delta) {
 Result<RunReport> MaterializedView::Refresh(frag::FragmentId f) {
   if (!set_->is_live(f)) return Status::NotFound("no such fragment");
   const sim::SiteId view_site = st_.site_of(st_.root_fragment());
-  const sim::SiteId frag_site = st_.site_of(f);
-  // Maintenance is metered on a throwaway deterministic cluster; views
-  // reach it through SimBackend like everything else above src/exec/.
-  exec::BackendConfig config;
-  config.num_sites = st_.num_sites();
-  config.coordinator = view_site;
-  config.network = options_.network;
-  config.coordinator_factory = &factory_;
-  exec::SimBackend backend(config);
-  sim::Cluster& cluster = *backend.sim_cluster();
-
+  // Maintenance is metered on a throwaway deterministic cluster, as
+  // one round over {f}: only the site storing F_j is visited, and it
+  // re-evaluates F_j alone.
+  exec::SimBackend backend({.num_sites = st_.num_sites(),
+                            .coordinator = view_site,
+                            .network = options_.network,
+                            .coordinator_factory = &factory_});
+  const xpath::EvalBatch batch = xpath::MakeEvalBatch({q_});
   uint64_t total_ops = 0;
   bool changed = false;
   Status failure = Status::OK();
-
-  // Only the site storing F_j is visited; it re-evaluates F_j alone.
-  cluster.RecordVisit(frag_site);
-  cluster.Send(view_site, frag_site, 64, "request", [&]() {
-    uint64_t ops = 0;
-    changed = RecomputeTriplet(f, &ops);
-    total_ops += ops;
-    const uint64_t bytes = TripletWireBytes(factory_, system_.triplet(f));
-    cluster.Compute(frag_site, ops, [&, bytes]() {
-      cluster.Send(frag_site, view_site, bytes, "triplet", [&]() {
-        if (!changed) return;  // identical triplet: answer stands
-        const uint64_t solve_ops = q_->size() * set_->live_count();
-        total_ops += solve_ops;
-        cluster.Compute(view_site, solve_ops, [&]() {
-          Status st = Resolve();
-          if (!st.ok()) failure = st;
-        });
-      });
-    });
+  StartRound({.backend = &backend,
+              .coordinator = view_site,
+              .factory = &factory_,
+              .set = set_,
+              .batch = &batch,
+              .systems = {&system_},
+              .tag = "request",
+              .work = {{st_.site_of(f), {f}, 64}}},
+             [&](RoundResult result) {
+    total_ops += result.ops;
+    changed = result.changed[0];
+    failure = result.status;
+    if (!failure.ok() || !changed) return;  // identical triplet: answer stands
+    const uint64_t solve_ops = q_->size() * set_->live_count();
+    total_ops += solve_ops;
+    backend.Compute(view_site, solve_ops, [&]() { failure = Resolve(); });
   });
-  cluster.Run();
+  backend.Drain();
   PARBOX_RETURN_IF_ERROR(failure);
 
   RunReport report;
   report.algorithm = changed ? "ViewRefresh[changed]"
                              : "ViewRefresh[unchanged]";
   report.answer = system_.answer();
-  report.makespan_seconds = cluster.now();
-  report.total_compute_seconds = cluster.total_busy_seconds();
+  report.makespan_seconds = backend.now();
+  report.total_compute_seconds = backend.total_busy_seconds();
   report.total_ops = total_ops;
-  report.network_bytes = cluster.traffic().total_bytes();
-  report.network_messages = cluster.traffic().total_messages();
-  report.visits_per_site = cluster.all_visits();
+  report.network_bytes = backend.traffic().total_bytes();
+  report.network_messages = backend.traffic().total_messages();
+  report.visits_per_site = backend.visits();
   report.eq_system_entries = 3 * q_->size();
   return report;
 }
@@ -119,9 +107,8 @@ Result<frag::FragmentId> MaterializedView::SplitFragments(
   // Only the split fragment's site computes: two fresh triplets, one
   // for the shrunken F_j and one for the carved-out fragment. The
   // answer provably does not change; re-solving is skipped.
-  uint64_t ops = 0;
-  RecomputeTriplet(f, &ops);
-  RecomputeTriplet(new_id, &ops);
+  RecomputeTriplet(f);
+  RecomputeTriplet(new_id);
   return new_id;
 }
 
@@ -132,14 +119,12 @@ Status MaterializedView::MergeFragments(frag::FragmentId child) {
   PARBOX_RETURN_IF_ERROR(RebuildSourceTree());
   // The merged-away child's slot is never read again: the solver walks
   // the children table, and fragment ids are never reused.
-  uint64_t ops = 0;
-  RecomputeTriplet(parent, &ops);
+  RecomputeTriplet(parent);
   return Status::OK();
 }
 
 Result<bool> MaterializedView::RecomputeFromScratch() {
-  uint64_t ops = 0;
-  for (frag::FragmentId f : set_->live_ids()) RecomputeTriplet(f, &ops);
+  for (frag::FragmentId f : set_->live_ids()) RecomputeTriplet(f);
   PARBOX_RETURN_IF_ERROR(Resolve());
   return system_.answer();
 }

@@ -8,7 +8,8 @@
 //   * insNode/delNode (and the other typed frag::Delta kinds) change
 //     only fragment F_j's contents. Apply validates and applies the
 //     delta; Refresh(F_j) re-runs bottomUp on F_j alone, at F_j's
-//     site. If the returned triplet is unchanged the answer stands,
+//     site — one core::Round over {F_j}, metered on a SimBackend. If
+//     the returned triplet is unchanged the answer stands,
 //     otherwise one local evalST pass recomputes it. No other site or
 //     fragment is touched, and the traffic (one triplet) depends on
 //     neither |T| nor the update size.
@@ -83,9 +84,9 @@ class MaterializedView {
       : set_(set), q_(q), options_(options) {}
 
   Status RebuildSourceTree();
-  /// Partially evaluate fragment `f` and splice its triplet into the
-  /// retained system. Returns true if the triplet changed.
-  bool RecomputeTriplet(frag::FragmentId f, uint64_t* ops);
+  /// Partially evaluate fragment `f` locally, unmetered, and splice
+  /// its triplet into the retained system.
+  void RecomputeTriplet(frag::FragmentId f);
   /// Re-solve the retained system.
   Status Resolve();
 

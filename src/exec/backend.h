@@ -266,11 +266,6 @@ class ExecBackend {
     (void)site;
     return 0;
   }
-
-  /// The underlying deterministic cluster, or nullptr when this
-  /// backend is not the simulation (tests that assert virtual-clock
-  /// specifics guard on this).
-  virtual sim::Cluster* sim_cluster() { return nullptr; }
 };
 
 /// Name -> factory registry of every linked-in backend, mirroring the

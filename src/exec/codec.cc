@@ -8,6 +8,9 @@ namespace parbox::exec {
 
 namespace {
 
+/// key (8) + slot (4) + fragment (4) + payload size (4).
+constexpr size_t kItemHeaderBytes = 20;
+
 std::vector<bexpr::ExprId> TripletRoots(const bexpr::FragmentEquations& eq) {
   std::vector<bexpr::ExprId> roots;
   roots.reserve(eq.v.size() + eq.cv.size() + eq.dv.size());
@@ -59,50 +62,11 @@ Status SplitRoots(std::vector<bexpr::ExprId> roots, int32_t fragment,
 
 }  // namespace
 
-uint64_t TripletWireSize(const bexpr::ExprFactory& factory,
-                         const bexpr::FragmentEquations& eq) {
-  return bexpr::SerializedExprsSize(factory, TripletRoots(eq));
-}
-
-Parcel MakeTripletParcel(const bexpr::ExprFactory& factory,
-                         std::shared_ptr<bexpr::FragmentEquations> eq) {
-  const uint64_t bytes = TripletWireSize(factory, *eq);
-  const bexpr::ExprFactory* f = &factory;
-  std::shared_ptr<bexpr::FragmentEquations> held = eq;
-  return Parcel::Coded(std::move(eq), bytes, [f, held]() {
-    std::string wire;
-    PutU32(&wire, static_cast<uint32_t>(held->fragment));
-    wire += bexpr::SerializeExprs(*f, TripletRoots(*held));
-    return wire;
-  });
-}
-
-Result<bexpr::FragmentEquations> TakeTriplet(Parcel parcel,
-                                             bexpr::ExprFactory* factory) {
-  if (parcel.has_local()) {
-    return std::move(*parcel.local<bexpr::FragmentEquations>());
-  }
-  if (!parcel.has_wire()) {
-    return Status::Internal("triplet parcel carries neither value nor wire");
-  }
-  std::string_view data = parcel.wire();
-  uint32_t fragment = 0;
-  if (!GetU32(&data, &fragment)) {
-    return Status::Internal("truncated triplet parcel");
-  }
-  PARBOX_ASSIGN_OR_RETURN(std::vector<bexpr::ExprId> roots,
-                          bexpr::DeserializeExprs(factory, data));
-  bexpr::FragmentEquations eq;
-  PARBOX_RETURN_IF_ERROR(
-      SplitRoots(std::move(roots), static_cast<int32_t>(fragment), &eq));
-  return eq;
-}
-
 Parcel MakeTripletBatchParcel(const bexpr::ExprFactory& factory,
                               std::shared_ptr<TripletBatch> batch) {
   uint64_t bytes = 0;
   for (const TripletBatch::Item& item : batch->items) {
-    bytes += TripletWireSize(factory, item.eq);
+    bytes += bexpr::SerializedExprsSize(factory, TripletRoots(item.eq));
   }
   const bexpr::ExprFactory* f = &factory;
   std::shared_ptr<TripletBatch> held = batch;
@@ -133,6 +97,11 @@ Result<TripletBatch> TakeTripletBatch(Parcel parcel,
   std::string_view data = parcel.wire();
   uint32_t count = 0;
   if (!GetU32(&data, &count)) {
+    return Status::Internal("truncated triplet batch parcel");
+  }
+  // Every item carries at least its header: a count the remaining
+  // bytes cannot hold is malformed, not an allocation.
+  if (count > data.size() / kItemHeaderBytes) {
     return Status::Internal("truncated triplet batch parcel");
   }
   TripletBatch batch;

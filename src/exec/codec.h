@@ -8,9 +8,14 @@
 // sender's context and the receiver decodes into its own factory —
 // exactly what distinct processes would do.
 //
-// Metering: a triplet parcel's wire size is SerializedExprsSize of its
-// 3·|q| roots (the quantity every figure charges); the fragment id and
-// batch framing ride the message envelope, uncounted, like tags.
+// Every triplet reply is a TripletBatch: one per site per round
+// (core/round.h), and one-item batches for the per-fragment replies of
+// lazy and selection.
+//
+// Metering: a batch's wire size is the sum over its items of
+// SerializedExprsSize of the item's 3·|q| roots (the quantity every
+// figure charges); keys, slots, fragment ids and the batch framing
+// ride the message envelope, uncounted, like tags.
 
 #ifndef PARBOX_EXEC_CODEC_H_
 #define PARBOX_EXEC_CODEC_H_
@@ -26,29 +31,11 @@
 
 namespace parbox::exec {
 
-/// Wire size of one fragment's triplet (what TripletWireBytes in
-/// core/partial_eval.h reports; duplicated here so exec/ does not
-/// depend on core/).
-uint64_t TripletWireSize(const bexpr::ExprFactory& factory,
-                         const bexpr::FragmentEquations& eq);
-
-/// Parcel carrying one fragment's triplet out of `factory` (the
-/// sending context's).
-Parcel MakeTripletParcel(const bexpr::ExprFactory& factory,
-                         std::shared_ptr<bexpr::FragmentEquations> eq);
-
-/// Receiving side: the triplet, with ids valid in `*factory` (the
-/// receiving context's). Decodes the wire bytes when the parcel
-/// crossed factories; otherwise moves the local value out.
-Result<bexpr::FragmentEquations> TakeTriplet(Parcel parcel,
-                                             bexpr::ExprFactory* factory);
-
 /// A round's worth of triplets from one site: one item per
-/// (work unit, fragment) pair. `key` is caller-defined routing (the
-/// unique-query index of a QueryService round); the fragment id rides
-/// in eq.fragment. Items may be empty triplets (a fragment that died
-/// between plan snapshot and evaluation) — they cross and decode as
-/// such.
+/// (lane, fragment) pair. `key` is caller-defined routing (the lane of
+/// a core::Round); the fragment id rides in eq.fragment. Items may be
+/// empty triplets (a fragment that died between plan snapshot and
+/// evaluation) — they cross and decode as such.
 struct TripletBatch {
   struct Item {
     uint64_t key = 0;
@@ -60,11 +47,16 @@ struct TripletBatch {
   std::vector<Item> items;
 };
 
-/// Parcel carrying a site's whole batch; wire size = the sum of the
-/// per-item triplet sizes (identical to shipping them singly).
+/// Parcel carrying a site's whole batch out of `factory` (the sending
+/// context's); wire size = the sum of the per-item triplet sizes
+/// (identical to shipping them singly).
 Parcel MakeTripletBatchParcel(const bexpr::ExprFactory& factory,
                               std::shared_ptr<TripletBatch> batch);
 
+/// Receiving side: the batch, with ids valid in `*factory` (the
+/// receiving context's). Decodes the wire bytes when the parcel
+/// crossed factories, otherwise moves the local value out. Malformed
+/// wire bytes (truncated, or counts the bytes cannot hold) fail.
 Result<TripletBatch> TakeTripletBatch(Parcel parcel,
                                       bexpr::ExprFactory* factory);
 

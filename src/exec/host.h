@@ -132,8 +132,6 @@ class NamespaceBackend final : public ExecBackend {
     shared_->AddBackendStats(stats);
   }
 
-  sim::Cluster* sim_cluster() override { return shared_->sim_cluster(); }
-
   uint64_t RecoveryEpoch(SiteId site) const override {
     return shared_->RecoveryEpoch(base_ + site);
   }

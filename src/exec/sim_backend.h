@@ -104,8 +104,6 @@ class SimBackend final : public ExecBackend {
     stats->counters["exec.sim.events"] += cluster_.loop().events_run();
   }
 
-  sim::Cluster* sim_cluster() override { return &cluster_; }
-
  private:
   /// One namespace's block of sites and its pinned session factory.
   struct Range {

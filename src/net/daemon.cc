@@ -97,20 +97,11 @@ struct SiteState {
   }
 };
 
-/// Decode a codec payload into the shard factory. The payload is one
-/// of the two exec/codec.h images — a single triplet (u32 fragment +
-/// serialized exprs) or a batch — distinguished by trying each; a
-/// payload matching neither counts as a decode error (the coordinator
-/// still gets the echo; the real receiver surfaces any corruption).
+/// Decode a codec payload — the exec/codec.h triplet-batch image — into
+/// the shard factory; a payload that does not decode counts as a
+/// decode error (the coordinator still gets the echo; the real
+/// receiver surfaces any corruption).
 bool DecodePayload(std::string_view payload, bexpr::ExprFactory* factory) {
-  {
-    ByteReader r(payload);
-    (void)r.U32();  // fragment id
-    if (r.ok() &&
-        bexpr::DeserializeExprs(factory, payload.substr(4)).ok()) {
-      return true;
-    }
-  }
   ByteReader r(payload);
   const uint32_t count = r.U32();
   for (uint32_t i = 0; i < count && r.ok(); ++i) {

@@ -94,7 +94,6 @@ class TracingBackend final : public exec::ExecBackend {
   void AddBackendStats(MetricsSnapshot* stats) const override {
     inner_->AddBackendStats(stats);
   }
-  sim::Cluster* sim_cluster() override { return inner_->sim_cluster(); }
   uint64_t RecoveryEpoch(exec::SiteId site) const override {
     return inner_->RecoveryEpoch(site);
   }

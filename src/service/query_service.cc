@@ -6,7 +6,7 @@
 
 #include "common/bytes.h"
 #include "core/partial_eval.h"
-#include "exec/codec.h"
+#include "core/round.h"
 #include "xpath/eval.h"
 
 namespace parbox::service {
@@ -288,7 +288,7 @@ void QueryService::FlushBatch() {
   // per deployment and shared by every round until placement changes
   // it; the shared_ptr keeps this round's snapshot alive even if a
   // fragment moves mid-flight.
-  round->plan = session_.plan();
+  round->plan = plan_ = session_.plan();
   for (Unique& u : round->uniques) {
     u.system = AcquireSystem();
     // insert_or_assign: a stale-epoch round for this fingerprint may
@@ -338,123 +338,41 @@ void QueryService::DispatchRound(std::shared_ptr<Round> round) {
 }
 
 void QueryService::BeginRound(std::shared_ptr<Round> round) {
-  exec::ExecBackend& backend = session_.backend();
-  const sim::SiteId coord = coordinator();
+  // One "query" message per site carries every unique's QList.
   uint64_t batch_query_bytes = 0;
-  for (const Unique& u : round->uniques) {
+  std::vector<core::RetainedSystem*> systems;
+  for (Unique& u : round->uniques) {
     batch_query_bytes += u.prepared.query_bytes();
+    systems.push_back(&u.system);
   }
-
-  round->pending_sites = static_cast<int>(round->plan->site_fragments.size());
-
   // The whole fan-out runs under the round's trace: each per-site
   // "query" send span (and the site work hanging off its delivery)
   // parents beneath the round span.
   obs::ScopedTraceContext round_scope(round->trace);
-
-  for (size_t si = 0; si < round->plan->site_fragments.size(); ++si) {
-    const sim::SiteId s = round->plan->site_fragments[si].first;
-    // One visit per site per round, no matter how many queries ride it.
-    backend.RecordVisit(s);
-    // Service-side wire meter; coordinator-local hops are free and
-    // unmetered, exactly like the substrate's TrafficStats.
-    if (s != coord) {
-      metrics_->Add(m_query_bytes_, batch_query_bytes);
-      metrics_->Increment(m_query_msgs_);
+  core::StartRound({.backend = &session_.backend(),
+                    .coordinator = coordinator(),
+                    .factory = &session_.factory(),
+                    .set = set_,
+                    .tracer = tracer_,
+                    .batch = &round->fused,
+                    .systems = std::move(systems),
+                    .tag = "query",
+                    .work = core::PlanWork(*round->plan, batch_query_bytes)},
+                   [this, round](core::RoundResult result) {
+    // Service-side wire meters, coordinator-local hops excluded
+    // exactly like the substrate's TrafficStats.
+    metrics_->Add(m_query_bytes_, result.request_bytes);
+    metrics_->Add(m_query_msgs_, result.request_messages);
+    metrics_->Add(m_triplet_bytes_, result.reply_bytes);
+    metrics_->Add(m_triplet_msgs_, result.reply_messages);
+    metrics_->Add(m_ops_, result.ops);
+    metrics_->Add(m_fused_walks_, result.walks);
+    metrics_->Add(m_cse_shared_, result.shared_entries);
+    if (!result.status.ok() && first_error_.ok()) {
+      first_error_ = result.status;
     }
-    backend.Send(coord, s, exec::Parcel::OfSize(batch_query_bytes),
-                 "query", [this, round, coord, s, si](exec::Parcel) {
-      // Site context: evaluate every unique over every local fragment
-      // into the *site's* factory, collect the triplets in one batch,
-      // and ship a single reply once the last compute drains.
-      exec::ExecBackend& backend = session_.backend();
-      struct SiteEval {
-        size_t remaining = 0;
-        std::shared_ptr<exec::TripletBatch> batch;
-      };
-      const std::vector<frag::FragmentId>& fragments =
-          round->plan->site_fragments[si].second;
-      auto site = std::make_shared<SiteEval>();
-      site->batch = std::make_shared<exec::TripletBatch>();
-      // When the site's last compute drains: one reply for the round,
-      // its triplets crossing through the wire codec when the backend
-      // separates site and coordinator factories.
-      auto finish = [this, round, coord, s, site] {
-        if (--site->remaining > 0) return;
-        exec::ExecBackend& backend = session_.backend();
-        exec::Parcel reply = exec::MakeTripletBatchParcel(
-            backend.site_factory(s), std::move(site->batch));
-        backend.Send(s, coord, std::move(reply), "triplet",
-                     [this, round, s, coord](exec::Parcel delivered) {
-          if (s != coord) {
-            metrics_->Add(m_triplet_bytes_, delivered.wire_bytes());
-            metrics_->Increment(m_triplet_msgs_);
-          }
-          Result<exec::TripletBatch> batch = exec::TakeTripletBatch(
-              std::move(delivered), &session_.factory());
-          if (!batch.ok()) {
-            if (first_error_.ok()) first_error_ = batch.status();
-          } else {
-            for (exec::TripletBatch::Item& item : batch->items) {
-              if (item.key >= round->uniques.size() || item.slot < 0 ||
-                  static_cast<size_t>(item.slot) >=
-                      round->uniques[item.key].system.table_size()) {
-                if (first_error_.ok()) {
-                  first_error_ =
-                      Status::Internal("batch item out of range");
-                }
-                continue;
-              }
-              // An empty triplet (fragment merged away since the flush)
-              // leaves its slot a hole.
-              round->uniques[item.key].system.Splice(std::move(item.eq));
-            }
-          }
-          if (--round->pending_sites == 0) {
-            Compose(round);
-          }
-        });
-      };
-      // ONE bottom-up walk per fragment emits every unique's triplet
-      // (a one-unique round is the one-lane case: exactly the parbox
-      // evaluator's per-fragment step); compute is charged to the
-      // site's serialized queue once per walk. Items land fragment
-      // outer, unique inner.
-      site->remaining = fragments.size();
-      for (frag::FragmentId f : fragments) {
-        xpath::EvalCounters counters;
-        xpath::BatchEvalStats stats;
-        std::vector<bexpr::FragmentEquations> eqs;
-        const double walk_start = tracer_ != nullptr ? backend.now() : 0.0;
-        if (set_->is_live(f)) {
-          // A fragment merged away since the flush snapshot yields
-          // empty triplets; the solver then reports Unresolved and the
-          // round fails cleanly rather than reading freed nodes.
-          eqs = core::PartialEvalFragmentBatch(&backend.site_factory(s),
-                                               round->fused, *set_, f,
-                                               &counters, &stats);
-          metrics_->Increment(m_fused_walks_);
-          metrics_->Add(m_cse_shared_, stats.shared_entries);
-        }
-        for (size_t ui = 0; ui < round->uniques.size(); ++ui) {
-          exec::TripletBatch::Item item;
-          item.key = ui;
-          item.slot = f;
-          if (!eqs.empty()) item.eq = std::move(eqs[ui]);
-          site->batch->items.push_back(std::move(item));
-        }
-        metrics_->Add(m_ops_, counters.ops);
-        if (tracer_ != nullptr) {
-          // The walk ran right here, in the query delivery; the Compute
-          // below queues the site and encodes the reply.
-          tracer_->RecordInlineSpan("site.eval", s, walk_start,
-                                    backend.now(), counters.ops);
-          tracer_->SetNextComputeName("site.reply");
-        }
-        backend.Compute(s, counters.ops, finish);
-      }
-    });
-  }
+    Compose(round);
+  });
 }
 
 void QueryService::Compose(std::shared_ptr<Round> round) {
@@ -722,7 +640,7 @@ bool QueryService::TryServeBySubsumption(uint64_t id) {
     // would emit.
     core::RetainedSystem system = donor.system.TruncateTo(q.size());
     Result<bool> solved = system.Resolve(&session_.factory(),
-                                         set_->ChildrenTable(),
+                                         plan_->children,
                                          set_->root_fragment(), q.root());
     if (!solved.ok()) {
       ReleaseSystem(std::move(system));
@@ -797,10 +715,9 @@ void QueryService::OnContentUpdate(frag::FragmentId f) {
   ++update_epoch_;  // racing rounds must not populate the cache
   if (cache_.empty()) return;
   if (!set_->is_live(f)) return;
-  // One children table for every entry's re-solve this update — a
-  // per-entry copy is pure allocation churn at 10k+ fragments.
-  const std::vector<std::vector<int32_t>> children =
-      set_->ChildrenTable();
+  // The deployment's one children table serves every entry's re-solve:
+  // content deltas never change it.
+  const std::vector<std::vector<int32_t>>& children = plan_->children;
 
   // Exact invalidation: splice f's fresh triplet into each entry's
   // retained system and re-solve; evict only if the answer moved.

@@ -12,10 +12,11 @@
 //     clock; a WorkloadDriver (service/workload.h) feeds open- or
 //     closed-loop arrival processes.
 //   * Per-site batching. Queries admitted within a batching window are
-//     evaluated in one *round*: each site is visited once per round —
-//     a single "query" message carries the QLists of every distinct
-//     query in the batch, the site partially evaluates all of them in
-//     ONE fused walk of each of its fragments (xpath/eval.h; a
+//     evaluated in one *round* (a core::Round, core/round.h, the same
+//     fan-out the parbox evaluator runs): each site is visited once
+//     per round — a single "query" message carries the QLists of every
+//     distinct query in the batch, the site partially evaluates all of
+//     them in ONE fused walk of each of its fragments (xpath/eval.h; a
 //     one-query round is the one-lane case), and a single "triplet"
 //     reply ships all partial answers back. Per-visit latency and
 //     per-message overhead are shared by the whole batch, and
@@ -360,9 +361,9 @@ class QueryService {
     core::RetainedSystem system;
   };
 
+  /// One batch round: its uniques ride one core::Round (core/round.h).
   struct Round {
     std::vector<Unique> uniques;
-    int pending_sites = 0;
     /// Trace of the round span (adopted from the first waiter's trace;
     /// inactive when untraced), its parent, and the flush time.
     obs::TraceContext trace;
@@ -433,9 +434,9 @@ class QueryService {
   void OnContentUpdate(frag::FragmentId f);
   /// Sec. 5's maintenance test, per entry: splice fragment `fresh`'s
   /// triplet into the retained system and, if it changed, re-solve
-  /// over `children` (the current children table, computed once per
-  /// update). Returns false ("evict") exactly when the answer changed
-  /// (or the entry cannot be re-solved).
+  /// over `children` (the deployment's children table). Returns false
+  /// ("evict") exactly when the answer changed (or the entry cannot be
+  /// re-solved).
   bool RefreshEntry(CacheEntry* entry, bexpr::FragmentEquations fresh,
                     const std::vector<std::vector<int32_t>>& children);
   void InsertCacheEntry(Unique&& unique);
@@ -531,6 +532,11 @@ class QueryService {
 
   CacheMap cache_;
   uint64_t cache_tick_ = 0;
+  /// The plan snapshot of the latest flush. Cache maintenance and
+  /// subsumption re-solve over its children table: content deltas and
+  /// Moves never change it, and a cache entry exists only once some
+  /// round has flushed.
+  std::shared_ptr<const core::SitePlan> plan_;
 
   /// Subsumption lookup: digest of a cached query's QList prefix (any
   /// length, xpath::PrefixDigest) -> cache keys of the entries

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "boolexpr/expr.h"
 #include "boolexpr/serialize.h"
 #include "boolexpr/solver.h"
@@ -327,6 +329,16 @@ TEST(SerializeTest, GarbageRejected) {
   ExprFactory f;
   EXPECT_FALSE(DeserializeExprs(&f, "\xff\xff\xff").ok());
   EXPECT_FALSE(DeserializeExprs(&f, "").ok());
+  // Counts the remaining bytes cannot hold are rejected before anything
+  // is reserved. 2^62 as a varint is nine bytes.
+  const std::string huge("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 9);
+  EXPECT_FALSE(DeserializeExprs(&f, huge).ok());  // node count
+  // Two nodes: const true, then an And with 2^62 children.
+  EXPECT_FALSE(
+      DeserializeExprs(&f, std::string("\x02\x00\x01\x03", 4) + huge).ok());
+  // One node, then 2^62 roots.
+  EXPECT_FALSE(
+      DeserializeExprs(&f, std::string("\x01\x00\x01", 3) + huge).ok());
 }
 
 TEST(SerializeTest, TruncationRejected) {
