@@ -15,7 +15,7 @@
 //
 // Gates: fused wall clock >= 2x independent (best of 3), fused
 // kernel ops <= 1/(K/2) = 1/8 of independent, and answers
-// bit-identical to standalone RunParBoX on sim AND identical across
+// bit-identical to standalone ParBoX on sim AND identical across
 // the threads and proc:2 backends.
 //
 // A second leg exercises result-cache subsumption: with a variant
@@ -188,7 +188,7 @@ int main() {
     std::fprintf(stderr, "FAILED: subsumption leg\n");
     return 1;
   }
-  std::printf("answers: all %d bit-identical to standalone RunParBoX on "
+  std::printf("answers: all %d bit-identical to standalone ParBoX on "
               "sim, threads, proc:2\n",
               kQueries);
   return 0;

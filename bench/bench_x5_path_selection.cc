@@ -26,10 +26,10 @@ int main() {
     auto selection =
         xpath::CompileSelection("//item[payment = \"Creditcard\"]");
     Check(selection.status());
-    auto result = core::RunPathSelection(d.set, d.st, *selection);
+    core::Session session = OpenSession(d);
+    auto result = core::RunPathSelection(session, *selection);
     Check(result.status());
     // Boolean baseline over the same compiled query.
-    core::Session session = OpenSession(d);
     core::PreparedQuery prepared =
         PrepareQuery(&session, &selection->query);
     core::RunReport boolean = Exec(&session, prepared);

@@ -3,8 +3,9 @@
 // A zipf-skewed workload of 256 queries (16 distinct) over the FT1
 // star corpus, served three ways:
 //
-//   sequential — one RunParBoX per query, one at a time (the seed's
-//                only serving story): total time = sum of makespans.
+//   sequential — one ParBoX Session::Execute per query, one at a time
+//                (the seed's only serving story): total time = sum of
+//                makespans.
 //   batch-only — QueryService with the result cache disabled: per-site
 //                batch rounds amortize visits, message latency and
 //                duplicate evaluations across 64 in-flight queries.
@@ -12,7 +13,7 @@
 //                coordinator with zero site visits.
 //
 // Every service answer is checked bit-identical to the standalone
-// RunParBoX answer for the same query (the process exits 1 on any
+// ParBoX answer for the same query (the process exits 1 on any
 // mismatch). The acceptance target is batched throughput >= 2x
 // sequential at 64 concurrent in-flight queries; in practice the
 // amortization lands far beyond that.
@@ -173,7 +174,7 @@ int main() {
                  wall_off, wall_base);
     return 1;
   }
-  std::printf("answers: all %zu bit-identical to standalone RunParBoX\n",
+  std::printf("answers: all %zu bit-identical to standalone ParBoX\n",
               static_cast<size_t>(n));
   return 0;
 }

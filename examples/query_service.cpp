@@ -57,8 +57,8 @@ int main() {
   std::printf("portfolio: %zu fragments on %d sites\n\n",
               set->live_count(), st->num_sites());
 
-  // 2. A long-lived service instead of one-shot Run* calls. Under the
-  //    hood it is a core::Session: one cluster, one hash-consing
+  // 2. A long-lived service instead of one Session::Execute per
+  //    query. Under the hood it is a core::Session: one cluster, one hash-consing
   //    formula factory, one per-site partition plan, for its lifetime.
   //    Handing it the mutable deployment lets it apply deltas too.
   service::QueryService svc(&*set, &*st);

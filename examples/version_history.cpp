@@ -74,9 +74,9 @@ int main() {
   // Selection across all versions: every <item> that accepts credit
   // cards, anywhere in the history.
   auto predicate =
-      xpath::CompileQuery("[label() = item and payment = \"Creditcard\"]");
+      session->Prepare("[label() = item and payment = \"Creditcard\"]");
   Check(predicate.status());
-  auto selection = core::RunSelectionParBoX(*set, *st, *predicate);
+  auto selection = core::RunSelectionParBoX(*session, *predicate);
   Check(selection.status());
   std::printf("== selection: items with credit-card payment ==\n");
   for (auto f : set->live_ids()) {

@@ -74,17 +74,19 @@ Result<bool> SolveForAnswer(
 }
 
 Tri SolvePartial(ExprFactory* factory,
-                 const std::vector<const FragmentEquations*>& available,
+                 const std::vector<FragmentEquations>& equations,
                  const std::vector<std::vector<int32_t>>& children_of,
                  int32_t root, int32_t query_index) {
   Assignment assignment;
   for (int32_t f : PostOrder(children_of, root)) {
-    const FragmentEquations* eq =
-        static_cast<size_t>(f) < available.size() ? available[f] : nullptr;
-    if (eq == nullptr) continue;  // entries stay unknown
-    for (size_t i = 0; i < eq->v.size(); ++i) {
-      Tri v = factory->EvalPartial(eq->v[i], assignment);
-      Tri dv = factory->EvalPartial(eq->dv[i], assignment);
+    if (static_cast<size_t>(f) >= equations.size() ||
+        equations[f].fragment != f) {
+      continue;  // a hole: entries stay unknown
+    }
+    const FragmentEquations& eq = equations[f];
+    for (size_t i = 0; i < eq.v.size(); ++i) {
+      Tri v = factory->EvalPartial(eq.v[i], assignment);
+      Tri dv = factory->EvalPartial(eq.dv[i], assignment);
       if (v != Tri::kUnknown) {
         assignment.Set({f, VectorKind::kV, static_cast<int32_t>(i)},
                        v == Tri::kTrue);

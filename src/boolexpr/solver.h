@@ -47,11 +47,12 @@ Result<bool> SolveForAnswer(
     const std::vector<std::vector<int32_t>>& children_of, int32_t root,
     int32_t query_index);
 
-/// Three-valued variant used by LazyParBoX: fragments not present in
-/// `available` contribute Unknown. Returns the Kleene value of the root
-/// V entry; kUnknown means "cannot answer at this depth yet".
+/// Three-valued variant used by LazyParBoX: a hole in `equations` (a
+/// slot f whose .fragment is not f, i.e. not evaluated yet) contributes
+/// Unknown. Returns the Kleene value of the root V entry; kUnknown
+/// means "cannot answer at this depth yet".
 Tri SolvePartial(ExprFactory* factory,
-                 const std::vector<const FragmentEquations*>& available,
+                 const std::vector<FragmentEquations>& equations,
                  const std::vector<std::vector<int32_t>>& children_of,
                  int32_t root, int32_t query_index);
 

@@ -11,7 +11,8 @@ Engine::Engine(Session* session, const xpath::NormQuery& q,
       query_bytes_(query_bytes) {}
 
 void Engine::StartQueryRound(RetainedSystem* system, std::string_view tag,
-                             std::vector<SiteWork> work, RoundDoneFn done) {
+                             std::vector<SiteWork> work, RoundDoneFn done,
+                             FragmentNodeHook node_hook) {
   if (batch_.lanes.empty()) batch_ = xpath::MakeEvalBatch({q_});
   StartRound({.backend = &backend(),
               .coordinator = coordinator_,
@@ -21,7 +22,8 @@ void Engine::StartQueryRound(RetainedSystem* system, std::string_view tag,
               .batch = &batch_,
               .systems = {system},
               .tag = tag,
-              .work = std::move(work)},
+              .work = std::move(work),
+              .node_hook = std::move(node_hook)},
              [this, done = std::move(done)](RoundResult result) {
                AddOps(result.ops);
                done(std::move(result));

@@ -18,7 +18,8 @@
 
 namespace parbox::core {
 
-/// Per-run state every evaluator needs, assembled by Session::Execute:
+/// Per-run state every evaluation needs, assembled by Session::Execute
+/// (through ExecuteWith, which the selections call directly):
 /// views of the session's long-lived pieces (deployment, execution
 /// backend, factory, partition plan) plus bookkeeping for the report.
 /// The query is already validated and the backend is rewound by the
@@ -56,10 +57,12 @@ class Engine {
   }
 
   /// Start the one-query round of q() (core/round.h): `work` under
-  /// the request `tag`, spliced into `*system` at the coordinator.
-  /// The round's ops are added to the report before `done` runs.
+  /// the request `tag`, spliced into `*system` at the coordinator,
+  /// with `node_hook` (if any) on every walk. The round's ops are
+  /// added to the report before `done` runs.
   void StartQueryRound(RetainedSystem* system, std::string_view tag,
-                       std::vector<SiteWork> work, RoundDoneFn done);
+                       std::vector<SiteWork> work, RoundDoneFn done,
+                       FragmentNodeHook node_hook = nullptr);
 
   /// Stage 3: charge q().size() ops per live fragment to the
   /// coordinator and solve `*system` there; a failure lands in

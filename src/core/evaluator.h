@@ -5,8 +5,8 @@
 // Session has already prepared (validated query, per-site partition
 // plan, fresh virtual clock). Algorithms self-register in the
 // EvaluatorRegistry under a stable name, so everything that used to
-// hand-maintain a list of the six algorithms (RunAllAlgorithms, the
-// bench engine switches, parboxq's flag parsing) is a registry lookup:
+// hand-maintain a list of the six algorithms (the bench engine
+// switches, parboxq's flag parsing) is a registry lookup:
 //
 //   for (const std::string& name : EvaluatorRegistry::Instance().Names())
 //     session.Execute(prepared, {.evaluator = name});
@@ -55,8 +55,8 @@ class EvaluatorRegistry {
   /// invoked once to read it, so the key cannot drift from the
   /// implementation); `order` fixes the canonical position in Names()
   /// (registration happens at static-init time in unspecified
-  /// translation-unit order, so an explicit rank keeps listings and
-  /// RunAllAlgorithms deterministic).
+  /// translation-unit order, so an explicit rank keeps listings
+  /// deterministic).
   void Register(int order, Factory factory);
 
   /// All registered names, in canonical order.

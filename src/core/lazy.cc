@@ -6,17 +6,22 @@
 // to one level at a time; the elapsed time may be far worse than
 // ParBoX's (Figs. 9-11).
 //
+// Each step is one core::Round (core/round.h) over that step's
+// fragments grouped by site: one "query" message per site (64 bytes
+// per fragment, plus the query itself on the site's first contact) and
+// one triplet batch back. Every step splices into one retained system.
+//
 // Whether the answer is determined is a three-valued (Kleene) question:
-// unevaluated fragments contribute "unknown" to the equation system.
+// a fragment not evaluated yet is a hole in the retained system, and
+// contributes "unknown" to the equation system.
 
 #include <functional>
-#include <memory>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "core/engine.h"
 #include "core/evaluator.h"
-#include "core/partial_eval.h"
-#include "exec/codec.h"
+#include "core/retained.h"
+#include "core/round.h"
 
 namespace parbox::core {
 
@@ -40,17 +45,13 @@ Result<RunReport> LazyParBoXEvaluator::Run(Engine& eng) const {
   const frag::FragmentSet& set = eng.set();
   const frag::SourceTree& st = eng.st();
   const xpath::NormQuery& q = eng.q();
-  exec::ExecBackend& backend = eng.backend();
-  const sim::SiteId coord = eng.coordinator();
   const size_t n = q.size();
 
-  // Coordinator-context state: triplets land here (decoded into the
-  // session factory), and step() recursion runs here.
-  std::vector<bexpr::FragmentEquations> equations(set.table_size());
-  std::vector<const bexpr::FragmentEquations*> available(set.table_size(),
-                                                         nullptr);
-  std::unordered_set<sim::SiteId> contacted;
-  size_t pending = 0;
+  // Coordinator-context state: every step's triplets splice into
+  // `system`, and step() recursion runs here.
+  RetainedSystem system;
+  system.Reset(set.table_size());
+  std::vector<bool> contacted(static_cast<size_t>(st.num_sites()), false);
   size_t evaluated = 0;
   bool answer = false;
   bool done = false;
@@ -66,63 +67,47 @@ Result<RunReport> LazyParBoXEvaluator::Run(Engine& eng) const {
         frontier.push_back(f);
       }
     }
-    pending = frontier.size();
+    // The step's fragments by site, sites in first-seen order. The
+    // query itself travels only on a site's first contact.
+    std::vector<SiteWork> work;
+    std::unordered_map<sim::SiteId, size_t> site_at;
     for (frag::FragmentId f : frontier) {
       const sim::SiteId s = st.site_of(f);
-      backend.RecordVisit(s);
-      // The query itself travels only on a site's first contact.
-      uint64_t bytes = kRequestBytes;
-      if (contacted.insert(s).second) bytes += eng.query_bytes();
-      backend.Send(coord, s, exec::Parcel::OfSize(bytes), "query",
-                   [&, f, s, depth](exec::Parcel) {
-        xpath::EvalCounters counters;
-        bexpr::ExprFactory& site_factory = backend.site_factory(s);
-        auto reply = std::make_shared<exec::TripletBatch>();
-        reply->items.push_back(
-            {0, f, PartialEvalFragment(&site_factory, q, set, f, &counters)});
-        eng.AddOps(counters.ops);
-        exec::Parcel parcel =
-            exec::MakeTripletBatchParcel(site_factory, std::move(reply));
-        backend.Compute(s, counters.ops,
-                        [&, f, s, depth,
-                         parcel = std::move(parcel)]() mutable {
-          backend.Send(s, coord, std::move(parcel), "triplet",
-                       [&, f, depth](exec::Parcel delivered) {
-            Result<exec::TripletBatch> got = exec::TakeTripletBatch(
-                std::move(delivered), &eng.factory());
-            if (!got.ok() || got->items.size() != 1) {
-              failure = got.ok() ? Status::Internal("malformed lazy reply")
-                                 : got.status();
-              return;
+      auto [it, inserted] = site_at.try_emplace(s, work.size());
+      if (inserted) {
+        const bool first = !contacted[static_cast<size_t>(s)];
+        contacted[static_cast<size_t>(s)] = true;
+        work.push_back({s, {}, first ? eng.query_bytes() : 0});
+      }
+      work[it->second].fragments.push_back(f);
+      work[it->second].request_bytes += kRequestBytes;
+    }
+    evaluated += frontier.size();
+    eng.StartQueryRound(
+        &system, "query", std::move(work), [&, depth](RoundResult round) {
+          failure = round.status;
+          if (!failure.ok()) return;
+          // All of this depth collected: try to answer.
+          const uint64_t solve_ops = n * evaluated;
+          eng.AddOps(solve_ops);
+          eng.backend().Compute(eng.coordinator(), solve_ops, [&, depth]() {
+            bexpr::Tri t = bexpr::SolvePartial(
+                &eng.factory(), system.table(), eng.plan().children,
+                set.root_fragment(), q.root());
+            if (t != bexpr::Tri::kUnknown) {
+              answer = t == bexpr::Tri::kTrue;
+              done = true;
+            } else if ((depth == 0 ? 1 : depth) < st.max_depth()) {
+              step(depth == 0 ? 2 : depth + 1);
             }
-            equations[f] = std::move(got->items[0].eq);
-            available[f] = &equations[f];
-            ++evaluated;
-            if (--pending != 0) return;
-            // All of this depth collected: try to answer.
-            const uint64_t solve_ops = n * evaluated;
-            eng.AddOps(solve_ops);
-            backend.Compute(coord, solve_ops, [&, depth]() {
-              bexpr::Tri t = bexpr::SolvePartial(
-                  &eng.factory(), available, eng.plan().children,
-                  set.root_fragment(), q.root());
-              if (t != bexpr::Tri::kUnknown) {
-                answer = t == bexpr::Tri::kTrue;
-                done = true;
-              } else if ((depth == 0 ? 1 : depth) < st.max_depth()) {
-                step(depth == 0 ? 2 : depth + 1);
-              }
-              // depth == max_depth with Unknown cannot happen: with all
-              // fragments available the system fully resolves.
-            });
+            // depth == max_depth with Unknown cannot happen: with all
+            // fragments available the system fully resolves.
           });
         });
-      });
-    }
   };
   step(0);
 
-  backend.Drain();
+  eng.backend().Drain();
   PARBOX_RETURN_IF_ERROR(failure);
   if (!done) {
     return Status::Internal("LazyParBoX terminated without an answer");

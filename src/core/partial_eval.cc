@@ -29,10 +29,22 @@ bexpr::FragmentEquations PartialEvalFragment(bexpr::ExprFactory* factory,
 std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
     bexpr::ExprFactory* factory, const xpath::EvalBatch& batch,
     const frag::FragmentSet& set, frag::FragmentId f,
-    xpath::EvalCounters* counters, xpath::BatchEvalStats* stats) {
-  auto vectors = xpath::BottomUpEvalBatch(
-      factory, batch, *set.fragment(f).root,
-      FreshVarResolver{factory, batch.max_width}, counters, stats);
+    xpath::EvalCounters* counters, xpath::BatchEvalStats* stats,
+    const FragmentNodeHook& node_hook) {
+  const xml::Node& root = *set.fragment(f).root;
+  const FreshVarResolver fresh{factory, batch.max_width};
+  // The hook is chosen once per walk: an unhooked walk keeps the
+  // kernel's NoNodeHook instantiation.
+  std::vector<xpath::EvalVectors> vectors =
+      node_hook == nullptr
+          ? xpath::BottomUpEvalBatch(factory, batch, root, fresh, counters,
+                                     stats)
+          : xpath::BottomUpEvalBatch(
+                factory, batch, root, fresh, counters, stats,
+                [&](const xml::Node& node,
+                    const std::vector<bexpr::ExprId>& vv) {
+                  node_hook(f, node, vv);
+                });
   std::vector<bexpr::FragmentEquations> out(vectors.size());
   for (size_t k = 0; k < vectors.size(); ++k) {
     out[k].fragment = f;

@@ -49,17 +49,25 @@ bexpr::FragmentEquations PartialEvalFragment(bexpr::ExprFactory* factory,
                                              frag::FragmentId f,
                                              xpath::EvalCounters* counters);
 
+/// Observes each element of a partial evaluation: the fragment
+/// walked, the element, and its finished V vectors in the batch's
+/// concatenated layout (xpath/eval.h), as ids in the walk's factory.
+using FragmentNodeHook =
+    std::function<void(frag::FragmentId, const xml::Node&,
+                       const std::vector<bexpr::ExprId>&)>;
+
 /// Partially evaluate every query of `batch` over fragment `f` in ONE
 /// bottom-up walk, returning one FragmentEquations per lane (in lane
 /// order, each with .fragment = f). Each lane's triplet is
 /// bit-identical (same ExprIds) to a solo PartialEvalFragment of that
 /// query in the same factory. `counters->ops` charges only non-shared
 /// entries; donor-copied slots accumulate in `stats->shared_entries`.
+/// A non-empty `node_hook` sees every element of the walk.
 std::vector<bexpr::FragmentEquations> PartialEvalFragmentBatch(
     bexpr::ExprFactory* factory, const xpath::EvalBatch& batch,
     const frag::FragmentSet& set, frag::FragmentId f,
-    xpath::EvalCounters* counters,
-    xpath::BatchEvalStats* stats = nullptr);
+    xpath::EvalCounters* counters, xpath::BatchEvalStats* stats = nullptr,
+    const FragmentNodeHook& node_hook = nullptr);
 
 /// Truth-value vectors (V, DV) for already-evaluated fragments.
 struct ResolvedVectors {

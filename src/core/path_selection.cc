@@ -153,25 +153,19 @@ DownOutput PropagateDown(const NormQuery& q,
   return out;
 }
 
-}  // namespace
-
-Result<PathSelectionResult> RunPathSelection(
-    const frag::FragmentSet& set, const frag::SourceTree& st,
-    const xpath::SelectionQuery& selection, const EngineOptions& options) {
-  const NormQuery& q = selection.query;
-  PARBOX_ASSIGN_OR_RETURN(
-      Session session,
-      Session::Create(&set, &st, SessionOptions{options.network}));
-  PARBOX_ASSIGN_OR_RETURN(PreparedQuery prepared, session.Prepare(&q));
-  Engine eng(&session, q, prepared.query_bytes(), session.plan());
-  exec::ExecBackend& backend = session.backend();
+/// Both passes of the path selection on `eng`; the selected nodes and
+/// the report land in `*result`.
+Status RunPasses(Engine& eng, PathSelectionResult* result) {
+  const frag::FragmentSet& set = eng.set();
+  const frag::SourceTree& st = eng.st();
+  const NormQuery& q = eng.q();
+  exec::ExecBackend& backend = eng.backend();
   const sim::SiteId coord = eng.coordinator();
   const size_t n = q.size();
 
   RetainedSystem up;
   up.Reset(set.table_size());
-  PathSelectionResult result;
-  result.selected_by_fragment.resize(set.table_size());
+  result->selected_by_fragment.resize(set.table_size());
   // Written once at the coordinator, read-only in every site context
   // of the down pass (ordered by the context deliveries).
   bexpr::Assignment values;
@@ -193,7 +187,7 @@ Result<PathSelectionResult> RunPathSelection(
         DownOutput down =
             PropagateDown(q, set, f, *ctx_bits, values);
         eng.AddOps(down.ops);
-        result.selected_by_fragment[f] = std::move(down.selected);
+        result->selected_by_fragment[f] = std::move(down.selected);
         const auto child_ctx =
             std::make_shared<std::unordered_map<FragmentId,
                                                 std::vector<char>>>(
@@ -203,7 +197,7 @@ Result<PathSelectionResult> RunPathSelection(
           backend.Send(
               s, coord,
               exec::Parcel::OfSize(
-                  8 + 8 * result.selected_by_fragment[f].size()),
+                  8 + 8 * result->selected_by_fragment[f].size()),
               "result", [](exec::Parcel) {});
           // Contexts continue to the sub-fragments a match crosses.
           for (auto& [child, bits] : *child_ctx) {
@@ -251,22 +245,26 @@ Result<PathSelectionResult> RunPathSelection(
 
   backend.Drain();
   PARBOX_RETURN_IF_ERROR(failure);
-  for (const auto& group : result.selected_by_fragment) {
-    result.total_selected += group.size();
+  for (const auto& group : result->selected_by_fragment) {
+    result->total_selected += group.size();
   }
-  result.report = eng.Finish("PathSelectionParBoX",
-                             result.total_selected > 0,
-                             3 * n * set.live_count());
-  return result;
+  result->report = eng.Finish("PathSelectionParBoX",
+                              result->total_selected > 0,
+                              3 * n * set.live_count());
+  return Status::OK();
 }
 
-Result<PathSelectionResult> RunPathSelection(const frag::FragmentSet& set,
-                                             const frag::SourceTree& st,
-                                             std::string_view path_text,
-                                             const EngineOptions& options) {
-  PARBOX_ASSIGN_OR_RETURN(xpath::SelectionQuery selection,
-                          xpath::CompileSelection(path_text));
-  return RunPathSelection(set, st, selection, options);
+}  // namespace
+
+Result<PathSelectionResult> RunPathSelection(
+    Session& session, const xpath::SelectionQuery& selection) {
+  PARBOX_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                          session.Prepare(&selection.query));
+  PathSelectionResult result;
+  PARBOX_RETURN_IF_ERROR(session.ExecuteWith(
+      prepared, "path_selection",
+      [&](Engine& eng) { return RunPasses(eng, &result); }));
+  return result;
 }
 
 }  // namespace parbox::core

@@ -25,14 +25,17 @@
 //
 // Each site is activated once per pass. Traffic: the usual ParBoX
 // triplets upward, O(|q|) context bits per fragment edge downward,
-// plus the unavoidable result ids.
+// plus the unavoidable result ids. Both passes run on the caller's
+// Session (Session::ExecuteWith): its backend, tracer and factory.
 
 #ifndef PARBOX_CORE_PATH_SELECTION_H_
 #define PARBOX_CORE_PATH_SELECTION_H_
 
 #include <vector>
 
-#include "core/algorithms.h"
+#include "common/status.h"
+#include "core/report.h"
+#include "core/session.h"
 #include "xml/dom.h"
 #include "xpath/normalize.h"
 
@@ -47,17 +50,11 @@ struct PathSelectionResult {
   std::vector<const xml::Node*> AllSelected() const;
 };
 
-/// Select all nodes reachable from the root of the fragmented tree via
-/// the compiled selection path.
+/// Select all nodes reachable from the root of the session's
+/// fragmented tree via the compiled selection path (from
+/// xpath::CompileSelection); `selection` must outlive the call.
 Result<PathSelectionResult> RunPathSelection(
-    const frag::FragmentSet& set, const frag::SourceTree& st,
-    const xpath::SelectionQuery& selection,
-    const EngineOptions& options = {});
-
-/// Convenience: compile `path_text` (e.g. "//broker/stock") and run.
-Result<PathSelectionResult> RunPathSelection(
-    const frag::FragmentSet& set, const frag::SourceTree& st,
-    std::string_view path_text, const EngineOptions& options = {});
+    Session& session, const xpath::SelectionQuery& selection);
 
 }  // namespace parbox::core
 

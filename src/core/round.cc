@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/partial_eval.h"
 #include "exec/codec.h"
 
 namespace parbox::core {
@@ -94,7 +93,7 @@ void EvaluateSite(const std::shared_ptr<RoundState>& state,
     if (round.set->is_live(f)) {
       eqs = PartialEvalFragmentBatch(&backend.site_factory(work.site),
                                      *round.batch, *round.set, f, &counters,
-                                     &stats);
+                                     &stats, round.node_hook);
       ++reply->walks;
       reply->shared_entries += stats.shared_entries;
     }

@@ -20,6 +20,7 @@
 
 #include "boolexpr/expr.h"
 #include "common/status.h"
+#include "core/partial_eval.h"
 #include "core/retained.h"
 #include "core/session.h"
 #include "exec/backend.h"
@@ -67,6 +68,9 @@ struct Round {
   std::vector<RetainedSystem*> systems;     ///< lane k splices into [k]
   std::string_view tag;                     ///< the requests' tag
   std::vector<SiteWork> work;
+  /// Sees every element of every walk, in the walking site's context
+  /// (ids in its factory); none when empty.
+  FragmentNodeHook node_hook = nullptr;
 };
 
 using RoundDoneFn = std::function<void(RoundResult)>;

@@ -6,9 +6,11 @@
 // two-pass scheme for node-predicate selections — "return every
 // element where the Boolean qualifier q holds":
 //
-//   Pass 1 (upward):   identical to ParBoX, except each site also
-//       *retains locally* a per-element formula sel(v) = V_v(q) for its
-//       fragments. Only the usual O(|q|) triplets travel.
+//   Pass 1 (upward):   identical to ParBoX — the same core::Round
+//       over the plan (core/round.h) — except each walk's node hook
+//       also *retains locally* a per-element formula sel(v) = V_v(q)
+//       at the site. Only the usual O(|q|) triplets travel, one batch
+//       per site.
 //   Solve:             the coordinator solves the equation system,
 //       yielding truth values for every (fragment, V/DV, entry)
 //       variable.
@@ -18,14 +20,19 @@
 //       their selected nodes.
 //
 // Per-site visits: 1 (query) + 1 (resolved values) = 2. Traffic beyond
-// the unavoidable result ids stays independent of |T|.
+// the unavoidable result ids stays independent of |T|. The passes run
+// on the caller's Session (Session::ExecuteWith): its backend, tracer
+// and factory.
 
 #ifndef PARBOX_CORE_SELECTION_H_
 #define PARBOX_CORE_SELECTION_H_
 
 #include <vector>
 
-#include "core/algorithms.h"
+#include "common/status.h"
+#include "core/prepared.h"
+#include "core/report.h"
+#include "core/session.h"
 #include "xml/dom.h"
 
 namespace parbox::core {
@@ -40,13 +47,11 @@ struct SelectionResult {
   std::vector<const xml::Node*> AllSelected() const;
 };
 
-/// Evaluate the node predicate `q` (an XBL qualifier interpreted at
-/// every element) over the fragmented tree and return all elements
-/// where it holds.
-Result<SelectionResult> RunSelectionParBoX(const frag::FragmentSet& set,
-                                           const frag::SourceTree& st,
-                                           const xpath::NormQuery& q,
-                                           const EngineOptions& options = {});
+/// Evaluate the node predicate `query` (an XBL qualifier interpreted
+/// at every element, prepared by `session`) over the session's
+/// fragmented tree and return all elements where it holds.
+Result<SelectionResult> RunSelectionParBoX(Session& session,
+                                           const PreparedQuery& query);
 
 }  // namespace parbox::core
 

@@ -202,25 +202,34 @@ Status Session::CheckHandle(const PreparedQuery& query) const {
 
 Result<RunReport> Session::Execute(const PreparedQuery& query,
                                    const ExecOptions& options) {
-  PARBOX_RETURN_IF_ERROR(backend_status_);
-  PARBOX_RETURN_IF_ERROR(CheckHandle(query));
   PARBOX_ASSIGN_OR_RETURN(
       std::unique_ptr<Evaluator> evaluator,
       EvaluatorRegistry::Instance().CreateOrError(options.evaluator));
+  RunReport report;
+  PARBOX_RETURN_IF_ERROR(
+      ExecuteWith(query, options.evaluator, [&](Engine& eng) -> Status {
+        PARBOX_ASSIGN_OR_RETURN(report, evaluator->Run(eng));
+        return Status::OK();
+      }));
+  return report;
+}
+
+Status Session::ExecuteWith(const PreparedQuery& query, std::string_view name,
+                            const std::function<Status(Engine&)>& run) {
+  PARBOX_RETURN_IF_ERROR(backend_status_);
+  PARBOX_RETURN_IF_ERROR(CheckHandle(query));
   std::shared_ptr<const SitePlan> p = plan();
   backend_->Reset();
   Engine eng(this, *query.query_, query.query_bytes_, std::move(p));
-  if (tracer_ == nullptr || !tracer_->enabled()) {
-    return evaluator->Run(eng);
-  }
-  // Root span for a standalone execution: everything the evaluator
+  if (tracer_ == nullptr || !tracer_->enabled()) return run(eng);
+  // Root span for a standalone execution: everything the evaluation
   // issues (broadcast sends, per-site computes, triplet replies)
   // parents beneath it via the ambient context.
   const obs::TraceContext ctx{tracer_->MintTraceId(),
                               tracer_->MintSpanId()};
   obs::ScopedTraceContext scope(ctx);
   const double t0 = backend_->now();
-  Result<RunReport> report = evaluator->Run(eng);
+  Status status = run(eng);
   obs::TraceEvent e;
   e.name = "execute";
   e.trace_id = ctx.trace_id;
@@ -228,9 +237,9 @@ Result<RunReport> Session::Execute(const PreparedQuery& query,
   e.site = backend_->coordinator();
   e.ts_seconds = t0;
   e.dur_seconds = backend_->now() - t0;
-  e.args.emplace_back("evaluator", options.evaluator);
+  e.args.emplace_back("evaluator", std::string(name));
   tracer_->Record(std::move(e));
-  return report;
+  return status;
 }
 
 // ---- Updates -----------------------------------------------------------
@@ -274,10 +283,9 @@ Result<frag::AppliedDelta> Session::Apply(const frag::Delta& delta) {
   // running incrementally) keeps the log bounded by its unconsumed
   // suffix. Positions are absolute, so nobody needs renumbering.
   // Only states that will actually read the log pin records: a state
-  // due for a full pass (never seeded, or staled by a fragmentation
-  // change) never reads it. An in-flight ExecuteIncremental pins its
-  // snapshot so a mid-run Apply cannot compact records it has not
-  // committed past yet.
+  // due for a full pass never reads it. An in-flight ExecuteIncremental
+  // pins its snapshot so a mid-run Apply cannot compact records it has
+  // not committed past yet.
   const size_t log_end = log_base_ + dirty_log_.size();
   size_t min_pos = std::min(log_end, exec_log_floor_);
   for (auto& [fp, state] : inc_states_) {
@@ -303,8 +311,7 @@ Result<frag::AppliedDelta> Session::Apply(const frag::Delta& delta) {
 }
 
 bool Session::NeedsFullPass(const IncrementalState& state) const {
-  return !state.valid || state.refrag_epoch != refrag_epoch_ ||
-         state.system.table_size() != set_->table_size();
+  return !state.valid || state.system.table_size() != set_->table_size();
 }
 
 std::vector<Session::DirtyRecord> Session::CollectDirty(
@@ -364,9 +371,7 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
     trace_t0 = backend.now();
   }
 
-  // Reusable state requires the same fragmentation it was computed
-  // under: a split/merge (refrag epoch bump, or a resized fragment
-  // table) invalidates every cached triplet's variable structure.
+  // Reusable state requires a table of the deployment's shape.
   const bool full = NeedsFullPass(state);
   // Deltas applied *during* the run (by event-loop callbacks) land
   // after this absolute snapshot and stay dirty for the next run; the
@@ -446,7 +451,6 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
   }
   exec_log_floor_ = SIZE_MAX;
   state.log_pos = log_snapshot;
-  state.refrag_epoch = refrag_epoch_;
   // A broken run must not seed reuse.
   state.valid = failure.ok() && finished;
   PARBOX_RETURN_IF_ERROR(failure);
@@ -483,9 +487,9 @@ void Session::SyncPlacement() {
   placement_epoch_seen_ = placement_feed_->epoch();
   snapshot_hold_ = placement_feed_->snapshot();
   st_ = snapshot_hold_.get();
-  // A Move changes no content: the plan re-partitions, but the refrag
-  // epoch does NOT bump — retained incremental triplets stay valid,
-  // and only the moved fragments go dirty. The 16 bytes are the
+  // A Move changes no content: the plan re-partitions, but retained
+  // incremental triplets stay valid, and only the moved fragments go
+  // dirty. The 16 bytes are the
   // migration control record (fragment id, new site, epoch) the next
   // incremental "update" message carries; the fragment's *content*
   // already lives at the new site (the catalog ships it at Move time,
@@ -561,14 +565,6 @@ std::shared_ptr<const SitePlan> Session::plan() {
     plan_ = std::move(p);
   }
   return plan_;
-}
-
-void Session::InvalidatePlan() {
-  plan_ = nullptr;
-  // A plan invalidation means the fragmentation (or placement)
-  // changed shape; retained triplet systems no longer line up with
-  // the children table, so incremental states re-seed fully.
-  ++refrag_epoch_;
 }
 
 }  // namespace parbox::core

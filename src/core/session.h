@@ -1,10 +1,8 @@
 // Session: the compile-once / execute-many entry point to the
-// distributed evaluation engines.
-//
-// Where the legacy Run* free functions of core/algorithms.h rebuild a
-// simulated cluster, re-validate inputs, and leave callers to re-parse
-// the query on every call, a Session owns the long-lived pieces for
-// its lifetime:
+// distributed evaluation engines, and the only way in: every
+// evaluation — the registered evaluators, incremental re-execution and
+// the Sec. 8 selections — runs on a Session, which owns the long-lived
+// pieces for its lifetime:
 //
 //   * the deployment — FragmentSet + SourceTree (owned, or borrowed
 //     from a caller that outlives the session),
@@ -27,7 +25,8 @@
 //
 // Execute dispatches through the EvaluatorRegistry (core/evaluator.h);
 // the hot path skips parse, normalize, validation, fingerprinting,
-// cluster construction, and partition planning.
+// cluster construction, and partition planning. A one-shot caller
+// spells the same three steps: Create, Prepare, Execute.
 //
 // Updates: a session over a *mutable* deployment (owning Create, or
 // Create from a non-const FragmentSet*) accepts typed content deltas:
@@ -46,14 +45,16 @@
 // pipeline is metered on the simulated cluster like any other
 // evaluation. Route every mutation of the deployment through Apply:
 // out-of-band edits (e.g. a MaterializedView sharing the set) leave
-// the cached triplets stale. Fragmentation changes (split/merge) invalidate the cached
-// state wholesale via InvalidatePlan, and the next ExecuteIncremental
-// falls back to a full pass.
+// the cached triplets stale. A session's fragmentation is fixed for
+// its lifetime: its SourceTree is a borrowed snapshot, so a fragment
+// split off later has no site in any plan the session draws up. Split
+// and merge belong to core::MaterializedView (Sec. 5).
 
 #ifndef PARBOX_CORE_SESSION_H_
 #define PARBOX_CORE_SESSION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -79,6 +80,8 @@
 #include "xpath/qlist.h"
 
 namespace parbox::core {
+
+class Engine;
 
 struct SessionOptions {
   sim::NetworkParams network{};
@@ -112,7 +115,7 @@ struct ExecOptions {
 /// The per-site partition of the deployment: which sites participate
 /// (hold at least one fragment) and with which fragments, plus the
 /// fragment-children table the equation solver walks. Snapshotted by
-/// shared_ptr so in-flight work survives a mid-run re-fragmentation.
+/// shared_ptr so in-flight work survives a mid-run placement move.
 struct SitePlan {
   std::vector<std::pair<sim::SiteId, std::vector<frag::FragmentId>>>
       site_fragments;
@@ -167,6 +170,14 @@ class Session {
   Result<RunReport> Execute(const PreparedQuery& query,
                             const ExecOptions& options = {});
 
+  /// Execute's preamble around `run`: the handle check, the plan, the
+  /// backend rewind and the root "execute" trace span (labelled
+  /// `name`), with `run` driving one evaluation of `query` on the
+  /// Engine (core/engine.h). The way in for evaluations that return
+  /// more than a RunReport — the Sec. 8 selections.
+  Status ExecuteWith(const PreparedQuery& query, std::string_view name,
+                     const std::function<Status(Engine&)>& run);
+
   // ---- Updates: apply deltas, re-execute incrementally ----
 
   /// True iff this session may mutate its deployment (owning, or
@@ -183,9 +194,8 @@ class Session {
   /// only on the fragments dirtied (by Apply) since this query's last
   /// incremental run, reuse the cached triplet formulas of every clean
   /// fragment, and re-solve the equation system at the coordinator.
-  /// The first call per fingerprint (or the first after a
-  /// fragmentation change) is a full ParBoX round that seeds the
-  /// cached triplets. Either way each visited site replies once. The
+  /// The first call per fingerprint is a full ParBoX round that seeds
+  /// the cached triplets. Either way each visited site replies once. The
   /// answer is always identical to a from-scratch run of any
   /// registered evaluator. The report's algorithm field names the
   /// path taken: IncrementalParBoX[full|delta|clean].
@@ -221,9 +231,6 @@ class Session {
   /// Current partition plan (computed on first use, then reused).
   /// Catches up on the placement feed first (SyncPlacement).
   std::shared_ptr<const SitePlan> plan();
-  /// The deployment was re-fragmented or re-placed: recompute the plan
-  /// on next use. Holders of the old shared_ptr keep their snapshot.
-  void InvalidatePlan();
 
   // ---- Placement subscription (catalog documents) ----
 
@@ -252,12 +259,10 @@ class Session {
  private:
   /// Per-fingerprint state ExecuteIncremental maintains: the retained
   /// system of the last run (clean fragments' triplets reused
-  /// verbatim), how far into the session's dirty log that run got, and
-  /// the epoch of the fragmentation it was computed under.
+  /// verbatim) and how far into the session's dirty log that run got.
   struct IncrementalState {
     RetainedSystem system;
     size_t log_pos = 0;
-    uint64_t refrag_epoch = 0;
     bool valid = false;
   };
 
@@ -275,8 +280,8 @@ class Session {
   Result<PreparedQuery> Finalize(PreparedQuery q, std::string_view text);
   /// Shared Execute/ExecuteIncremental handle checks.
   Status CheckHandle(const PreparedQuery& query) const;
-  /// True iff `state` cannot be reused (never seeded, or computed
-  /// under a different fragmentation).
+  /// True iff `state` cannot be reused (never seeded, or its table no
+  /// longer has the deployment's shape).
   bool NeedsFullPass(const IncrementalState& state) const;
   /// Dirty records since `state` last ran, deduplicated, live only.
   std::vector<DirtyRecord> CollectDirty(const IncrementalState& state) const;
@@ -327,9 +332,6 @@ class Session {
   /// up to but not yet committed; Apply's compaction never crosses
   /// it. SIZE_MAX (no pin) outside a run.
   size_t exec_log_floor_ = SIZE_MAX;
-  /// Bumped by InvalidatePlan (fragmentation changes): incremental
-  /// states from older epochs re-seed fully.
-  uint64_t refrag_epoch_ = 0;
   std::unordered_map<xpath::QueryFingerprint, IncrementalState,
                      xpath::QueryFingerprintHash>
       inc_states_;

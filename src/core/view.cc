@@ -9,14 +9,14 @@ namespace parbox::core {
 
 Result<MaterializedView> MaterializedView::Create(
     frag::FragmentSet* set, std::vector<frag::SiteId> site_of_fragment,
-    const xpath::NormQuery* q, const EngineOptions& options) {
+    const xpath::NormQuery* q, const sim::NetworkParams& network) {
   if (set == nullptr || q == nullptr) {
     return Status::InvalidArgument("set and query must be non-null");
   }
   if (!q->IsWellFormed()) {
     return Status::InvalidArgument("query QList is not well-formed");
   }
-  MaterializedView view(set, q, options);
+  MaterializedView view(set, q, network);
   view.site_of_ = std::move(site_of_fragment);
   PARBOX_RETURN_IF_ERROR(view.RebuildSourceTree());
   view.system_.Reset(set->table_size());
@@ -56,7 +56,7 @@ Result<RunReport> MaterializedView::Refresh(frag::FragmentId f) {
   // re-evaluates F_j alone.
   exec::SimBackend backend({.num_sites = st_.num_sites(),
                             .coordinator = view_site,
-                            .network = options_.network,
+                            .network = network_,
                             .coordinator_factory = &factory_});
   const xpath::EvalBatch batch = xpath::MakeEvalBatch({q_});
   uint64_t total_ops = 0;

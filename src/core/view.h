@@ -26,11 +26,12 @@
 #include <vector>
 
 #include "boolexpr/expr.h"
-#include "core/algorithms.h"
+#include "core/report.h"
 #include "core/retained.h"
 #include "fragment/delta.h"
 #include "fragment/fragment.h"
 #include "fragment/source_tree.h"
+#include "sim/cluster.h"
 
 namespace parbox::core {
 
@@ -39,9 +40,10 @@ class MaterializedView {
   /// Materialize the view: evaluates `q` over `*set` (ParBoX-style) and
   /// caches the state. `set` and `q` must outlive the view; the view
   /// becomes the owner of all fragmentation changes to `*set`.
+  /// Refreshes are metered under `network`.
   static Result<MaterializedView> Create(
       frag::FragmentSet* set, std::vector<frag::SiteId> site_of_fragment,
-      const xpath::NormQuery* q, const EngineOptions& options = {});
+      const xpath::NormQuery* q, const sim::NetworkParams& network = {});
 
   MaterializedView(MaterializedView&&) = default;
   MaterializedView& operator=(MaterializedView&&) = default;
@@ -80,8 +82,8 @@ class MaterializedView {
 
  private:
   MaterializedView(frag::FragmentSet* set, const xpath::NormQuery* q,
-                   const EngineOptions& options)
-      : set_(set), q_(q), options_(options) {}
+                   const sim::NetworkParams& network)
+      : set_(set), q_(q), network_(network) {}
 
   Status RebuildSourceTree();
   /// Partially evaluate fragment `f` locally, unmetered, and splice
@@ -92,7 +94,7 @@ class MaterializedView {
 
   frag::FragmentSet* set_;
   const xpath::NormQuery* q_;
-  EngineOptions options_;
+  sim::NetworkParams network_;
   std::vector<frag::SiteId> site_of_;
   frag::SourceTree st_;
   bexpr::ExprFactory factory_;

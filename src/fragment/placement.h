@@ -66,8 +66,9 @@ class Placement {
 
   /// Cover a fragment minted by a split (or re-home one on merge
   /// cleanup): grows the table to the set's, assigns, bumps the epoch.
-  /// Unlike Move this is part of a re-fragmentation flow — callers
-  /// invalidate retained state themselves (Session::InvalidatePlan).
+  /// Unlike Move this is part of a re-fragmentation flow, which a
+  /// Session does not follow: its fragmentation is fixed for its
+  /// lifetime (core/session.h), and views own split and merge.
   Status Assign(const FragmentSet& set, FragmentId f, SiteId site);
 
   /// Freeze the current h into an immutable SourceTree stamped with

@@ -18,6 +18,10 @@ namespace {
 /// "one walk per touched fragment" property for any realistic cache.
 constexpr size_t kMaxFusedLanes = 256;
 
+/// How long admission holds a batch open for stragglers before the
+/// round starts: two one-way LAN latencies.
+constexpr double kBatchWindowSeconds = 2e-4;
+
 }  // namespace
 
 QueryService::QueryService(const frag::FragmentSet* set,
@@ -52,15 +56,10 @@ QueryService::QueryService(frag::FragmentSet* set,
 void QueryService::InitScheduler() {
   scheduler_ = options_.scheduler;
   if (scheduler_ == nullptr) return;
+  // A default config always validates; ConfigureTenant re-weights.
   Result<FairScheduler::TenantId> tid =
-      scheduler_->AddTenant(std::string(label()), options_.tenant);
-  if (tid.ok()) {
-    tenant_id_ = *tid;
-  } else if (first_error_.ok()) {
-    // Invalid tenant config (zero/negative weight): visible through
-    // status() from birth; the Create factories refuse outright.
-    first_error_ = tid.status();
-  }
+      scheduler_->AddTenant(std::string(label()), TenantConfig{});
+  if (tid.ok()) tenant_id_ = *tid;
 }
 
 void QueryService::InitObs() {
@@ -112,8 +111,7 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
     const ServiceOptions& options) {
   auto service =
       std::unique_ptr<QueryService>(new QueryService(set, st, options));
-  // Covers the backend spec AND the tenant registration.
-  PARBOX_RETURN_IF_ERROR(service->first_error_);
+  PARBOX_RETURN_IF_ERROR(service->first_error_);  // the backend spec
   return service;
 }
 
@@ -215,8 +213,7 @@ void QueryService::Admit(uint64_t id) {
   pending_index_.emplace(sub.fp, pending_.size());
   pending_.push_back(std::move(u));
 
-  if (pending_.size() >= options_.max_batch_queries ||
-      options_.batch_window_seconds <= 0.0) {
+  if (pending_.size() >= options_.max_batch_queries) {
     FlushBatch();
   } else {
     ArmBatchTimer();
@@ -231,7 +228,7 @@ void QueryService::ArmBatchTimer() {
   // window.
   const uint64_t epoch = batch_epoch_;
   exec::ExecBackend& backend = session_.backend();
-  backend.ScheduleAt(backend.now() + options_.batch_window_seconds,
+  backend.ScheduleAt(backend.now() + kBatchWindowSeconds,
                      [this, epoch] {
     if (epoch != batch_epoch_) return;  // a flush superseded this timer
     batch_timer_armed_ = false;

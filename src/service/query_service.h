@@ -1,12 +1,11 @@
 // QueryService: a long-lived serving layer over one execution backend.
 //
-// Where the Run* entry points of core/algorithms.h build a fresh
-// substrate per query, a QueryService owns one exec::ExecBackend for
-// its lifetime — the deterministic simulated cluster by default, a
-// real thread pool under {.backend = "threads"} — and serves a
-// *stream* of queries — the paper's cost model
-// (each site visited once, O(|q|·card(F)) traffic per query) amortized
-// across concurrent traffic:
+// Where a core::Session executes one query at its caller's request, a
+// QueryService owns one exec::ExecBackend for its lifetime — the
+// deterministic simulated cluster by default, a real thread pool under
+// {.backend = "threads"} — and serves a *stream* of queries — the
+// paper's cost model (each site visited once, O(|q|·card(F)) traffic
+// per query) amortized across concurrent traffic:
 //
 //   * Admission. Submit() schedules a query's arrival on the virtual
 //     clock; a WorkloadDriver (service/workload.h) feeds open- or
@@ -110,23 +109,17 @@ struct ServiceOptions {
   /// service. Answer-exact either way: the scheduler changes when a
   /// round starts, never what it computes.
   FairScheduler* scheduler = nullptr;
-  /// This service's tenant registration (weight, per-tenant in-flight
-  /// cap). Only read when `scheduler` is set; invalid configs fail
-  /// construction (surface through Create / status()).
-  TenantConfig tenant;
   /// CatalogService only: stand up a catalog-owned FairScheduler with
   /// `fair_share` below and pass it to every served document (each
-  /// registered with `tenant` as its starting config; re-weight per
-  /// document via CatalogService::ConfigureTenant). Ignored by a bare
+  /// registered with a default TenantConfig; re-weight per document
+  /// via CatalogService::ConfigureTenant). Ignored by a bare
   /// QueryService — pass `scheduler` directly there.
   bool enable_fair_share = false;
   FairSchedulerOptions fair_share;
 
-  /// How long admission holds a batch open for stragglers before the
-  /// round starts. Default: two one-way LAN latencies.
-  double batch_window_seconds = 2e-4;
-  /// Start the round early once this many distinct queries pend. 1 (or
-  /// a window of 0) makes every admission its own round.
+  /// Start the round early once this many distinct queries pend (the
+  /// batch window otherwise holds a batch open for 0.2 ms, two one-way
+  /// LAN latencies). 1 makes every admission its own round.
   size_t max_batch_queries = 64;
   /// Cache entries kept; least-recently-used evicted beyond this. 0
   /// caches nothing, so every query does real site work.
@@ -459,8 +452,8 @@ class QueryService {
   /// under the configured prefix. Constructor-only.
   void InitObs();
   /// Register this service as a tenant on the configured fair-share
-  /// scheduler (no-op without one). Constructor-only; invalid tenant
-  /// configs land in first_error_.
+  /// scheduler (no-op without one) with a default TenantConfig.
+  /// Constructor-only.
   void InitScheduler();
   /// Emit an instant event under the ambient trace context (no-op when
   /// untraced or the context is inactive).

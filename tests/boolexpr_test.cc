@@ -429,11 +429,10 @@ TEST(SolverTest, PartialSolveReportsUnknownUntilDataArrives) {
   eqs[1].dv = {f.True()};
   std::vector<std::vector<int32_t>> children = {{1}, {}};
 
-  std::vector<const FragmentEquations*> only_root = {&eqs[0], nullptr};
+  std::vector<FragmentEquations> only_root = {eqs[0], {}};  // F1 a hole
   EXPECT_EQ(SolvePartial(&f, only_root, children, 0, 0), Tri::kUnknown);
 
-  std::vector<const FragmentEquations*> both = {&eqs[0], &eqs[1]};
-  EXPECT_EQ(SolvePartial(&f, both, children, 0, 0), Tri::kTrue);
+  EXPECT_EQ(SolvePartial(&f, eqs, children, 0, 0), Tri::kTrue);
 }
 
 TEST(SolverTest, PartialSolveDeterminedWithoutChildren) {
@@ -444,10 +443,9 @@ TEST(SolverTest, PartialSolveDeterminedWithoutChildren) {
   eqs[0].v = {f.Or(f.True(), f.Var(V(1)))};  // folds to true
   eqs[0].cv = {f.Var(V(1))};
   eqs[0].dv = {f.True()};
-  eqs[1].fragment = 1;
   std::vector<std::vector<int32_t>> children = {{1}, {}};
-  std::vector<const FragmentEquations*> only_root = {&eqs[0], nullptr};
-  EXPECT_EQ(SolvePartial(&f, only_root, children, 0, 0), Tri::kTrue);
+  // eqs[1] stays a hole.
+  EXPECT_EQ(SolvePartial(&f, eqs, children, 0, 0), Tri::kTrue);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "core/algorithms.h"
 #include "core/session.h"
 #include "fragment/placement.h"
 #include "fragment/strategies.h"
@@ -358,7 +357,7 @@ TEST(CatalogMoveTest, MoveMidStreamChangesNoAnswerAndKeepsCache) {
   // with standalone runs on the new snapshot.
   std::shared_ptr<const frag::SourceTree> st = doc->source_tree();
   for (auto& q : MakeQueries(997, 3)) {
-    auto oracle = core::RunParBoX(doc->set(), *st, q);
+    auto oracle = testutil::Evaluate(doc->set(), *st, q);
     ASSERT_TRUE(oracle.ok());
     bool got = false;
     ASSERT_TRUE((*svc)

@@ -44,7 +44,6 @@
 
 #include "catalog/catalog.h"
 #include "common/rng.h"
-#include "core/algorithms.h"
 #include "exec/process_backend.h"
 #include "fragment/fragment.h"
 #include "fragment/placement.h"
@@ -508,7 +507,7 @@ inline RunResult ExecuteChaosRun(const ChaosConfig& cfg,
       EXPECT_TRUE(q.ok()) << q.status().ToString();
       if (!q.ok()) continue;
       auto fresh =
-          core::RunParBoX(docs[d]->set(), *docs[d]->source_tree(), *q);
+          testutil::Evaluate(docs[d]->set(), *docs[d]->source_tree(), *q);
       EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
       if (!fresh.ok()) continue;
       const size_t slot = result.answers.size();

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "boolexpr/expr.h"
-#include "core/algorithms.h"
 #include "core/partial_eval.h"
 #include "testutil.h"
 #include "xmark/generator.h"
@@ -45,7 +44,7 @@ TEST(PaperExampleTest, Example33AnswerIsTrue) {
   // evaluates to true (YHOO lives in fragment F2 at the NASDAQ site).
   Portfolio p = MakePortfolio();
   xpath::NormQuery q = Compile(xmark::kYhooQuery);
-  auto report = RunParBoX(p.set, p.st, q);
+  auto report = testutil::Evaluate(p.set, p.st, q);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->answer);
 }
@@ -53,7 +52,7 @@ TEST(PaperExampleTest, Example33AnswerIsTrue) {
 TEST(PaperExampleTest, IntroductionSellQueryIsFalse) {
   Portfolio p = MakePortfolio();
   xpath::NormQuery q = Compile(xmark::kGoogSellQuery);
-  auto report = RunParBoX(p.set, p.st, q);
+  auto report = testutil::Evaluate(p.set, p.st, q);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->answer);
 }
@@ -69,7 +68,7 @@ TEST(PaperExampleTest, AllAlgorithmsAgreeOnPortfolioQueries) {
     auto whole = p.set.Reassemble();
     ASSERT_TRUE(whole.ok());
     bool expected = *xpath::EvalBoolean(*whole->root(), q);
-    auto reports = RunAllAlgorithms(p.set, p.st, q);
+    auto reports = testutil::EvaluateAll(p.set, p.st, q);
     ASSERT_TRUE(reports.ok()) << reports.status().ToString();
     for (const RunReport& r : *reports) {
       EXPECT_EQ(r.answer, expected) << text << " via " << r.algorithm;
@@ -80,7 +79,7 @@ TEST(PaperExampleTest, AllAlgorithmsAgreeOnPortfolioQueries) {
 TEST(PaperExampleTest, ParBoXVisitsEachSiteOnce) {
   Portfolio p = MakePortfolio();
   xpath::NormQuery q = Compile(xmark::kYhooQuery);
-  auto report = RunParBoX(p.set, p.st, q);
+  auto report = testutil::Evaluate(p.set, p.st, q);
   ASSERT_TRUE(report.ok());
   // Site S2 holds two fragments but is still visited only once.
   EXPECT_EQ(report->visits_per_site, (std::vector<uint64_t>{1, 1, 1}));
@@ -89,7 +88,7 @@ TEST(PaperExampleTest, ParBoXVisitsEachSiteOnce) {
 TEST(PaperExampleTest, NaiveDistributedVisitsPerFragment) {
   Portfolio p = MakePortfolio();
   xpath::NormQuery q = Compile(xmark::kYhooQuery);
-  auto report = RunNaiveDistributed(p.set, p.st, q);
+  auto report = testutil::Evaluate(p.set, p.st, q, "distributed");
   ASSERT_TRUE(report.ok());
   // "site S2 needs to be visited twice, since it holds F2 and F3".
   EXPECT_EQ(report->visits_per_site, (std::vector<uint64_t>{1, 1, 2}));
@@ -203,7 +202,7 @@ TEST_P(AgreementTest, AllAlgorithmsMatchTheOracle) {
     auto ast = testutil::RandomQual(&rng, 3);
     xpath::NormQuery q = xpath::Normalize(*ast);
     bool expected = xpath::ReferenceEval(*ast, *whole->root());
-    auto reports = RunAllAlgorithms(scenario.set, scenario.st, q);
+    auto reports = testutil::EvaluateAll(scenario.set, scenario.st, q);
     ASSERT_TRUE(reports.ok()) << reports.status().ToString();
     for (const RunReport& r : *reports) {
       EXPECT_EQ(r.answer, expected)
@@ -225,7 +224,7 @@ TEST(ComplexityTest, ParBoXMaxOneVisitEverywhere) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     auto scenario = testutil::MakeRandomScenario(seed, 120, 6);
     xpath::NormQuery q = Compile("[//a[b] or .//c/text() = \"t1\"]");
-    auto report = RunParBoX(scenario.set, scenario.st, q);
+    auto report = testutil::Evaluate(scenario.set, scenario.st, q);
     ASSERT_TRUE(report.ok());
     EXPECT_LE(report->max_visits_per_site(), 1u) << "seed " << seed;
   }
@@ -234,7 +233,7 @@ TEST(ComplexityTest, ParBoXMaxOneVisitEverywhere) {
 TEST(ComplexityTest, NaiveDistributedVisitsEqualFragmentsPerSite) {
   auto scenario = testutil::MakeRandomScenario(11, 150, 5);
   xpath::NormQuery q = Compile("[//a]");
-  auto report = RunNaiveDistributed(scenario.set, scenario.st, q);
+  auto report = testutil::Evaluate(scenario.set, scenario.st, q, "distributed");
   ASSERT_TRUE(report.ok());
   for (int s = 0; s < scenario.st.num_sites(); ++s) {
     EXPECT_EQ(report->visits_per_site[s],
@@ -257,8 +256,8 @@ TEST(ComplexityTest, ParBoXTrafficIndependentOfDataSize) {
     auto st =
         SourceTree::Create(set, frag::AssignOneSitePerFragment(set));
     ASSERT_TRUE(st.ok());
-    auto parbox = RunParBoX(set, *st, q);
-    auto central = RunNaiveCentralized(set, *st, q);
+    auto parbox = testutil::Evaluate(set, *st, q);
+    auto central = testutil::Evaluate(set, *st, q, "central");
     ASSERT_TRUE(parbox.ok() && central.ok());
     parbox_bytes[idx] = parbox->network_bytes;
     central_bytes[idx] = central->network_bytes;
@@ -279,8 +278,8 @@ TEST(ComplexityTest, FullDistShipsLessThanParBoX) {
   auto st = SourceTree::Create(set, frag::AssignOneSitePerFragment(set));
   ASSERT_TRUE(st.ok());
   xpath::NormQuery q = Compile("[//item[name and payment]]");
-  auto parbox = RunParBoX(set, *st, q);
-  auto fulldist = RunFullDistParBoX(set, *st, q);
+  auto parbox = testutil::Evaluate(set, *st, q);
+  auto fulldist = testutil::Evaluate(set, *st, q, "fulldist");
   ASSERT_TRUE(parbox.ok() && fulldist.ok());
   uint64_t parbox_triplets = 0, fulldist_triplets = 0;
   // Compare the triplet streams only (FullDist pays extra for the
@@ -303,8 +302,8 @@ TEST(ComplexityTest, ParBoXParallelismBeatsSequentialTraversal) {
   auto st = SourceTree::Create(set, frag::AssignOneSitePerFragment(set));
   ASSERT_TRUE(st.ok());
   xpath::NormQuery q = Compile("[//person[creditcard]]");
-  auto parbox = RunParBoX(set, *st, q);
-  auto naive = RunNaiveDistributed(set, *st, q);
+  auto parbox = testutil::Evaluate(set, *st, q);
+  auto naive = testutil::Evaluate(set, *st, q, "distributed");
   ASSERT_TRUE(parbox.ok() && naive.ok());
   EXPECT_LT(parbox->makespan_seconds, naive->makespan_seconds / 3.0);
   // But total computation is comparable (within 2x).
@@ -323,7 +322,7 @@ TEST(HybridTest, NormalFragmentationUsesParBoX) {
   auto st = SourceTree::Create(set, frag::AssignOneSitePerFragment(set));
   ASSERT_TRUE(st.ok());
   xpath::NormQuery q = Compile("[//item[name]]");
-  auto report = RunHybridParBoX(set, *st, q);
+  auto report = testutil::Evaluate(set, *st, q, "hybrid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->algorithm, "HybridParBoX[ParBoX]");
 }
@@ -334,7 +333,7 @@ TEST(HybridTest, TinyTreeBelowTippingPointFallsBack) {
   Portfolio p = MakePortfolio();
   xpath::NormQuery q = Compile(xmark::kYhooQuery);
   ASSERT_GE(p.set.live_count(), p.set.TotalElements() / q.size());
-  auto report = RunHybridParBoX(p.set, p.st, q);
+  auto report = testutil::Evaluate(p.set, p.st, q, "hybrid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->algorithm, "HybridParBoX[NaiveCentralized]");
 }
@@ -351,7 +350,7 @@ TEST(HybridTest, PathologicalFragmentationFallsBack) {
   ASSERT_TRUE(st.ok());
   xpath::NormQuery q = Compile("[//a/b/c/d]");
   ASSERT_GE(set.live_count(), set.TotalElements() / q.size());
-  auto report = RunHybridParBoX(set, *st, q);
+  auto report = testutil::Evaluate(set, *st, q, "hybrid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->algorithm, "HybridParBoX[NaiveCentralized]");
 }
@@ -369,7 +368,7 @@ TEST(LazyTest, StopsAtRootWhenAnswerIsThere) {
   ASSERT_TRUE(st.ok());
   auto q = xmark::MakeMarkerQuery("v0");
   ASSERT_TRUE(q.ok());
-  auto report = RunLazyParBoX(set, *st, *q);
+  auto report = testutil::Evaluate(set, *st, *q, "lazy");
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->answer);
   // The paper's first step covers the coordinator plus depth 1: "only
@@ -386,8 +385,8 @@ TEST(LazyTest, DescendsUntilSatisfied) {
   ASSERT_TRUE(st.ok());
   auto q = xmark::MakeMarkerQuery("v4");  // deepest fragment
   ASSERT_TRUE(q.ok());
-  auto lazy = RunLazyParBoX(set, *st, *q);
-  auto parbox = RunParBoX(set, *st, *q);
+  auto lazy = testutil::Evaluate(set, *st, *q, "lazy");
+  auto parbox = testutil::Evaluate(set, *st, *q);
   ASSERT_TRUE(lazy.ok() && parbox.ok());
   EXPECT_TRUE(lazy->answer);
   EXPECT_EQ(lazy->total_visits(), 5u);  // had to touch every depth
@@ -408,8 +407,8 @@ TEST(LazyTest, SavesComputationWhenSatisfiedEarly) {
   ASSERT_TRUE(st.ok());
   auto q = xmark::MakeMarkerQuery("v1");
   ASSERT_TRUE(q.ok());
-  auto lazy = RunLazyParBoX(set, *st, *q);
-  auto parbox = RunParBoX(set, *st, *q);
+  auto lazy = testutil::Evaluate(set, *st, *q, "lazy");
+  auto parbox = testutil::Evaluate(set, *st, *q);
   ASSERT_TRUE(lazy.ok() && parbox.ok());
   EXPECT_TRUE(lazy->answer);
   EXPECT_LT(lazy->total_ops, parbox->total_ops);
@@ -430,7 +429,7 @@ TEST(EngineTest, MismatchedSourceTreeRejected) {
   // with a coherent but different set is the caller's bug we cannot
   // always catch. What we *must* catch: empty/malformed queries.
   xpath::NormQuery empty;
-  auto report = RunParBoX(p.set, p.st, empty);
+  auto report = testutil::Evaluate(p.set, p.st, empty);
   EXPECT_FALSE(report.ok());
 }
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/algorithms.h"
 #include "core/path_selection.h"
 #include "core/session.h"
 #include "fragment/delta.h"
@@ -49,7 +48,7 @@ TEST(TombstoneTest, AlgorithmsRunCorrectlyAfterMerges) {
   auto q = xpath::CompileQuery("[//a[b] or //c]");
   ASSERT_TRUE(q.ok());
   bool expected = *xpath::EvalBoolean(*whole->root(), *q);
-  auto reports = RunAllAlgorithms(scenario.set, *st, *q);
+  auto reports = testutil::EvaluateAll(scenario.set, *st, *q);
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
   for (const RunReport& r : *reports) {
     EXPECT_EQ(r.answer, expected) << r.algorithm;
@@ -68,9 +67,11 @@ TEST(SelectionConsistencyTest, PathSelectionAgreesWithBooleanAnswer) {
                            "//market[name = \"NYSE\"]/stock"}) {
     auto selection = xpath::CompileSelection(path);
     ASSERT_TRUE(selection.ok()) << path;
-    auto selected = RunPathSelection(*set, *st, *selection);
+    auto session = Session::Create(&*set, &*st);
+    ASSERT_TRUE(session.ok());
+    auto selected = RunPathSelection(*session, *selection);
     ASSERT_TRUE(selected.ok()) << path;
-    auto boolean = RunParBoX(*set, *st, selection->query);
+    auto boolean = testutil::Evaluate(*set, *st, selection->query);
     ASSERT_TRUE(boolean.ok());
     EXPECT_EQ(boolean->answer, selected->total_selected > 0) << path;
   }
@@ -83,8 +84,8 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalReports) {
   auto scenario = testutil::MakeRandomScenario(123, 150, 5);
   auto q = xpath::CompileQuery("[//a and not(//e/text() = \"t3\")]");
   ASSERT_TRUE(q.ok());
-  auto r1 = RunParBoX(scenario.set, scenario.st, *q);
-  auto r2 = RunParBoX(scenario.set, scenario.st, *q);
+  auto r1 = testutil::Evaluate(scenario.set, scenario.st, *q);
+  auto r2 = testutil::Evaluate(scenario.set, scenario.st, *q);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1->answer, r2->answer);
   EXPECT_DOUBLE_EQ(r1->makespan_seconds, r2->makespan_seconds);
@@ -101,11 +102,12 @@ TEST(DeterminismTest, NetworkParamsAffectOnlyTiming) {
   auto scenario = testutil::MakeRandomScenario(124, 150, 5);
   auto q = xpath::CompileQuery("[//b/c]");
   ASSERT_TRUE(q.ok());
-  EngineOptions slow;
-  slow.network.latency_seconds = 0.5;
-  slow.network.bandwidth_bytes_per_second = 1e3;
-  auto fast_run = RunParBoX(scenario.set, scenario.st, *q);
-  auto slow_run = RunParBoX(scenario.set, scenario.st, *q, slow);
+  sim::NetworkParams slow;
+  slow.latency_seconds = 0.5;
+  slow.bandwidth_bytes_per_second = 1e3;
+  auto fast_run = testutil::Evaluate(scenario.set, scenario.st, *q);
+  auto slow_run =
+      testutil::Evaluate(scenario.set, scenario.st, *q, "parbox", slow);
   ASSERT_TRUE(fast_run.ok() && slow_run.ok());
   EXPECT_EQ(fast_run->answer, slow_run->answer);
   EXPECT_EQ(fast_run->network_bytes, slow_run->network_bytes);
@@ -152,7 +154,7 @@ TEST(SingleSiteTest, EverythingLocalMeansZeroTraffic) {
   ASSERT_TRUE(st.ok());
   auto q = xpath::CompileQuery(xmark::kYhooQuery);
   ASSERT_TRUE(q.ok());
-  auto reports = RunAllAlgorithms(*set, *st, *q);
+  auto reports = testutil::EvaluateAll(*set, *st, *q);
   ASSERT_TRUE(reports.ok());
   for (const RunReport& r : *reports) {
     EXPECT_TRUE(r.answer) << r.algorithm;
@@ -169,13 +171,17 @@ TEST(SingleFragmentTest, DegenerateDeploymentWorksEverywhere) {
   ASSERT_TRUE(st.ok());
   auto q = xpath::CompileQuery("[a/b]");
   ASSERT_TRUE(q.ok());
-  auto reports = RunAllAlgorithms(set, *st, *q);
+  auto reports = testutil::EvaluateAll(set, *st, *q);
   ASSERT_TRUE(reports.ok());
   for (const RunReport& r : *reports) {
     EXPECT_TRUE(r.answer) << r.algorithm;
     EXPECT_LE(r.max_visits_per_site(), 1u) << r.algorithm;
   }
-  auto selected = RunPathSelection(set, *st, "a/b");
+  auto selection = xpath::CompileSelection("a/b");
+  ASSERT_TRUE(selection.ok());
+  auto session = Session::Create(&set, &*st);
+  ASSERT_TRUE(session.ok());
+  auto selected = RunPathSelection(*session, *selection);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected->total_selected, 1u);
 }
@@ -213,7 +219,7 @@ TEST(UpdateEdgeCaseTest, RootOnlyFragmentAcceptsDeltas) {
   auto after = session->ExecuteIncremental(*q);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->answer);
-  auto fresh = RunParBoX(set, *st, q->query());
+  auto fresh = testutil::Evaluate(set, *st, q->query());
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(fresh->answer);
   ASSERT_TRUE(set.Validate().ok());
@@ -253,7 +259,7 @@ TEST(UpdateEdgeCaseTest, DeleteCanEmptyAFragment) {
   auto after = session->ExecuteIncremental(*q);
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->answer);
-  auto reports = RunAllAlgorithms(set, *st, q->query());
+  auto reports = testutil::EvaluateAll(set, *st, q->query());
   ASSERT_TRUE(reports.ok());
   for (const RunReport& r : *reports) {
     EXPECT_FALSE(r.answer) << r.algorithm;
@@ -308,7 +314,7 @@ TEST(UpdateEdgeCaseTest, BoundaryCrossingDeltasRejectedAtomically) {
   ASSERT_TRUE(set.Validate().ok());
   auto q = xpath::CompileQuery("[//s/a]");
   ASSERT_TRUE(q.ok());
-  auto report = RunParBoX(set, *st, *q);
+  auto report = testutil::Evaluate(set, *st, *q);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->answer);
 }
@@ -341,7 +347,7 @@ TEST(DeepChainTest, FiveThousandLevelChainSurvivesFullPipeline) {
        {"[//site[marker = \"v5990\"]]", "[//site[marker = \"nope\"]]"}) {
     auto q = xpath::CompileQuery(query_text);
     ASSERT_TRUE(q.ok());
-    auto report = RunParBoX(*set, *st, *q);
+    auto report = testutil::Evaluate(*set, *st, *q);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->answer, *xpath::EvalBoolean(*whole->root(), *q))
         << query_text;

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/algorithms.h"
 #include "core/evaluator.h"
 #include "core/session.h"
 #include "core/view.h"
@@ -245,7 +244,7 @@ TEST(IncrementalUpdateTest, EveryDeltaKindFlipsAnswersCorrectly) {
     auto inc = session->ExecuteIncremental(q);
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
     EXPECT_EQ(inc->answer, expected);
-    auto fresh = RunParBoX(set, *st, q.query());
+    auto fresh = testutil::Evaluate(set, *st, q.query());
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(fresh->answer, inc->answer);
   };

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/algorithms.h"
 #include "core/session.h"
 #include "testutil.h"
 #include "xmark/generator.h"
@@ -19,6 +18,8 @@ namespace {
 using frag::FragmentId;
 using frag::FragmentSet;
 using frag::SourceTree;
+using testutil::Evaluate;
+using testutil::EvaluateAll;
 
 xpath::NormQuery Compile(std::string_view text) {
   auto q = xpath::CompileQuery(text);
@@ -78,7 +79,7 @@ TEST_P(PlacementSweepTest, AllAlgorithmsCorrectUnderEveryPlacement) {
     auto ast = testutil::RandomQual(&rng, 3);
     xpath::NormQuery q = xpath::Normalize(*ast);
     bool expected = Oracle(set, q);
-    auto reports = RunAllAlgorithms(set, *st, q);
+    auto reports = EvaluateAll(set, *st, q);
     ASSERT_TRUE(reports.ok()) << reports.status().ToString();
     for (const RunReport& r : *reports) {
       EXPECT_EQ(r.answer, expected)
@@ -145,12 +146,12 @@ TEST(ShapeTest, FiftyFragmentChain) {
   xpath::NormQuery q = Compile("[//needle]");
   bool expected = Oracle(set, q);
   EXPECT_TRUE(expected);
-  auto reports = RunAllAlgorithms(set, *st, q);
+  auto reports = EvaluateAll(set, *st, q);
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
   for (const RunReport& r : *reports) {
     EXPECT_EQ(r.answer, expected) << r.algorithm;
   }
-  auto parbox = RunParBoX(set, *st, q);
+  auto parbox = Evaluate(set, *st, q);
   ASSERT_TRUE(parbox.ok());
   EXPECT_EQ(parbox->max_visits_per_site(), 1u);
 }
@@ -165,7 +166,7 @@ TEST(ShapeTest, WideStarOfFortyFragments) {
   ASSERT_TRUE(st.ok());
   auto q = xmark::MakeMarkerQuery("m39");
   ASSERT_TRUE(q.ok());
-  auto parbox = RunParBoX(set, *st, *q);
+  auto parbox = Evaluate(set, *st, *q);
   ASSERT_TRUE(parbox.ok());
   EXPECT_TRUE(parbox->answer);
   EXPECT_EQ(parbox->total_visits(), 41u);
@@ -182,7 +183,7 @@ TEST(ShapeTest, FragmentRootIsQueryTarget) {
   ASSERT_TRUE(st.ok());
   for (const char* text : {"[a]", "[//a]", "[a/b]", "[//b]", "[*]"}) {
     xpath::NormQuery q = Compile(text);
-    auto report = RunParBoX(set, *st, q);
+    auto report = Evaluate(set, *st, q);
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->answer) << text;
   }
@@ -205,9 +206,9 @@ TEST(NegationTest, NotOverRemoteEvidence) {
   xpath::NormQuery positive = Compile("[//needle]");
   xpath::NormQuery negative = Compile("[not(//needle)]");
   xpath::NormQuery double_neg = Compile("[not(not(//needle))]");
-  EXPECT_TRUE(RunParBoX(set, *st, positive)->answer);
-  EXPECT_FALSE(RunParBoX(set, *st, negative)->answer);
-  EXPECT_TRUE(RunParBoX(set, *st, double_neg)->answer);
+  EXPECT_TRUE(Evaluate(set, *st, positive)->answer);
+  EXPECT_FALSE(Evaluate(set, *st, negative)->answer);
+  EXPECT_TRUE(Evaluate(set, *st, double_neg)->answer);
 }
 
 TEST(NegationTest, MixedPolarityAcrossFragments) {
@@ -221,10 +222,10 @@ TEST(NegationTest, MixedPolarityAcrossFragments) {
           .ok());
   auto st = SourceTree::Create(set, frag::AssignOneSitePerFragment(set));
   ASSERT_TRUE(st.ok());
-  EXPECT_TRUE(RunParBoX(set, *st, Compile("[//x and not(//z)]"))->answer);
-  EXPECT_FALSE(RunParBoX(set, *st, Compile("[//x and not(//y)]"))->answer);
+  EXPECT_TRUE(Evaluate(set, *st, Compile("[//x and not(//z)]"))->answer);
+  EXPECT_FALSE(Evaluate(set, *st, Compile("[//x and not(//y)]"))->answer);
   EXPECT_TRUE(
-      RunParBoX(set, *st, Compile("[not(//x) or not(//z)]"))->answer);
+      Evaluate(set, *st, Compile("[not(//x) or not(//z)]"))->answer);
 }
 
 // ---------- Stats surface ----------
@@ -232,7 +233,7 @@ TEST(NegationTest, MixedPolarityAcrossFragments) {
 TEST(StatsTest, ReportBreaksTrafficDownByKind) {
   auto scenario = testutil::MakeRandomScenario(4, 100, 4);
   xpath::NormQuery q = Compile("[//a]");
-  auto parbox = RunParBoX(scenario.set, scenario.st, q);
+  auto parbox = Evaluate(scenario.set, scenario.st, q);
   ASSERT_TRUE(parbox.ok());
   EXPECT_GT(parbox->stats.CounterValue("net.query.bytes"), 0u);
   EXPECT_GT(parbox->stats.CounterValue("net.triplet.bytes"), 0u);
@@ -245,7 +246,7 @@ TEST(StatsTest, ReportBreaksTrafficDownByKind) {
                 parbox->stats.CounterValue("exec.tasks"),
             0u);
 
-  auto central = RunNaiveCentralized(scenario.set, scenario.st, q);
+  auto central = Evaluate(scenario.set, scenario.st, q, "central");
   ASSERT_TRUE(central.ok());
   EXPECT_GT(central->stats.CounterValue("net.data.bytes"), 0u);
 }
@@ -258,9 +259,9 @@ TEST(ContentTest, UnicodeTextMatches) {
   auto st = SourceTree::Create(set, frag::AssignAllToOneSite(set));
   ASSERT_TRUE(st.ok());
   EXPECT_TRUE(
-      RunParBoX(set, *st, Compile("[name = \"S\xC3\xB8ren\"]"))->answer);
+      Evaluate(set, *st, Compile("[name = \"S\xC3\xB8ren\"]"))->answer);
   EXPECT_FALSE(
-      RunParBoX(set, *st, Compile("[name = \"Soren\"]"))->answer);
+      Evaluate(set, *st, Compile("[name = \"Soren\"]"))->answer);
 }
 
 TEST(ContentTest, EmptyAndWhitespaceText) {
@@ -268,8 +269,8 @@ TEST(ContentTest, EmptyAndWhitespaceText) {
   auto st = SourceTree::Create(set, frag::AssignAllToOneSite(set));
   ASSERT_TRUE(st.ok());
   // Whitespace-only text is skipped by the parser, so both are empty.
-  EXPECT_TRUE(RunParBoX(set, *st, Compile("[a/text() = \"\"]"))->answer);
-  EXPECT_TRUE(RunParBoX(set, *st, Compile("[b/text() = \"\"]"))->answer);
+  EXPECT_TRUE(Evaluate(set, *st, Compile("[a/text() = \"\"]"))->answer);
+  EXPECT_TRUE(Evaluate(set, *st, Compile("[b/text() = \"\"]"))->answer);
 }
 
 }  // namespace

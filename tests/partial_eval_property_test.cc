@@ -12,7 +12,6 @@
 
 #include "boolexpr/expr.h"
 #include "boolexpr/solver.h"
-#include "core/algorithms.h"
 #include "core/partial_eval.h"
 #include "core/session.h"
 #include "fragment/delta.h"
@@ -165,7 +164,7 @@ TEST(PartialEvalBoundaryTest, OverlyWideQueryRejected) {
   ASSERT_GT(q->size(), 4096u);
 
   auto scenario = testutil::MakeRandomScenario(1, 20, 1);
-  auto report = RunParBoX(scenario.set, scenario.st, *q);
+  auto report = testutil::Evaluate(scenario.set, scenario.st, *q);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
@@ -179,7 +178,7 @@ TEST(PartialEvalBoundaryTest, WidthJustUnderTheLimitWorks) {
   ASSERT_TRUE(q.ok());
   ASSERT_LE(q->size(), 4096u);
   auto scenario = testutil::MakeRandomScenario(2, 20, 1);
-  auto report = RunParBoX(scenario.set, scenario.st, *q);
+  auto report = testutil::Evaluate(scenario.set, scenario.st, *q);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->answer);  // labels s0..s1299 don't exist
 }

@@ -24,6 +24,23 @@ struct Deployed {
   SourceTree st;
 };
 
+/// Select with `selection` on a fresh session over (set, st).
+Result<PathSelectionResult> Select(const FragmentSet& set,
+                                   const SourceTree& st,
+                                   const xpath::SelectionQuery& selection) {
+  PARBOX_ASSIGN_OR_RETURN(Session session, Session::Create(&set, &st));
+  return RunPathSelection(session, selection);
+}
+
+/// Compile `path` and select with it.
+Result<PathSelectionResult> Select(const FragmentSet& set,
+                                   const SourceTree& st,
+                                   std::string_view path) {
+  PARBOX_ASSIGN_OR_RETURN(xpath::SelectionQuery selection,
+                          xpath::CompileSelection(path));
+  return Select(set, st, selection);
+}
+
 Deployed Portfolio() {
   auto set = xmark::BuildPortfolioFragments();
   EXPECT_TRUE(set.ok());
@@ -34,7 +51,7 @@ Deployed Portfolio() {
 
 TEST(PathSelectionTest, SelectsAllStocksAcrossFragments) {
   Deployed d = Portfolio();
-  auto result = RunPathSelection(d.set, d.st, "//stock");
+  auto result = Select(d.set, d.st, "//stock");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Fig. 1(b): five stocks — 1 in F0 (IBM), 2 in F2, 2 in F3.
   EXPECT_EQ(result->total_selected, 5u);
@@ -52,7 +69,7 @@ TEST(PathSelectionTest, ChildStepsCrossFragmentBoundaries) {
   // /portofolio/broker/market: brokers live in F0 and F1, markets in
   // F0, F2 and F3 — each match crosses at least one boundary.
   auto result =
-      RunPathSelection(d.set, d.st, "[/portofolio/broker/market]");
+      Select(d.set, d.st, "[/portofolio/broker/market]");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->total_selected, 3u);
   for (const xml::Node* n : result->AllSelected()) {
@@ -64,8 +81,7 @@ TEST(PathSelectionTest, QualifiedPathFiltersRemotely) {
   Deployed d = Portfolio();
   // Markets that trade GOOG: F2 (Merill Lynch NASDAQ) and F3 (Bache
   // NASDAQ), but not the NYSE market in F0.
-  auto result = RunPathSelection(
-      d.set, d.st, "//market[stock/code = \"GOOG\"]");
+  auto result = Select(d.set, d.st, "//market[stock/code = \"GOOG\"]");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->total_selected, 2u);
   EXPECT_EQ(result->selected_by_fragment[2].size(), 1u);
@@ -76,8 +92,8 @@ TEST(PathSelectionTest, QualifierEvidenceInAnotherFragment) {
   Deployed d = Portfolio();
   // Brokers trading YHOO: the broker element is F1's root; the
   // evidence is two fragments deeper (F2).
-  auto result = RunPathSelection(
-      d.set, d.st, "//broker[.//stock/code/text() = \"YHOO\"]");
+  auto result =
+      Select(d.set, d.st, "//broker[.//stock/code/text() = \"YHOO\"]");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->total_selected, 1u);
   EXPECT_EQ(result->selected_by_fragment[1].size(), 1u);
@@ -85,7 +101,7 @@ TEST(PathSelectionTest, QualifierEvidenceInAnotherFragment) {
 
 TEST(PathSelectionTest, SelfPathSelectsRoot) {
   Deployed d = Portfolio();
-  auto result = RunPathSelection(d.set, d.st, "[.]");
+  auto result = Select(d.set, d.st, "[.]");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->total_selected, 1u);
   EXPECT_EQ(result->AllSelected()[0], d.set.fragment(0).root);
@@ -93,7 +109,7 @@ TEST(PathSelectionTest, SelfPathSelectsRoot) {
 
 TEST(PathSelectionTest, EmptyResultReportsFalse) {
   Deployed d = Portfolio();
-  auto result = RunPathSelection(d.set, d.st, "//nonexistent");
+  auto result = Select(d.set, d.st, "//nonexistent");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->total_selected, 0u);
   EXPECT_FALSE(result->report.answer);
@@ -101,7 +117,7 @@ TEST(PathSelectionTest, EmptyResultReportsFalse) {
 
 TEST(PathSelectionTest, AtMostTwoVisitsPerSite) {
   Deployed d = Portfolio();
-  auto result = RunPathSelection(d.set, d.st, "//stock");
+  auto result = Select(d.set, d.st, "//stock");
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->report.max_visits_per_site(), 2u);
   // Sites untouched by any match still get their up-pass visit.
@@ -130,7 +146,7 @@ TEST(PathSelectionTest, WildcardAndDescendantCombinations) {
   for (const Case& c : {Case{"//c", 4}, Case{"*/c", 2}, Case{"*", 3},
                         Case{"a/b/c", 1}, Case{"//b//c", 1},
                         Case{"d//c", 2}, Case{".//.", 9}}) {
-    auto result = RunPathSelection(set, *st, c.path);
+    auto result = Select(set, *st, c.path);
     ASSERT_TRUE(result.ok()) << c.path;
     EXPECT_EQ(result->total_selected, c.expected) << c.path;
   }
@@ -138,7 +154,7 @@ TEST(PathSelectionTest, WildcardAndDescendantCombinations) {
 
 TEST(PathSelectionTest, BooleanQueryRejected) {
   Deployed d = Portfolio();
-  auto result = RunPathSelection(d.set, d.st, "[//a and //b]");
+  auto result = Select(d.set, d.st, "[//a and //b]");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -158,7 +174,7 @@ TEST_P(PathSelectionPropertyTest, MatchesReferencePathSemantics) {
         static_cast<size_t>(bexpr::VarId::kMaxQueryIndex)) {
       continue;
     }
-    auto result = RunPathSelection(scenario.set, scenario.st, selection);
+    auto result = Select(scenario.set, scenario.st, selection);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     auto whole = scenario.set.Reassemble();

@@ -4,9 +4,12 @@
 // coordinator (site 0) holds F0, site 1 holds F1, and site 2 holds
 // both F2 and F3. A round visits each participating site once and
 // gets exactly one "triplet" message back from each non-coordinator
-// site — one for site 2, not one per fragment. The suite runs on the
-// session-default backend and is re-run whole under threads and proc:2
-// (`ctest -L backends`); the view always meters on its own sim.
+// site — one for site 2, not one per fragment. LazyParBoX's first
+// step covers F0 and the depth-1 fragments, so it is checked on
+// {0, 2, 1, 2}, where site 2 holds two fragments of that step. The
+// suite runs on the session-default backend and is re-run whole under
+// threads and proc:2 (`ctest -L backends`); the view always meters on
+// its own sim.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "core/path_selection.h"
+#include "core/selection.h"
 #include "core/session.h"
 #include "core/view.h"
 #include "fragment/delta.h"
@@ -35,10 +39,11 @@ struct Deployment {
   frag::SourceTree st;
 };
 
-Deployment MakeDeployment() {
+Deployment MakeDeployment(
+    const std::vector<frag::SiteId>& sites = kSites) {
   auto set = xmark::BuildPortfolioFragments();
   EXPECT_TRUE(set.ok());
-  auto st = frag::SourceTree::Create(*set, kSites);
+  auto st = frag::SourceTree::Create(*set, sites);
   EXPECT_TRUE(st.ok());
   return Deployment{std::move(*set), std::move(*st)};
 }
@@ -75,9 +80,46 @@ TEST(RoundTest, ParBoXEvaluatorRepliesOncePerSite) {
   EXPECT_EQ(report->stats.CounterValue("net.triplet.messages"), 2u);
 }
 
+TEST(RoundTest, LazyStepRepliesOncePerSite) {
+  // F1 and F3 both sit at depth 1 on site 2: the first step (F0 plus
+  // depth 1) visits site 2 once and gets one reply for both; the
+  // second step reaches F2 on site 1.
+  Deployment d = MakeDeployment({0, 2, 1, 2});
+  auto session = Session::Create(&d.set, &d.st);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto q = session->Prepare(xmark::kYhooQuery);
+  ASSERT_TRUE(q.ok());
+  auto report = session->Execute(*q, {.evaluator = "lazy"});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->answer);
+  ExpectOneReplyPerSite(session->backend(), {1, 1, 1}, "query");
+  EXPECT_EQ(report->network_messages, 4u);
+}
+
+TEST(RoundTest, SelectionFirstPassRepliesOncePerSite) {
+  Deployment d = MakeDeployment();
+  auto session = Session::Create(&d.set, &d.st);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto q = session->Prepare(xmark::kYhooQuery);
+  ASSERT_TRUE(q.ok());
+  auto result = core::RunSelectionParBoX(*session, *q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Pass 1 and pass 2: two visits per site, never more.
+  EXPECT_EQ(result->report.visits_per_site,
+            (std::vector<uint64_t>{2, 2, 2}));
+  EXPECT_EQ(result->report.stats.CounterValue("net.query.messages"), 2u);
+  EXPECT_EQ(result->report.stats.CounterValue("net.triplet.messages"), 2u);
+  // Plus pass 2's "values" out and "result" back, per remote site.
+  EXPECT_EQ(result->report.network_messages, 8u);
+}
+
 TEST(RoundTest, PathSelectionUpPassRepliesOncePerSite) {
   Deployment d = MakeDeployment();
-  auto result = core::RunPathSelection(d.set, d.st, "//stock");
+  auto selection = xpath::CompileSelection("//stock");
+  ASSERT_TRUE(selection.ok());
+  auto session = Session::Create(&d.set, &d.st);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto result = core::RunPathSelection(*session, *selection);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->total_selected, 0u);
   // Up pass and down pass: two visits per site, never more.

@@ -16,6 +16,14 @@ namespace {
 using frag::FragmentSet;
 using frag::SourceTree;
 
+/// Select with the node predicate `q` on a fresh session over (set, st).
+Result<SelectionResult> Select(const FragmentSet& set, const SourceTree& st,
+                               const xpath::NormQuery& q) {
+  PARBOX_ASSIGN_OR_RETURN(Session session, Session::Create(&set, &st));
+  PARBOX_ASSIGN_OR_RETURN(PreparedQuery prepared, session.Prepare(&q));
+  return RunSelectionParBoX(session, prepared);
+}
+
 TEST(SelectionTest, SelectsStocksByCode) {
   auto set = xmark::BuildPortfolioFragments();
   ASSERT_TRUE(set.ok());
@@ -25,7 +33,7 @@ TEST(SelectionTest, SelectsStocksByCode) {
   // (one in F2, one in F3).
   auto q = xpath::CompileQuery("[label() = stock and code = \"GOOG\"]");
   ASSERT_TRUE(q.ok());
-  auto result = RunSelectionParBoX(*set, *st, *q);
+  auto result = Select(*set, *st, *q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->total_selected, 2u);
   EXPECT_EQ(result->selected_by_fragment[2].size(), 1u);
@@ -42,7 +50,7 @@ TEST(SelectionTest, AtMostTwoVisitsPerSite) {
   ASSERT_TRUE(st.ok());
   auto q = xpath::CompileQuery("[label() = market]");
   ASSERT_TRUE(q.ok());
-  auto result = RunSelectionParBoX(*set, *st, *q);
+  auto result = Select(*set, *st, *q);
   ASSERT_TRUE(result.ok());
   // Site S2 holds two fragments yet is visited exactly twice (once per
   // pass), which is the Sec. 8 guarantee.
@@ -60,7 +68,7 @@ TEST(SelectionTest, CrossFragmentPredicate) {
   auto q = xpath::CompileQuery(
       "[label() = broker and .//stock/code/text() = \"YHOO\"]");
   ASSERT_TRUE(q.ok());
-  auto result = RunSelectionParBoX(*set, *st, *q);
+  auto result = Select(*set, *st, *q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->total_selected, 1u);
   EXPECT_EQ(result->selected_by_fragment[1].size(), 1u);  // Merill Lynch
@@ -73,7 +81,7 @@ TEST(SelectionTest, EmptySelection) {
   ASSERT_TRUE(st.ok());
   auto q = xpath::CompileQuery("[label() = nonexistent]");
   ASSERT_TRUE(q.ok());
-  auto result = RunSelectionParBoX(*set, *st, *q);
+  auto result = Select(*set, *st, *q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->total_selected, 0u);
   EXPECT_FALSE(result->report.answer);
@@ -89,7 +97,7 @@ TEST_P(SelectionPropertyTest, MatchesReferenceSemantics) {
   for (int i = 0; i < 5; ++i) {
     auto ast = testutil::RandomQual(&rng, 2);
     xpath::NormQuery q = xpath::Normalize(*ast);
-    auto result = RunSelectionParBoX(scenario.set, scenario.st, q);
+    auto result = Select(scenario.set, scenario.st, q);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     // Count the expected matches over the reassembled tree.

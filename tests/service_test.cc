@@ -3,7 +3,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/algorithms.h"
 #include "fragment/delta.h"
 #include "fragment/strategies.h"
 #include "service/query_service.h"
@@ -62,7 +61,7 @@ TEST(FingerprintTest, ToStringIsHex) {
 // ---- Service vs standalone ParBoX -------------------------------------
 
 // Batched concurrent serving must answer exactly what a standalone
-// RunParBoX answers, on adversarial random fragmentations.
+// ParBoX run answers, on adversarial random fragmentations.
 TEST(QueryServiceTest, BatchedAnswersMatchSequentialParBoX) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     testutil::RandomScenario scenario =
@@ -77,7 +76,7 @@ TEST(QueryServiceTest, BatchedAnswersMatchSequentialParBoX) {
     std::vector<bool> expected;
     for (const auto& ast : asts) {
       xpath::NormQuery q = xpath::Normalize(*ast);
-      auto report = core::RunParBoX(scenario.set, scenario.st, q);
+      auto report = testutil::Evaluate(scenario.set, scenario.st, q);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       expected.push_back(report->answer);
     }
@@ -220,7 +219,7 @@ TEST(QueryServiceTest, DeltaEvictsOnlyAnswerChangingEntries) {
 
   // Every answer the service ever gave matches a fresh ParBoX run on
   // the document state it answered for (spot-check the final state).
-  auto fresh = core::RunParBoX(set, *st, Compile("[//zzz]"));
+  auto fresh = testutil::Evaluate(set, *st, Compile("[//zzz]"));
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(fresh->answer);
 }
@@ -318,7 +317,7 @@ TEST(QueryServiceTest, ConcurrentReadsInterleavedWithApply) {
   // final document state, and a fresh ParBoX run agrees.
   ASSERT_EQ(outcomes.size(), 3u + 5u);
   const bool final_answer = outcomes.back().answer;
-  auto fresh = core::RunParBoX(set, *st, Compile("[//zzz]"));
+  auto fresh = testutil::Evaluate(set, *st, Compile("[//zzz]"));
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->answer, final_answer);
   for (size_t i = 3; i + 1 < outcomes.size(); ++i) {
@@ -357,7 +356,7 @@ TEST(WorkloadTest, ClosedLoopServesEverythingAndMatchesParBoX) {
   for (size_t i = 0; i < workload->size(); ++i) {
     auto q = workload->Materialize(i);
     ASSERT_TRUE(q.ok());
-    auto report = core::RunParBoX(scenario.set, scenario.st, *q);
+    auto report = testutil::Evaluate(scenario.set, scenario.st, *q);
     ASSERT_TRUE(report.ok());
     expected.push_back(report->answer);
     makespans.push_back(report->makespan_seconds);
@@ -429,7 +428,7 @@ TEST(QueryServiceTest, SubsumptionAnswersWithoutSiteVisits) {
       testutil::MakeRandomScenario(41, 120, 5);
   Rng rng(41);
   ChainFamily family = RandomChainFamily(&rng);
-  auto expected = core::RunParBoX(scenario.set, scenario.st,
+  auto expected = testutil::Evaluate(scenario.set, scenario.st,
                                   Compile(family.base.c_str()));
   ASSERT_TRUE(expected.ok());
 
@@ -468,7 +467,7 @@ TEST(QueryServiceTest, SubsumptionAnswersWithoutSiteVisits) {
 }
 
 // Property: subsumption-served answers equal a fresh standalone
-// RunParBoX — across random scenarios, chained subsumption (deepest
+// ParBoX run — across random scenarios, chained subsumption (deepest
 // cached, then each prefix level served by truncation), and document
 // deltas maintaining the truncation-derived entries.
 TEST(QueryServiceTest, SubsumptionPropertyMatchesFreshParBoX) {
@@ -489,7 +488,7 @@ TEST(QueryServiceTest, SubsumptionPropertyMatchesFreshParBoX) {
     // Both shorter levels must be served by subsumption, correctly.
     for (const std::string& text : {family.deeper, family.base}) {
       auto expected =
-          core::RunParBoX(scenario.set, scenario.st, Compile(text.c_str()));
+          testutil::Evaluate(scenario.set, scenario.st, Compile(text.c_str()));
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(svc.Submit(Compile(text.c_str()), svc.now(), record).ok());
       svc.Run();
@@ -509,7 +508,7 @@ TEST(QueryServiceTest, SubsumptionPropertyMatchesFreshParBoX) {
     for (const std::string& text :
          {family.base, family.deeper, family.deepest}) {
       auto expected =
-          core::RunParBoX(scenario.set, scenario.st, Compile(text.c_str()));
+          testutil::Evaluate(scenario.set, scenario.st, Compile(text.c_str()));
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(svc.Submit(Compile(text.c_str()), svc.now(), record).ok());
       svc.Run();
@@ -568,7 +567,7 @@ TEST(QueryServiceTest, MaintenanceOpsScaleWithFragmentsNotCacheSize) {
 }
 
 // A fused round is K one-lane rounds sharing one walk per fragment:
-// the same answers (each equal to a standalone RunParBoX) and the same
+// the same answers (each equal to a standalone ParBoX run) and the same
 // sites visited, once per round instead of once per query, for fewer
 // kernel ops.
 TEST(QueryServiceTest, FusedRoundMatchesOneQueryRounds) {
@@ -607,7 +606,7 @@ TEST(QueryServiceTest, FusedRoundMatchesOneQueryRounds) {
     }
     for (size_t i = 0; i < texts.size(); ++i) {
       auto expected =
-          core::RunParBoX(a.set, a.st, Compile(texts[i].c_str()));
+          testutil::Evaluate(a.set, a.st, Compile(texts[i].c_str()));
       ASSERT_TRUE(expected.ok());
       EXPECT_EQ(fused_answers[i], expected->answer)
           << "seed " << seed << " " << texts[i];
@@ -643,7 +642,7 @@ TEST(WorkloadTest, FamilyPortfolioFusesAndMatchesParBoX) {
   for (size_t i = 0; i < workload->size(); ++i) {
     auto q = workload->Materialize(i);
     ASSERT_TRUE(q.ok());
-    auto report = core::RunParBoX(scenario.set, scenario.st, *q);
+    auto report = testutil::Evaluate(scenario.set, scenario.st, *q);
     ASSERT_TRUE(report.ok());
     expected.push_back(report->answer);
   }

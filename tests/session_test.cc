@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/algorithms.h"
 #include "core/evaluator.h"
 #include "core/session.h"
 #include "testutil.h"
@@ -99,8 +98,8 @@ TEST(SessionTest, ExecuteManyIsBitIdenticalToFreshRunsAllEvaluators) {
   auto prepared = session->Prepare(&q);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
 
-  // Legacy one-shot references, fresh everything per call.
-  auto reference = RunAllAlgorithms(p.set, p.st, q);
+  // One-shot references: a fresh session, one Execute per evaluator.
+  auto reference = testutil::EvaluateAll(p.set, p.st, q);
   ASSERT_TRUE(reference.ok());
 
   const std::vector<std::string> names =
@@ -117,7 +116,7 @@ TEST(SessionTest, ExecuteManyIsBitIdenticalToFreshRunsAllEvaluators) {
   }
 }
 
-TEST(SessionTest, RandomScenariosMatchLegacyRunParBoX) {
+TEST(SessionTest, RandomScenariosMatchOneShotRuns) {
   if (!testutil::DefaultBackendIsSim()) {
     GTEST_SKIP() << "virtual-clock property; sim backend only";
   }
@@ -129,8 +128,8 @@ TEST(SessionTest, RandomScenariosMatchLegacyRunParBoX) {
     xpath::NormQuery q =
         xpath::Normalize(*testutil::RandomQual(&rng, 3));
 
-    auto legacy = RunParBoX(scenario.set, scenario.st, q);
-    ASSERT_TRUE(legacy.ok());
+    auto one_shot = testutil::Evaluate(scenario.set, scenario.st, q);
+    ASSERT_TRUE(one_shot.ok());
 
     auto session = Session::Create(&scenario.set, &scenario.st);
     ASSERT_TRUE(session.ok());
@@ -139,7 +138,7 @@ TEST(SessionTest, RandomScenariosMatchLegacyRunParBoX) {
     for (int repetition = 0; repetition < 2; ++repetition) {
       auto report = session->Execute(*prepared);
       ASSERT_TRUE(report.ok());
-      ExpectReportsIdentical(*legacy, *report);
+      ExpectReportsIdentical(*one_shot, *report);
     }
   }
 }
@@ -256,7 +255,7 @@ TEST(SessionTest, OwningSessionKeepsDeploymentAlive) {
   EXPECT_TRUE(report->answer);
 }
 
-TEST(SessionTest, PlanIsSharedAndInvalidatable) {
+TEST(SessionTest, PlanIsShared) {
   Portfolio p = MakePortfolio();
   auto session = Session::Create(&p.set, &p.st);
   ASSERT_TRUE(session.ok());
@@ -264,11 +263,6 @@ TEST(SessionTest, PlanIsSharedAndInvalidatable) {
   auto plan_b = session->plan();
   EXPECT_EQ(plan_a.get(), plan_b.get());  // cached
   EXPECT_FALSE(plan_a->site_fragments.empty());
-  session->InvalidatePlan();
-  auto plan_c = session->plan();
-  EXPECT_NE(plan_a.get(), plan_c.get());  // recomputed
-  // The old snapshot stays alive and intact for in-flight holders.
-  EXPECT_EQ(plan_a->site_fragments.size(), plan_c->site_fragments.size());
 }
 
 }  // namespace

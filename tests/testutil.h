@@ -1,7 +1,7 @@
-// Shared helpers for the parbox test suite: random surface queries and
-// random fragmentations for property-based tests, the serving
-// benchmark's query texts, and an outcome recorder for QueryService
-// submissions.
+// Shared helpers for the parbox test suite: one-shot evaluation on a
+// fresh Session, random surface queries and random fragmentations for
+// property-based tests, the serving benchmark's query texts, and an
+// outcome recorder for QueryService submissions.
 
 #ifndef PARBOX_TESTS_TESTUTIL_H_
 #define PARBOX_TESTS_TESTUTIL_H_
@@ -9,9 +9,14 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
+#include "core/evaluator.h"
+#include "core/report.h"
+#include "core/session.h"
 #include "fragment/delta.h"
 #include "fragment/fragment.h"
 #include "fragment/source_tree.h"
@@ -21,6 +26,38 @@
 #include "xpath/ast.h"
 
 namespace parbox::testutil {
+
+/// One evaluation the way a one-shot caller writes it: a fresh Session
+/// over (set, st) on the default backend and tracer, Prepare, Execute.
+inline Result<core::RunReport> Evaluate(
+    const frag::FragmentSet& set, const frag::SourceTree& st,
+    const xpath::NormQuery& q, std::string_view evaluator = "parbox",
+    const sim::NetworkParams& network = {}) {
+  PARBOX_ASSIGN_OR_RETURN(
+      core::Session session,
+      core::Session::Create(&set, &st, {.network = network}));
+  PARBOX_ASSIGN_OR_RETURN(core::PreparedQuery prepared,
+                          session.Prepare(&q));
+  return session.Execute(prepared, {.evaluator = std::string(evaluator)});
+}
+
+/// Every registered evaluator, in EvaluatorRegistry::Names() order, on
+/// one fresh Session: one Prepare, N Executes.
+inline Result<std::vector<core::RunReport>> EvaluateAll(
+    const frag::FragmentSet& set, const frag::SourceTree& st,
+    const xpath::NormQuery& q) {
+  PARBOX_ASSIGN_OR_RETURN(core::Session session,
+                          core::Session::Create(&set, &st));
+  PARBOX_ASSIGN_OR_RETURN(core::PreparedQuery prepared,
+                          session.Prepare(&q));
+  std::vector<core::RunReport> reports;
+  for (const std::string& name : core::EvaluatorRegistry::Instance().Names()) {
+    PARBOX_ASSIGN_OR_RETURN(core::RunReport report,
+                            session.Execute(prepared, {.evaluator = name}));
+    reports.push_back(std::move(report));
+  }
+  return reports;
+}
 
 /// Labels / text values matching xmark::GenerateRandomSmallDocument's
 /// alphabet, so random queries have a fair chance of being satisfied.

@@ -560,38 +560,38 @@ int main(int argc, char** argv) {
   }
 
   // ---- Evaluate ----
-  if (options.select_path) {
-    auto selection = xpath::CompileSelection(options.query);
-    if (!selection.ok()) return Fail(selection.status());
-    auto result = core::RunPathSelection(*set, *st, *selection);
-    if (!result.ok()) return Fail(result.status());
-    std::printf("%zu nodes selected\n", result->total_selected);
-    int shown = 0;
-    for (const xml::Node* n : result->AllSelected()) {
-      if (++shown > 20) {
-        std::printf("  ... (%zu more)\n", result->total_selected - 20);
+  if (options.select || options.select_path) {
+    // Both selections run on the session opened above: its --backend
+    // and --trace.
+    std::vector<const xml::Node*> selected;
+    std::string report;
+    if (options.select_path) {
+      auto selection = xpath::CompileSelection(options.query);
+      if (!selection.ok()) return Fail(selection.status());
+      auto result = core::RunPathSelection(*session, *selection);
+      if (!result.ok()) return Fail(result.status());
+      std::printf("%zu nodes selected\n", result->total_selected);
+      selected = result->AllSelected();
+      report = result->report.ToString();
+    } else {
+      auto result = core::RunSelectionParBoX(*session, *prepared);
+      if (!result.ok()) return Fail(result.status());
+      std::printf("%zu elements match\n", result->total_selected);
+      selected = result->AllSelected();
+      report = result->report.ToString();
+    }
+    for (size_t i = 0; i < selected.size(); ++i) {
+      if (i == 20) {
+        std::printf("  ... (%zu more)\n", selected.size() - 20);
         break;
       }
-      std::printf("  <%s>%s\n", std::string(n->label()).c_str(),
-                  xml::DirectText(*n).substr(0, 40).c_str());
+      std::printf("  <%s>%s\n", std::string(selected[i]->label()).c_str(),
+                  xml::DirectText(*selected[i]).substr(0, 40).c_str());
     }
-    std::printf("%s\n", result->report.ToString().c_str());
-    return 0;
-  }
-  if (options.select) {
-    auto result = core::RunSelectionParBoX(*set, *st, prepared->query());
-    if (!result.ok()) return Fail(result.status());
-    std::printf("%zu elements match\n", result->total_selected);
-    int shown = 0;
-    for (const xml::Node* n : result->AllSelected()) {
-      if (++shown > 20) {
-        std::printf("  ... (%zu more)\n", result->total_selected - 20);
-        break;
-      }
-      std::printf("  <%s>%s\n", std::string(n->label()).c_str(),
-                  xml::DirectText(*n).substr(0, 40).c_str());
+    std::printf("%s\n", report.c_str());
+    if (!options.trace_path.empty()) {
+      return DumpTrace(tracer, options.trace_path);
     }
-    std::printf("%s\n", result->report.ToString().c_str());
     return 0;
   }
 
