@@ -85,7 +85,7 @@ class Document {
   /// the host as a new namespace, and subscribes to the placement
   /// feed. The catalog must outlive the session. Any number of
   /// concurrent sessions is fine for reads; route content mutations
-  /// through ONE writer (each session tracks its own dirty log).
+  /// through ONE writer (each session keeps its own dirty sets).
   Result<std::unique_ptr<core::Session>> OpenSession();
 
  private:

@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include "core/selection.h"
+
 namespace parbox::core {
 
 Engine::Engine(Session* session, const xpath::NormQuery& q,
@@ -40,6 +42,42 @@ void Engine::Solve(RetainedSystem* system, Status* failure) {
                                           set().root_fragment(), q_->root());
     if (!answer.ok()) *failure = answer.status();
   });
+}
+
+void Engine::StartUpPass(RetainedSystem* system, Status* failure,
+                         std::function<void(bexpr::Assignment)> then,
+                         FragmentNodeHook node_hook) {
+  system->Reset(set().table_size());
+  auto solve = [this, system, failure, then](RoundResult round) {
+    *failure = round.status;
+    if (!failure->ok()) return;
+    const uint64_t solve_ops = q_->size() * set().live_count();
+    AddOps(solve_ops);
+    backend().Compute(coordinator_, solve_ops, [this, system, failure, then] {
+      Result<bexpr::Assignment> solved =
+          bexpr::SolveBottomUp(&factory(), system->table(), plan_->children,
+                               set().root_fragment());
+      if (solved.ok()) {
+        then(std::move(*solved));
+      } else {
+        *failure = solved.status();
+      }
+    });
+  };
+  StartQueryRound(system, "query", PlanWork(*plan_, query_bytes_), solve,
+                  std::move(node_hook));
+}
+
+Status Engine::FinishSelection(std::string algorithm, const Status& failure,
+                               SelectionResult* result) {
+  backend().Drain();
+  PARBOX_RETURN_IF_ERROR(failure);
+  for (const auto& group : result->selected_by_fragment) {
+    result->total_selected += group.size();
+  }
+  result->report = Finish(std::move(algorithm), result->total_selected > 0,
+                          3 * q_->size() * set().live_count());
+  return Status::OK();
 }
 
 RunReport Engine::Finish(std::string algorithm, bool answer,

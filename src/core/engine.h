@@ -5,10 +5,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "boolexpr/expr.h"
+#include "boolexpr/solver.h"
 #include "core/report.h"
 #include "core/retained.h"
 #include "core/round.h"
@@ -18,10 +20,13 @@
 
 namespace parbox::core {
 
-/// Per-run state every evaluation needs, assembled by Session::Execute
-/// (through ExecuteWith, which the selections call directly):
-/// views of the session's long-lived pieces (deployment, execution
-/// backend, factory, partition plan) plus bookkeeping for the report.
+struct SelectionResult;
+
+/// Per-run state every evaluation needs, assembled by
+/// Session::ExecuteWith (behind Execute, ExecuteIncremental and the
+/// selections): views of the session's long-lived pieces (deployment,
+/// execution backend, factory, partition plan) plus bookkeeping for
+/// the report.
 /// The query is already validated and the backend is rewound by the
 /// time an Evaluator sees the engine.
 ///
@@ -68,6 +73,19 @@ class Engine {
   /// coordinator and solve `*system` there; a failure lands in
   /// `*failure`.
   void Solve(RetainedSystem* system, Status* failure);
+
+  /// The Sec. 8 selections' first pass: the ParBoX round over the plan
+  /// into `*system` (reset first; `node_hook` on every walk), then
+  /// q().size() ops per live fragment at the coordinator to solve every
+  /// variable there. `then` gets the assignment in coordinator context;
+  /// a failure lands in `*failure` instead.
+  void StartUpPass(RetainedSystem* system, Status* failure,
+                   std::function<void(bexpr::Assignment)> then,
+                   FragmentNodeHook node_hook = nullptr);
+  /// The selections' last step: drain, then (unless `failure` is set)
+  /// count `*result`'s selected nodes and report them as `algorithm`.
+  Status FinishSelection(std::string algorithm, const Status& failure,
+                         SelectionResult* result);
 
   /// Assemble the report from the backend's measurements.
   RunReport Finish(std::string algorithm, bool answer,

@@ -8,18 +8,9 @@
 #include "boolexpr/solver.h"
 #include "core/engine.h"
 #include "core/retained.h"
-#include "core/round.h"
 #include "xpath/eval.h"
 
 namespace parbox::core {
-
-std::vector<const xml::Node*> PathSelectionResult::AllSelected() const {
-  std::vector<const xml::Node*> out;
-  for (const auto& group : selected_by_fragment) {
-    out.insert(out.end(), group.begin(), group.end());
-  }
-  return out;
-}
 
 namespace {
 
@@ -155,7 +146,7 @@ DownOutput PropagateDown(const NormQuery& q,
 
 /// Both passes of the path selection on `eng`; the selected nodes and
 /// the report land in `*result`.
-Status RunPasses(Engine& eng, PathSelectionResult* result) {
+Status RunPasses(Engine& eng, SelectionResult* result) {
   const frag::FragmentSet& set = eng.set();
   const frag::SourceTree& st = eng.st();
   const NormQuery& q = eng.q();
@@ -164,7 +155,6 @@ Status RunPasses(Engine& eng, PathSelectionResult* result) {
   const size_t n = q.size();
 
   RetainedSystem up;
-  up.Reset(set.table_size());
   result->selected_by_fragment.resize(set.table_size());
   // Written once at the coordinator, read-only in every site context
   // of the down pass (ordered by the context deliveries).
@@ -213,54 +203,29 @@ Status RunPasses(Engine& eng, PathSelectionResult* result) {
         });
       };
 
-  // ---- Up pass: plain ParBoX, one round over the plan; then solve
-  // and kick off the down pass at the root fragment ----
-  auto compose = [&](RoundResult round) {
-    failure = round.status;
-    if (!failure.ok()) return;
-    const uint64_t solve_ops = n * set.live_count();
-    eng.AddOps(solve_ops);
-    backend.Compute(coord, solve_ops, [&]() {
-      Result<bexpr::Assignment> solved =
-          bexpr::SolveBottomUp(&eng.factory(), up.table(),
-                               eng.plan().children, set.root_fragment());
-      if (!solved.ok()) {
-        failure = solved.status();
-        return;
-      }
-      values = std::move(*solved);
-      auto root_ctx = std::make_shared<std::vector<char>>(n, 0);
-      (*root_ctx)[q.root()] = 1;
-      const uint64_t bytes = 8 + (n + 7) / 8;
-      backend.Send(coord, st.site_of(set.root_fragment()),
-                   exec::Parcel::OfSize(bytes), "context",
-                   [&, root_ctx](exec::Parcel) {
-                     deliver_ctx(set.root_fragment(), root_ctx);
-                   });
-    });
-  };
-
-  eng.StartQueryRound(&up, "query", PlanWork(eng.plan(), eng.query_bytes()),
-                      compose);
-
-  backend.Drain();
-  PARBOX_RETURN_IF_ERROR(failure);
-  for (const auto& group : result->selected_by_fragment) {
-    result->total_selected += group.size();
-  }
-  result->report = eng.Finish("PathSelectionParBoX",
-                              result->total_selected > 0,
-                              3 * n * set.live_count());
-  return Status::OK();
+  // ---- Up pass: plain ParBoX, one round over the plan and a solve;
+  // then kick off the down pass at the root fragment ----
+  eng.StartUpPass(&up, &failure, [&](bexpr::Assignment solved) {
+    values = std::move(solved);
+    auto root_ctx = std::make_shared<std::vector<char>>(n, 0);
+    (*root_ctx)[q.root()] = 1;
+    const uint64_t bytes = 8 + (n + 7) / 8;
+    backend.Send(coord, st.site_of(set.root_fragment()),
+                 exec::Parcel::OfSize(bytes), "context",
+                 [&, root_ctx](exec::Parcel) {
+                   deliver_ctx(set.root_fragment(), root_ctx);
+                 });
+  });
+  return eng.FinishSelection("PathSelectionParBoX", failure, result);
 }
 
 }  // namespace
 
-Result<PathSelectionResult> RunPathSelection(
+Result<SelectionResult> RunPathSelection(
     Session& session, const xpath::SelectionQuery& selection) {
   PARBOX_ASSIGN_OR_RETURN(PreparedQuery prepared,
                           session.Prepare(&selection.query));
-  PathSelectionResult result;
+  SelectionResult result;
   PARBOX_RETURN_IF_ERROR(session.ExecuteWith(
       prepared, "path_selection",
       [&](Engine& eng) { return RunPasses(eng, &result); }));

@@ -31,29 +31,17 @@
 #ifndef PARBOX_CORE_PATH_SELECTION_H_
 #define PARBOX_CORE_PATH_SELECTION_H_
 
-#include <vector>
-
 #include "common/status.h"
-#include "core/report.h"
+#include "core/selection.h"
 #include "core/session.h"
-#include "xml/dom.h"
 #include "xpath/normalize.h"
 
 namespace parbox::core {
 
-struct PathSelectionResult {
-  /// Selected elements, grouped by fragment id (table-indexed).
-  std::vector<std::vector<const xml::Node*>> selected_by_fragment;
-  size_t total_selected = 0;
-  RunReport report;
-
-  std::vector<const xml::Node*> AllSelected() const;
-};
-
 /// Select all nodes reachable from the root of the session's
 /// fragmented tree via the compiled selection path (from
 /// xpath::CompileSelection); `selection` must outlive the call.
-Result<PathSelectionResult> RunPathSelection(
+Result<SelectionResult> RunPathSelection(
     Session& session, const xpath::SelectionQuery& selection);
 
 }  // namespace parbox::core

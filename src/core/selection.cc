@@ -5,7 +5,6 @@
 #include "boolexpr/solver.h"
 #include "core/engine.h"
 #include "core/retained.h"
-#include "core/round.h"
 
 namespace parbox::core {
 
@@ -37,13 +36,14 @@ Status RunPasses(Engine& eng, SelectionResult* result) {
   const size_t n = q.size();
 
   RetainedSystem up;
-  up.Reset(set.table_size());
   std::vector<RetainedFormulas> retained(set.table_size());
   result->selected_by_fragment.resize(set.table_size());
   // Written once at the coordinator before pass 2's sends, read-only
   // in every site context afterwards (ordered by the deliveries).
   bexpr::Assignment assignment;
-  std::mutex failure_mutex;  // pass-2 sites can fail concurrently
+  // The up pass sets `failure` at the coordinator before pass 2
+  // starts; pass-2 sites can fail concurrently, under the mutex.
+  std::mutex failure_mutex;
   Status failure = Status::OK();
 
   // ---- Pass 2: ship resolved variable values, collect selections ----
@@ -92,46 +92,20 @@ Status RunPasses(Engine& eng, SelectionResult* result) {
     }
   };
 
-  // ---- Solve at the coordinator, then start pass 2 ----
-  auto compose = [&](RoundResult round) {
-    if (!round.status.ok()) {
-      std::lock_guard<std::mutex> lock(failure_mutex);
-      if (failure.ok()) failure = round.status;
-      return;
-    }
-    const uint64_t solve_ops = n * set.live_count();
-    eng.AddOps(solve_ops);
-    backend.Compute(coord, solve_ops, [&]() {
-      Result<bexpr::Assignment> solved =
-          bexpr::SolveBottomUp(&eng.factory(), up.table(),
-                               eng.plan().children, set.root_fragment());
-      if (!solved.ok()) {
-        std::lock_guard<std::mutex> lock(failure_mutex);
-        if (failure.ok()) failure = solved.status();
-        return;
-      }
-      assignment = std::move(*solved);
-      downward();
-    });
-  };
-
-  // ---- Pass 1: the ParBoX round over the plan; each walk retains
-  // every element's selection formula at its site ----
-  eng.StartQueryRound(
-      &up, "query", PlanWork(eng.plan(), eng.query_bytes()), compose,
+  // ---- Pass 1: the ParBoX round over the plan, each walk retaining
+  // every element's selection formula at its site; then solve at the
+  // coordinator and start pass 2 ----
+  eng.StartUpPass(
+      &up, &failure,
+      [&](bexpr::Assignment solved) {
+        assignment = std::move(solved);
+        downward();
+      },
       [&](frag::FragmentId f, const xml::Node& node,
           const std::vector<bexpr::ExprId>& vv) {
         retained[f].per_node.emplace_back(&node, vv[q.root()]);
       });
-
-  backend.Drain();
-  PARBOX_RETURN_IF_ERROR(failure);
-  for (const auto& group : result->selected_by_fragment) {
-    result->total_selected += group.size();
-  }
-  result->report = eng.Finish("SelectionParBoX", result->total_selected > 0,
-                              3 * n * set.live_count());
-  return Status::OK();
+  return eng.FinishSelection("SelectionParBoX", failure, result);
 }
 
 }  // namespace

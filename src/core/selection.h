@@ -37,6 +37,7 @@
 
 namespace parbox::core {
 
+/// What RunSelectionParBoX and RunPathSelection return.
 struct SelectionResult {
   /// Selected elements, grouped by fragment id (table-indexed).
   std::vector<std::vector<const xml::Node*>> selected_by_fragment;

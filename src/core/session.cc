@@ -1,10 +1,8 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <optional>
-#include <unordered_map>
 
 #include "core/engine.h"
 #include "core/evaluator.h"
@@ -189,17 +187,6 @@ Result<PreparedQuery> Session::Prepare(const xpath::NormQuery* query) {
   return Finalize(std::move(q), {});
 }
 
-Status Session::CheckHandle(const PreparedQuery& query) const {
-  if (!query.valid()) {
-    return Status::InvalidArgument("PreparedQuery is empty");
-  }
-  if (query.ticket_ != ticket_) {
-    return Status::InvalidArgument(
-        "PreparedQuery was prepared by a different Session");
-  }
-  return Status::OK();
-}
-
 Result<RunReport> Session::Execute(const PreparedQuery& query,
                                    const ExecOptions& options) {
   PARBOX_ASSIGN_OR_RETURN(
@@ -217,7 +204,13 @@ Result<RunReport> Session::Execute(const PreparedQuery& query,
 Status Session::ExecuteWith(const PreparedQuery& query, std::string_view name,
                             const std::function<Status(Engine&)>& run) {
   PARBOX_RETURN_IF_ERROR(backend_status_);
-  PARBOX_RETURN_IF_ERROR(CheckHandle(query));
+  if (!query.valid()) {
+    return Status::InvalidArgument("PreparedQuery is empty");
+  }
+  if (query.ticket_ != ticket_) {
+    return Status::InvalidArgument(
+        "PreparedQuery was prepared by a different Session");
+  }
   std::shared_ptr<const SitePlan> p = plan();
   backend_->Reset();
   Engine eng(this, *query.query_, query.query_bytes_, std::move(p));
@@ -277,35 +270,14 @@ Result<frag::AppliedDelta> Session::Apply(const frag::Delta& delta) {
     e.args.emplace_back("bytes", std::to_string(applied.wire_bytes));
     tracer_->Record(std::move(e));
   }
-  dirty_log_.push_back({applied.fragment, applied.wire_bytes});
-  // Compact the prefix every consumer has passed, so a long-lived
-  // writer (e.g. a QueryService applying deltas forever without ever
-  // running incrementally) keeps the log bounded by its unconsumed
-  // suffix. Positions are absolute, so nobody needs renumbering.
-  // Only states that will actually read the log pin records: a state
-  // due for a full pass never reads it. An in-flight ExecuteIncremental
-  // pins its snapshot so a mid-run Apply cannot compact records it has
-  // not committed past yet.
-  const size_t log_end = log_base_ + dirty_log_.size();
-  size_t min_pos = std::min(log_end, exec_log_floor_);
+  MarkDirty(applied.fragment, applied.wire_bytes);
+  // A state that has fallen far behind (pending records several times
+  // the fragment table) would re-evaluate most fragments anyway; its
+  // next run is a full re-seed — e.g. a query executed once and never
+  // again.
   for (auto& [fp, state] : inc_states_) {
     (void)fp;
-    if (NeedsFullPass(state)) continue;
-    // A state that has fallen far behind (unconsumed suffix several
-    // times the fragment table) would re-evaluate most fragments
-    // anyway; demote it to a full re-seed instead of letting it pin
-    // the log forever — e.g. a query executed once and never again.
-    if (log_end - state.log_pos > 4 * set_->table_size()) {
-      state.valid = false;
-      continue;
-    }
-    min_pos = std::min(min_pos, state.log_pos);
-  }
-  if (min_pos > log_base_) {
-    dirty_log_.erase(
-        dirty_log_.begin(),
-        dirty_log_.begin() + static_cast<long>(min_pos - log_base_));
-    log_base_ = min_pos;
+    if (state.marks > 4 * set_->table_size()) state.valid = false;
   }
   return applied;
 }
@@ -314,27 +286,20 @@ bool Session::NeedsFullPass(const IncrementalState& state) const {
   return !state.valid || state.system.table_size() != set_->table_size();
 }
 
-std::vector<Session::DirtyRecord> Session::CollectDirty(
-    const IncrementalState& state) const {
-  std::vector<DirtyRecord> dirty;
-  const size_t start =
-      state.log_pos > log_base_ ? state.log_pos - log_base_ : 0;
-  // First-seen order, deduped by fragment via an index map — a linear
-  // rescan of `dirty` per record is quadratic under the delta storms
-  // the chaos suite applies at 10k+ fragments.
-  std::unordered_map<frag::FragmentId, size_t> at;
-  at.reserve(dirty_log_.size() - start);
-  for (size_t i = start; i < dirty_log_.size(); ++i) {
-    const DirtyRecord& rec = dirty_log_[i];
-    if (!set_->is_live(rec.fragment)) continue;
-    auto [it, inserted] = at.try_emplace(rec.fragment, dirty.size());
+void Session::MarkDirty(frag::FragmentId f, uint64_t bytes) {
+  for (auto& [fp, state] : inc_states_) {
+    (void)fp;
+    ++state.marks;
+    // First-seen order, deduped through the index: a linear rescan per
+    // mark is quadratic under the delta storms the chaos suite applies
+    // at 10k+ fragments.
+    auto [at, inserted] = state.dirty_at.Insert(f, state.dirty.size());
     if (inserted) {
-      dirty.push_back(rec);
+      state.dirty.push_back({f, bytes});
     } else {
-      dirty[it->second].wire_bytes += rec.wire_bytes;
+      state.dirty[*at].wire_bytes += bytes;
     }
   }
-  return dirty;
 }
 
 std::vector<frag::FragmentId> Session::DirtyFragments(
@@ -344,74 +309,26 @@ std::vector<frag::FragmentId> Session::DirtyFragments(
     return set_->live_ids();  // no reusable state: a full pass is due
   }
   std::vector<frag::FragmentId> out;
-  for (const DirtyRecord& rec : CollectDirty(it->second)) {
-    out.push_back(rec.fragment);
+  for (const DirtyRecord& rec : it->second.dirty) {
+    if (set_->is_live(rec.fragment)) out.push_back(rec.fragment);
   }
   return out;
 }
 
 Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
-  PARBOX_RETURN_IF_ERROR(backend_status_);
-  PARBOX_RETURN_IF_ERROR(CheckHandle(query));
-  std::shared_ptr<const SitePlan> p = plan();
-  backend_->Reset();
-  Engine eng(this, *query.query_, query.query_bytes_, std::move(p));
-  exec::ExecBackend& backend = *backend_;
-  const xpath::NormQuery& q = *query.query_;
-  IncrementalState& state = inc_states_[query.fp_];
-
-  // Root span for the incremental run; active through the coordinator
-  // sends below, so the whole delta pipeline parents beneath it.
-  obs::TraceContext trace_ctx;
-  std::optional<obs::ScopedTraceContext> trace_scope;
-  double trace_t0 = 0.0;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    trace_ctx = {tracer_->MintTraceId(), tracer_->MintSpanId()};
-    trace_scope.emplace(trace_ctx);
-    trace_t0 = backend.now();
-  }
-
-  // Reusable state requires a table of the deployment's shape.
-  const bool full = NeedsFullPass(state);
-  // Deltas applied *during* the run (by event-loop callbacks) land
-  // after this absolute snapshot and stay dirty for the next run; the
-  // floor keeps a mid-run Apply's compaction from crossing it before
-  // the state commits below.
-  const size_t log_snapshot = log_base_ + dirty_log_.size();
-  exec_log_floor_ = log_snapshot;
-
-  Status failure = Status::OK();
-  bool finished = false;
-  const char* mode = "full";
-  // Stage 3 (shared by the full and delta paths): one bottom-up solve
-  // of the retained equation system at the coordinator. The retained
-  // clean triplets stay sound under the thread pool for the same
-  // reason as on the sim: decoding a structurally identical formula
-  // into the session's hash-consing factory reproduces bit-identical
-  // ExprIds, so reusing stored ids *is* re-evaluation minus the work.
-  auto solve = [&](RoundResult round) {
-    finished = true;
-    failure = round.status;
-    if (failure.ok()) eng.Solve(&state.system, &failure);
-  };
-
-  if (full) {
-    // Seed pass: the ParBoX round, with the triplets retained for
-    // later delta runs.
-    state.system.Reset(set_->table_size());
-    eng.StartQueryRound(&state.system, "query",
-                        PlanWork(eng.plan(), eng.query_bytes()), solve);
-  } else {
-    std::vector<DirtyRecord> dirty = CollectDirty(state);
-    if (dirty.empty()) {
-      // Nothing changed since the last run: the retained answer
-      // stands; one coordinator-local lookup, zero site visits.
-      mode = "clean";
-      const uint64_t lookup_ops = 16 + q.size();
-      eng.AddOps(lookup_ops);
-      if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.lookup");
-      backend.Compute(eng.coordinator(), lookup_ops,
-                      [&finished] { finished = true; });
+  RunReport report;
+  auto run = [&](Engine& eng) -> Status {
+    exec::ExecBackend& backend = eng.backend();
+    const xpath::NormQuery& q = eng.q();
+    IncrementalState& state = inc_states_[query.fp_];
+    // Reusable state requires a table of the deployment's shape.
+    const bool full = NeedsFullPass(state);
+    std::vector<SiteWork> work;
+    if (full) {
+      // Seed pass: the ParBoX round, with the triplets retained for
+      // later delta runs.
+      state.system.Reset(set_->table_size());
+      work = PlanWork(eng.plan(), eng.query_bytes());
     } else {
       // Delta pass: each dirty site gets one "update" message carrying
       // the deltas it has not seen, re-evaluates only its dirty
@@ -419,50 +336,69 @@ Result<RunReport> Session::ExecuteIncremental(const PreparedQuery& query) {
       // are reused verbatim (hash-consing keeps their ExprIds
       // bit-stable across runs). 16 bytes name the query (its
       // fingerprint) the site should re-evaluate under.
-      mode = "delta";
-      std::vector<SiteWork> work;
-      std::unordered_map<sim::SiteId, size_t> site_at;
-      site_at.reserve(dirty.size());
-      for (const DirtyRecord& rec : dirty) {
+      FlatMap<sim::SiteId, size_t> site_at;
+      for (const DirtyRecord& rec : state.dirty) {
+        if (!set_->is_live(rec.fragment)) continue;
         const sim::SiteId s = st_->site_of(rec.fragment);
-        auto [it, inserted] = site_at.try_emplace(s, work.size());
+        auto [at, inserted] = site_at.Insert(s, work.size());
         if (inserted) {
           work.push_back({s, {rec.fragment}, rec.wire_bytes + 16});
         } else {
-          work[it->second].fragments.push_back(rec.fragment);
-          work[it->second].request_bytes += rec.wire_bytes;
+          work[*at].fragments.push_back(rec.fragment);
+          work[*at].request_bytes += rec.wire_bytes;
         }
       }
-      eng.StartQueryRound(&state.system, "update", std::move(work), solve);
     }
-  }
+    // The run takes every fragment dirtied so far. A delta applied
+    // *during* the run (by an event-loop callback) marks the state
+    // afresh and stays dirty for the next run.
+    state.dirty.clear();
+    state.dirty_at.Clear();
+    state.marks = 0;
 
-  backend.Drain();
-  if (trace_ctx.active()) {
-    obs::TraceEvent e;
-    e.name = "execute.incremental";
-    e.trace_id = trace_ctx.trace_id;
-    e.span_id = trace_ctx.span_id;
-    e.site = eng.coordinator();
-    e.ts_seconds = trace_t0;
-    e.dur_seconds = backend.now() - trace_t0;
-    e.args.emplace_back("mode", mode);
-    tracer_->Record(std::move(e));
-  }
-  exec_log_floor_ = SIZE_MAX;
-  state.log_pos = log_snapshot;
-  // A broken run must not seed reuse.
-  state.valid = failure.ok() && finished;
-  PARBOX_RETURN_IF_ERROR(failure);
-  if (!finished) {
-    return Status::Internal("incremental run finished without an answer");
-  }
-  const uint64_t entries =
-      std::string_view(mode) == "clean"
-          ? 0
-          : 3 * static_cast<uint64_t>(q.size()) * set_->live_count();
-  return eng.Finish(std::string("IncrementalParBoX[") + mode + "]",
-                    state.system.answer(), entries);
+    Status failure = Status::OK();
+    bool finished = false;
+    const std::string_view mode =
+        full ? "full" : work.empty() ? "clean" : "delta";
+    if (mode == "clean") {
+      // Nothing changed since the last run: the retained answer
+      // stands; one coordinator-local lookup, zero site visits.
+      const uint64_t lookup_ops = 16 + q.size();
+      eng.AddOps(lookup_ops);
+      if (tracer_ != nullptr) tracer_->SetNextComputeName("cache.lookup");
+      backend.Compute(eng.coordinator(), lookup_ops,
+                      [&finished] { finished = true; });
+    } else {
+      // Stage 3 (shared by the full and delta paths): one bottom-up
+      // solve of the retained equation system at the coordinator. The
+      // retained clean triplets stay sound under the thread pool for
+      // the same reason as on the sim: decoding a structurally
+      // identical formula into the session's hash-consing factory
+      // reproduces bit-identical ExprIds, so reusing stored ids *is*
+      // re-evaluation minus the work.
+      auto solve = [&](RoundResult round) {
+        finished = true;
+        failure = round.status;
+        if (failure.ok()) eng.Solve(&state.system, &failure);
+      };
+      eng.StartQueryRound(&state.system, full ? "query" : "update",
+                          std::move(work), solve);
+    }
+    backend.Drain();
+    // A broken run must not seed reuse.
+    state.valid = failure.ok() && finished;
+    PARBOX_RETURN_IF_ERROR(failure);
+    if (!finished) {
+      return Status::Internal("incremental run finished without an answer");
+    }
+    const uint64_t entries =
+        mode == "clean" ? 0 : 3 * q.size() * set_->live_count();
+    report = eng.Finish("IncrementalParBoX[" + std::string(mode) + "]",
+                        state.system.answer(), entries);
+    return Status::OK();
+  };
+  PARBOX_RETURN_IF_ERROR(ExecuteWith(query, "incremental", run));
+  return report;
 }
 
 void Session::FollowPlacement(
@@ -489,24 +425,13 @@ void Session::SyncPlacement() {
   st_ = snapshot_hold_.get();
   // A Move changes no content: the plan re-partitions, but retained
   // incremental triplets stay valid, and only the moved fragments go
-  // dirty. The 16 bytes are the
-  // migration control record (fragment id, new site, epoch) the next
-  // incremental "update" message carries; the fragment's *content*
-  // already lives at the new site (the catalog ships it at Move time,
-  // metered under the "migrate" tag).
+  // dirty. The 16 bytes are the migration control record (fragment id,
+  // new site, epoch) the next incremental "update" message carries; the
+  // fragment's *content* already lives at the new site (the catalog
+  // ships it at Move time, metered under the "migrate" tag).
   plan_ = nullptr;
-  // Only already-seeded incremental states ever read these records; a
-  // state seeded after the move starts from a full pass at the current
-  // log position. With no such consumer, skip the append so a
-  // read-only serving session's log stays empty across moves.
-  bool any_reusable = false;
-  for (const auto& [fp, state] : inc_states_) {
-    (void)fp;
-    any_reusable = any_reusable || !NeedsFullPass(state);
-  }
-  if (!any_reusable) return;
   for (frag::FragmentId f : moved) {
-    if (set_->is_live(f)) dirty_log_.push_back({f, 16});
+    if (set_->is_live(f)) MarkDirty(f, 16);
   }
 }
 
@@ -514,11 +439,6 @@ void Session::SyncRecovery() {
   exec::ExecBackend* backend = backend_.get();
   const sim::SiteId num_sites = st_->num_sites();
   bool shipped = false;
-  bool any_reusable = false;
-  for (const auto& [fp, state] : inc_states_) {
-    (void)fp;
-    any_reusable = any_reusable || !NeedsFullPass(state);
-  }
   for (sim::SiteId s = 0; s < num_sites; ++s) {
     const uint64_t epoch = backend->RecoveryEpoch(s);
     if (static_cast<size_t>(s) >= recovery_seen_.size()) {
@@ -531,9 +451,8 @@ void Session::SyncRecovery() {
     // The site's daemon restarted since we last looked: everything it
     // held is gone. Re-ship exactly this site's live fragments — the
     // content as a metered "migrate" transfer out of the coordinator's
-    // context, and (for retained incremental state only, mirroring
-    // SyncPlacement) a migration dirty record so the next incremental
-    // run re-ships f's triplet state too.
+    // context, and (as SyncPlacement does) each fragment marked dirty
+    // so the next incremental run re-ships its triplet state too.
     const sim::SiteId coord = coordinator();
     for (frag::FragmentId f : st_->fragments_at(s)) {
       if (!set_->is_live(f)) continue;
@@ -542,7 +461,7 @@ void Session::SyncRecovery() {
         backend->Send(coord, s, exec::Parcel::OfSize(bytes), "migrate",
                       [](exec::Parcel) {});
       });
-      if (any_reusable) dirty_log_.push_back({f, 16});
+      MarkDirty(f, 16);
       shipped = true;
     }
   }

@@ -64,6 +64,7 @@
 
 #include "boolexpr/expr.h"
 #include "boolexpr/solver.h"
+#include "common/flat_table.h"
 #include "common/status.h"
 #include "core/prepared.h"
 #include "core/report.h"
@@ -170,11 +171,12 @@ class Session {
   Result<RunReport> Execute(const PreparedQuery& query,
                             const ExecOptions& options = {});
 
-  /// Execute's preamble around `run`: the handle check, the plan, the
-  /// backend rewind and the root "execute" trace span (labelled
+  /// The one preamble around every evaluation: the handle check (an
+  /// empty handle or one from another session is rejected), the plan,
+  /// the backend rewind and the root "execute" trace span (labelled
   /// `name`), with `run` driving one evaluation of `query` on the
-  /// Engine (core/engine.h). The way in for evaluations that return
-  /// more than a RunReport — the Sec. 8 selections.
+  /// Engine (core/engine.h). Execute, ExecuteIncremental and the Sec. 8
+  /// selections all run through it.
   Status ExecuteWith(const PreparedQuery& query, std::string_view name,
                      const std::function<Status(Engine&)>& run);
 
@@ -191,14 +193,17 @@ class Session {
   Result<frag::AppliedDelta> Apply(const frag::Delta& delta);
 
   /// Delta-driven re-evaluation of `query`: re-run partial evaluation
-  /// only on the fragments dirtied (by Apply) since this query's last
-  /// incremental run, reuse the cached triplet formulas of every clean
-  /// fragment, and re-solve the equation system at the coordinator.
-  /// The first call per fingerprint is a full ParBoX round that seeds
-  /// the cached triplets. Either way each visited site replies once. The
-  /// answer is always identical to a from-scratch run of any
-  /// registered evaluator. The report's algorithm field names the
-  /// path taken: IncrementalParBoX[full|delta|clean].
+  /// only on the fragments dirtied (by Apply, a placement move or a
+  /// site recovery) since this query's last incremental run started,
+  /// reuse the cached triplet formulas of every clean fragment, and
+  /// re-solve the equation system at the coordinator. The first call
+  /// per fingerprint is a full ParBoX round that seeds the cached
+  /// triplets, as is the call after an Apply that found more than
+  /// 4 x table-size dirty records pending. Either way each visited
+  /// site replies once. The answer is always identical to a
+  /// from-scratch run of any registered evaluator. The report's
+  /// algorithm field names the path taken:
+  /// IncrementalParBoX[full|delta|clean].
   Result<RunReport> ExecuteIncremental(const PreparedQuery& query);
 
   /// Fragments an ExecuteIncremental of `query` would re-evaluate now.
@@ -237,12 +242,12 @@ class Session {
   /// Subscribe to a catalog document's placement feed. From here on,
   /// plan() (and therefore every Execute*) first catches up on Move
   /// epochs: rebind the current snapshot, recompute the per-site plan,
-  /// and append one dirty-log *migration record* per moved fragment —
-  /// WITHOUT re-seeding retained incremental state (a Move changes no
-  /// fragment content, so cached triplets stay valid; only the moved
-  /// fragments re-ship their state, via the metered "update" message
-  /// of the next ExecuteIncremental, and visit counts stay bounded by
-  /// the moved-fragment count).
+  /// and mark each moved fragment dirty (16 bytes: the migration
+  /// record) in every query's incremental state — WITHOUT re-seeding it
+  /// (a Move changes no fragment content, so cached triplets stay
+  /// valid; only the moved fragments re-ship their state, via the
+  /// metered "update" message of the next ExecuteIncremental, and visit
+  /// counts stay bounded by the moved-fragment count).
   void FollowPlacement(std::shared_ptr<const frag::PlacementFeed> feed);
   /// Catch up on the followed feed now (plan() does this implicitly).
   void SyncPlacement();
@@ -251,26 +256,29 @@ class Session {
   /// `proc` process backend) bump a site's RecoveryEpoch when its
   /// daemon restarts and loses everything it was shipped; this
   /// re-ships the site's live fragments — content over the metered
-  /// "migrate" path, plus one migration dirty record per fragment for
-  /// retained incremental state, exactly the catalog Move path — and
+  /// "migrate" path, and each fragment marked dirty (16 bytes) in every
+  /// query's incremental state, exactly the catalog Move path — and
   /// drains the backend so the next Execute starts quiescent.
   void SyncRecovery();
 
  private:
-  /// Per-fingerprint state ExecuteIncremental maintains: the retained
-  /// system of the last run (clean fragments' triplets reused
-  /// verbatim) and how far into the session's dirty log that run got.
-  struct IncrementalState {
-    RetainedSystem system;
-    size_t log_pos = 0;
-    bool valid = false;
-  };
-
-  /// One Apply record: which fragment went dirty and the delta's wire
-  /// size (what shipping the update to the owning site costs).
+  /// One dirty fragment and the summed wire size of its deltas (what
+  /// shipping the update to the owning site costs).
   struct DirtyRecord {
     frag::FragmentId fragment = frag::kNoFragment;
     uint64_t wire_bytes = 0;
+  };
+
+  /// Per-fingerprint state ExecuteIncremental maintains: the retained
+  /// system of the last run (clean fragments' triplets reused
+  /// verbatim) and the fragments dirtied since that run started.
+  struct IncrementalState {
+    RetainedSystem system;
+    /// Dirty fragments in first-seen order, each once.
+    std::vector<DirtyRecord> dirty;
+    FlatMap<frag::FragmentId, size_t> dirty_at;  ///< index into `dirty`
+    size_t marks = 0;  ///< MarkDirty calls, duplicates included
+    bool valid = false;
   };
 
   /// Query-level validation shared by every Prepare overload;
@@ -278,13 +286,13 @@ class Session {
   Status ValidateQuery(const xpath::NormQuery& q,
                        std::string_view text) const;
   Result<PreparedQuery> Finalize(PreparedQuery q, std::string_view text);
-  /// Shared Execute/ExecuteIncremental handle checks.
-  Status CheckHandle(const PreparedQuery& query) const;
   /// True iff `state` cannot be reused (never seeded, or its table no
   /// longer has the deployment's shape).
   bool NeedsFullPass(const IncrementalState& state) const;
-  /// Dirty records since `state` last ran, deduplicated, live only.
-  std::vector<DirtyRecord> CollectDirty(const IncrementalState& state) const;
+  /// Mark fragment `f` dirty, with `bytes` of update to ship, in every
+  /// query's incremental state (one awaiting a full pass included: it
+  /// may be mid-run).
+  void MarkDirty(frag::FragmentId f, uint64_t bytes);
 
   /// Owned-deployment storage (null for borrowing sessions). Stable
   /// addresses across Session moves, so set_/st_ never dangle.
@@ -320,18 +328,7 @@ class Session {
   /// shipped) on the current daemon incarnation, so nothing re-ships.
   std::vector<uint64_t> recovery_seen_;
 
-  /// Log of fragments dirtied by Apply; each query's incremental
-  /// state remembers its own *absolute* position in it, so one log
-  /// serves any number of queries exactly. Positions are absolute
-  /// (monotonic since session start); `log_base_` is the absolute
-  /// position of dirty_log_.front(), letting Apply compact the
-  /// prefix every consumer has passed without renumbering anyone.
-  std::vector<DirtyRecord> dirty_log_;
-  size_t log_base_ = 0;
-  /// Absolute log position an in-flight ExecuteIncremental has read
-  /// up to but not yet committed; Apply's compaction never crosses
-  /// it. SIZE_MAX (no pin) outside a run.
-  size_t exec_log_floor_ = SIZE_MAX;
+  /// ExecuteIncremental's state, one per query fingerprint.
   std::unordered_map<xpath::QueryFingerprint, IncrementalState,
                      xpath::QueryFingerprintHash>
       inc_states_;

@@ -8,9 +8,8 @@
 // sender's context and the receiver decodes into its own factory —
 // exactly what distinct processes would do.
 //
-// Every triplet reply is a TripletBatch: one per site per round
-// (core/round.h), and one-item batches for the per-fragment replies of
-// lazy and selection.
+// Every triplet reply is a TripletBatch, one per site per round;
+// core::Round (core/round.h) alone builds and reads them.
 //
 // Metering: a batch's wire size is the sum over its items of
 // SerializedExprsSize of the item's 3·|q| roots (the quantity every

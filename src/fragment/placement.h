@@ -14,7 +14,7 @@
 // are untouched, only h — so retained state (cached answers, triplet
 // systems) stays valid; subscribers merely re-ship the moved
 // fragments' state to the new site (core::Session treats a move as a
-// dirty-log record, not a re-seed).
+// dirty fragment, not a re-seed).
 //
 // The root fragment is pinned: its site is the coordinator every
 // evaluator composes at, and the execution substrate homes that site's

@@ -157,7 +157,7 @@ Result<frag::SiteId> CatalogService::Move(std::string_view doc,
     // The migration transfer: the fragment's content ships old site ->
     // new site once, metered like any other message on the document's
     // namespace. Retained state (cached answers, triplets) stays
-    // valid; the session re-ships only f's state via its dirty log.
+    // valid; the session marks only f dirty and re-ships its state.
     // The zero-op Compute hop puts the Send in the old site's
     // execution context, as the backend contract requires.
     exec::ExecBackend* backend = &s->service->backend();

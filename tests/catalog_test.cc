@@ -19,6 +19,7 @@
 
 #include "catalog/catalog.h"
 #include "core/session.h"
+#include "fragment/delta.h"
 #include "fragment/placement.h"
 #include "fragment/strategies.h"
 #include "service/catalog_service.h"
@@ -432,6 +433,97 @@ TEST(CatalogMoveTest, IncrementalReshipsOnlyMovedFragments) {
   EXPECT_EQ(clean_run->algorithm, "IncrementalParBoX[clean]");
   EXPECT_EQ(clean_run->total_visits(), 0u);
   EXPECT_EQ(clean_run->answer, seed_run->answer);
+}
+
+// ---- Deltas that land during an incremental run ------------------------
+
+// A delta applied by an event-loop callback inside an incremental run's
+// Drain must stay dirty for the next run. Only a shared host can hold
+// such a callback across the run's rewind: a catalog namespace's Reset
+// snapshots baselines, where a dedicated backend's drops pending
+// events. The fixture schedules an insert under a non-root fragment f.
+class CatalogMidRunDeltaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto cat = Catalog::Create();
+    ASSERT_TRUE(cat.ok());
+    cat_ = std::move(*cat);
+    Deployment d = MakeDeployment(71, 150, 6);
+    auto opened =
+        cat_->Open("live", std::move(d.set), std::move(d.placement));
+    ASSERT_TRUE(opened.ok());
+    doc_ = *opened;
+    auto session = doc_->OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    session_ = std::move(*session);
+    auto prepared = session_->Prepare("[//a[b] and //c]");
+    ASSERT_TRUE(prepared.ok());
+    q_ = std::move(*prepared);
+    for (frag::FragmentId f : doc_->set().live_ids()) {
+      if (f != doc_->set().root_fragment()) f_ = f;
+    }
+    ASSERT_NE(f_, frag::kNoFragment);
+  }
+
+  /// Insert a <c> under f's root from a callback due at once: it runs
+  /// inside the next Drain, i.e. during the next run.
+  void ScheduleDelta() {
+    exec::ExecBackend& backend = session_->backend();
+    backend.ScheduleAt(backend.now(), [this] {
+      applied_ = session_
+                     ->Apply(frag::Delta::InsertSubtree(
+                         f_, doc_->set().fragment(f_).root, "c"))
+                     .ok();
+    });
+  }
+
+  /// The run after the mid-run delta: a delta pass over f alone whose
+  /// answer equals a fresh parbox run's.
+  void ExpectDeltaRunOverF() {
+    EXPECT_EQ(session_->DirtyFragments(q_),
+              std::vector<frag::FragmentId>{f_});
+    auto delta_run = session_->ExecuteIncremental(q_);
+    ASSERT_TRUE(delta_run.ok()) << delta_run.status().ToString();
+    EXPECT_EQ(delta_run->algorithm, "IncrementalParBoX[delta]");
+    auto fresh = session_->Execute(q_);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(delta_run->answer, fresh->answer);
+  }
+
+  std::unique_ptr<Catalog> cat_;
+  Document* doc_ = nullptr;
+  std::unique_ptr<core::Session> session_;
+  core::PreparedQuery q_;
+  frag::FragmentId f_ = frag::kNoFragment;
+  bool applied_ = false;
+};
+
+// The run that drains the delta found nothing dirty at its start, so
+// it is a clean lookup; the delta stays dirty for the run after it.
+TEST_F(CatalogMidRunDeltaTest, DeltaDuringCleanRunStaysDirty) {
+  auto seed_run = session_->ExecuteIncremental(q_);
+  ASSERT_TRUE(seed_run.ok()) << seed_run.status().ToString();
+  EXPECT_EQ(seed_run->algorithm, "IncrementalParBoX[full]");
+
+  ScheduleDelta();
+  EXPECT_FALSE(applied_);
+  auto clean_run = session_->ExecuteIncremental(q_);
+  ASSERT_TRUE(clean_run.ok()) << clean_run.status().ToString();
+  EXPECT_EQ(clean_run->algorithm, "IncrementalParBoX[clean]");
+  EXPECT_TRUE(applied_);
+  ExpectDeltaRunOverF();
+}
+
+// The same delta landing during the seeding run: the query's state
+// awaits its full pass when the delta marks it, and must keep f dirty.
+TEST_F(CatalogMidRunDeltaTest, DeltaDuringSeedRunStaysDirty) {
+  ScheduleDelta();
+  EXPECT_FALSE(applied_);
+  auto seed_run = session_->ExecuteIncremental(q_);
+  ASSERT_TRUE(seed_run.ok()) << seed_run.status().ToString();
+  EXPECT_EQ(seed_run->algorithm, "IncrementalParBoX[full]");
+  EXPECT_TRUE(applied_);
+  ExpectDeltaRunOverF();
 }
 
 // ---- Rebalance -----------------------------------------------------------

@@ -220,6 +220,38 @@ TEST(IncrementalUpdateTest, DeltaRunVisitsOnlyDirtySites) {
   EXPECT_EQ(clean->network_messages, 0u);
 }
 
+// The far-behind rule: once an Apply finds more than 4 x table-size
+// dirty records pending for a query, its next run is a full re-seed
+// instead of a delta pass.
+TEST(IncrementalUpdateTest, FarBehindQueryReseeds) {
+  testutil::RandomScenario scenario = testutil::MakeRandomScenario(11, 60, 3);
+  auto session = Session::Create(&scenario.set, &scenario.st);
+  ASSERT_TRUE(session.ok());
+  auto prepared = session->Prepare("[//a[b] or //c]");
+  ASSERT_TRUE(prepared.ok());
+  auto seeded = session->ExecuteIncremental(*prepared);
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  EXPECT_EQ(seeded->algorithm, "IncrementalParBoX[full]");
+
+  Rng rng(13);
+  const size_t limit = 4 * scenario.set.table_size();
+  for (const auto& [deltas, algorithm] :
+       {std::pair<size_t, std::string>{limit, "IncrementalParBoX[delta]"},
+        {limit + 1, "IncrementalParBoX[full]"}}) {
+    for (size_t i = 0; i < deltas; ++i) {
+      ASSERT_TRUE(
+          session->Apply(testutil::RandomDelta(&scenario.set, &rng)).ok());
+    }
+    auto run = session->ExecuteIncremental(*prepared);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->algorithm, algorithm) << deltas << " deltas";
+    auto oracle =
+        testutil::Evaluate(scenario.set, scenario.st, prepared->query());
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_EQ(run->answer, oracle->answer) << deltas << " deltas";
+  }
+}
+
 // ---- Targeted semantic flips -------------------------------------------
 
 TEST(IncrementalUpdateTest, EveryDeltaKindFlipsAnswersCorrectly) {

@@ -25,17 +25,15 @@ struct Deployed {
 };
 
 /// Select with `selection` on a fresh session over (set, st).
-Result<PathSelectionResult> Select(const FragmentSet& set,
-                                   const SourceTree& st,
-                                   const xpath::SelectionQuery& selection) {
+Result<SelectionResult> Select(const FragmentSet& set, const SourceTree& st,
+                               const xpath::SelectionQuery& selection) {
   PARBOX_ASSIGN_OR_RETURN(Session session, Session::Create(&set, &st));
   return RunPathSelection(session, selection);
 }
 
 /// Compile `path` and select with it.
-Result<PathSelectionResult> Select(const FragmentSet& set,
-                                   const SourceTree& st,
-                                   std::string_view path) {
+Result<SelectionResult> Select(const FragmentSet& set, const SourceTree& st,
+                               std::string_view path) {
   PARBOX_ASSIGN_OR_RETURN(xpath::SelectionQuery selection,
                           xpath::CompileSelection(path));
   return Select(set, st, selection);
