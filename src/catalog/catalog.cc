@@ -10,7 +10,7 @@ Result<frag::SiteId> Document::Move(frag::FragmentId f,
           ? placement_.site_of(f)
           : -1;
   // Move-then-snapshot on a scratch copy, committed only whole: a
-  // snapshot failure (e.g. a split fragment never Assign()ed a site)
+  // snapshot failure (e.g. a fragment split off with no site yet)
   // must not leave the placement mutated but unpublished — subscribers
   // would silently miss f's relocation forever.
   frag::Placement moved = placement_;

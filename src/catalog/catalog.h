@@ -43,7 +43,7 @@
 #include "fragment/fragment.h"
 #include "fragment/placement.h"
 #include "fragment/source_tree.h"
-#include "sim/cluster.h"
+#include "sim/network.h"
 
 namespace parbox::catalog {
 

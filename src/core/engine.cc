@@ -32,12 +32,15 @@ void Engine::StartQueryRound(RetainedSystem* system, std::string_view tag,
              });
 }
 
-void Engine::Solve(RetainedSystem* system, Status* failure) {
-  const uint64_t solve_ops = q_->size() * set().live_count();
-  AddOps(solve_ops);
+void Engine::SolveAt(uint64_t ops, exec::ExecBackend::Task solve) {
+  AddOps(ops);
   obs::Tracer* tracer = session_->tracer();
   if (tracer != nullptr) tracer->SetNextComputeName("solve");
-  backend().Compute(coordinator_, solve_ops, [this, system, failure] {
+  backend().Compute(coordinator_, ops, std::move(solve));
+}
+
+void Engine::Solve(RetainedSystem* system, Status* failure) {
+  SolveAt(q_->size() * set().live_count(), [this, system, failure] {
     Result<bool> answer = system->Resolve(&factory(), plan_->children,
                                           set().root_fragment(), q_->root());
     if (!answer.ok()) *failure = answer.status();
@@ -51,9 +54,7 @@ void Engine::StartUpPass(RetainedSystem* system, Status* failure,
   auto solve = [this, system, failure, then](RoundResult round) {
     *failure = round.status;
     if (!failure->ok()) return;
-    const uint64_t solve_ops = q_->size() * set().live_count();
-    AddOps(solve_ops);
-    backend().Compute(coordinator_, solve_ops, [this, system, failure, then] {
+    SolveAt(q_->size() * set().live_count(), [this, system, failure, then] {
       Result<bexpr::Assignment> solved =
           bexpr::SolveBottomUp(&factory(), system->table(), plan_->children,
                                set().root_fragment());

@@ -69,6 +69,10 @@ class Engine {
                        std::vector<SiteWork> work, RoundDoneFn done,
                        FragmentNodeHook node_hook = nullptr);
 
+  /// Every coordinator solve: add `ops` to the report and run `solve`
+  /// after them at the coordinator, as a compute traced "solve".
+  void SolveAt(uint64_t ops, exec::ExecBackend::Task solve);
+
   /// Stage 3: charge q().size() ops per live fragment to the
   /// coordinator and solve `*system` there; a failure lands in
   /// `*failure`.

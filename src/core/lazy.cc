@@ -88,9 +88,7 @@ Result<RunReport> LazyParBoXEvaluator::Run(Engine& eng) const {
           failure = round.status;
           if (!failure.ok()) return;
           // All of this depth collected: try to answer.
-          const uint64_t solve_ops = n * evaluated;
-          eng.AddOps(solve_ops);
-          eng.backend().Compute(eng.coordinator(), solve_ops, [&, depth]() {
+          eng.SolveAt(n * evaluated, [&, depth]() {
             bexpr::Tri t = bexpr::SolvePartial(
                 &eng.factory(), system.table(), eng.plan().children,
                 set.root_fragment(), q.root());

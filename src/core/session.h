@@ -76,7 +76,7 @@
 #include "fragment/placement.h"
 #include "fragment/source_tree.h"
 #include "obs/trace.h"
-#include "sim/cluster.h"
+#include "sim/network.h"
 #include "xpath/fingerprint.h"
 #include "xpath/qlist.h"
 

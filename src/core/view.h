@@ -31,7 +31,7 @@
 #include "fragment/delta.h"
 #include "fragment/fragment.h"
 #include "fragment/source_tree.h"
-#include "sim/cluster.h"
+#include "sim/network.h"
 
 namespace parbox::core {
 

@@ -8,8 +8,9 @@
 // captures exactly that, so one evaluator implementation runs on
 //
 //   * SimBackend        — the deterministic simulated cluster
-//                         (sim/cluster.h): virtual clock, bit-identical
-//                         figures; the differential oracle; and
+//                         (exec/sim_backend.h): virtual clock,
+//                         bit-identical figures; the differential
+//                         oracle; and
 //   * ThreadPoolBackend — a persistent OS-thread worker pool: genuine
 //                         parallelism for the PDOM scenario of Sec. 1,
 //                         where parbox is the query kernel of a
@@ -56,7 +57,7 @@
 #include "boolexpr/expr.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "sim/cluster.h"
+#include "sim/network.h"
 #include "sim/traffic.h"
 
 namespace parbox::exec {
@@ -118,7 +119,7 @@ class Parcel {
 
   /// Bytes this payload occupies on the wire (the metered quantity;
   /// envelope framing such as tags or routing ids is not counted,
-  /// matching sim::Cluster's accounting).
+  /// matching SimBackend's accounting).
   uint64_t wire_bytes() const { return wire_bytes_; }
 
   bool has_local() const { return local_ != nullptr; }
@@ -246,8 +247,15 @@ class ExecBackend {
 
   /// Merged traffic across every context.
   virtual const sim::TrafficStats& traffic() const = 0;
-  virtual std::vector<uint64_t> visits() const = 0;
   virtual uint64_t visits_at(SiteId site) const = 0;
+  /// visits_at() of every site, in site order.
+  std::vector<uint64_t> visits() const {
+    std::vector<uint64_t> out(static_cast<size_t>(num_sites()));
+    for (SiteId s = 0; s < num_sites(); ++s) {
+      out[static_cast<size_t>(s)] = visits_at(s);
+    }
+    return out;
+  }
   /// Sum of busy time across sites (virtual on sim, measured on
   /// threads) — the "total computation" rows of Fig. 4.
   virtual double total_busy_seconds() const = 0;

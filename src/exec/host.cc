@@ -98,13 +98,4 @@ const sim::TrafficStats& NamespaceBackend::traffic() const {
   return scoped_;
 }
 
-std::vector<uint64_t> NamespaceBackend::visits() const {
-  std::vector<uint64_t> out(static_cast<size_t>(num_sites_), 0);
-  for (int s = 0; s < num_sites_; ++s) {
-    out[static_cast<size_t>(s)] = shared_->visits_at(base_ + s) -
-                                  baseline_visits_[static_cast<size_t>(s)];
-  }
-  return out;
-}
-
 }  // namespace parbox::exec

@@ -118,7 +118,6 @@ class NamespaceBackend final : public ExecBackend {
   }
 
   const sim::TrafficStats& traffic() const override;
-  std::vector<uint64_t> visits() const override;
   uint64_t visits_at(SiteId site) const override {
     return shared_->visits_at(base_ + site) -
            baseline_visits_[static_cast<size_t>(site)];

@@ -140,7 +140,6 @@ class ProcessBackend final : public ExecBackend {
   void MutateExclusive(const Task& mutate) override { mutate(); }
 
   const sim::TrafficStats& traffic() const override { return traffic_; }
-  std::vector<uint64_t> visits() const override { return visits_; }
   uint64_t visits_at(SiteId site) const override {
     return visits_[static_cast<size_t>(site)];
   }

@@ -287,14 +287,6 @@ const sim::TrafficStats& ThreadPoolBackend::traffic() const {
   return merged_traffic_;
 }
 
-std::vector<uint64_t> ThreadPoolBackend::visits() const {
-  std::vector<uint64_t> out(visits_.size());
-  for (size_t i = 0; i < visits_.size(); ++i) {
-    out[i] = visits_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
 double ThreadPoolBackend::total_busy_seconds() const {
   double total = coord_.busy_seconds;
   for (const auto& worker : workers_) total += worker->busy_seconds;

@@ -106,7 +106,6 @@ class ThreadPoolBackend final : public ExecBackend {
   }
 
   const sim::TrafficStats& traffic() const override;
-  std::vector<uint64_t> visits() const override;
   uint64_t visits_at(SiteId site) const override {
     return visits_[static_cast<size_t>(site)].load(
         std::memory_order_relaxed);

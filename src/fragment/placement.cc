@@ -54,23 +54,6 @@ Status Placement::Move(const FragmentSet& set, FragmentId f, SiteId site) {
   return Status::OK();
 }
 
-Status Placement::Assign(const FragmentSet& set, FragmentId f, SiteId site) {
-  if (!set.is_live(f)) {
-    return Status::InvalidArgument("Assign targets a dead fragment");
-  }
-  if (site < 0 || site >= num_sites_) {
-    return Status::InvalidArgument(
-        "Assign targets site " + std::to_string(site) + " outside [0, " +
-        std::to_string(num_sites_) + ")");
-  }
-  if (site_of_.size() < set.table_size()) {
-    site_of_.resize(set.table_size(), -1);
-  }
-  site_of_[f] = site;
-  ++epoch_;
-  return Status::OK();
-}
-
 Result<SourceTree> Placement::Snapshot(const FragmentSet& set) const {
   return SourceTree::Create(set, site_of_, num_sites_, epoch_);
 }

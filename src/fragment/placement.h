@@ -4,9 +4,8 @@
 // The algorithms need only the source tree S_T = fragment-tree shape +
 // h; historically h was a frozen vector baked into an immutable
 // SourceTree. A serving catalog needs to patch h while serving:
-// re-home a fragment from an overloaded site (Move), and cover
-// fragments minted by splits (Assign). Every mutation bumps a
-// placement *epoch*; Snapshot() freezes the current h into a cheap
+// re-home a fragment from an overloaded site (Move). Every move bumps
+// a placement *epoch*; Snapshot() freezes the current h into a cheap
 // immutable SourceTree stamped with that epoch, which is what sessions
 // and services actually evaluate against.
 //
@@ -52,7 +51,7 @@ class Placement {
                                   int32_t num_sites = 0);
 
   int32_t num_sites() const { return num_sites_; }
-  /// Bumped by every successful Move/Assign. Snapshots carry it.
+  /// Bumped by every successful Move. Snapshots carry it.
   uint64_t epoch() const { return epoch_; }
   FragmentId root_fragment() const { return root_; }
   SiteId site_of(FragmentId f) const { return site_of_[f]; }
@@ -63,13 +62,6 @@ class Placement {
   /// (pinned to the coordinator). Moving a fragment to the site it
   /// already occupies is a no-op (OK, no epoch bump).
   Status Move(const FragmentSet& set, FragmentId f, SiteId site);
-
-  /// Cover a fragment minted by a split (or re-home one on merge
-  /// cleanup): grows the table to the set's, assigns, bumps the epoch.
-  /// Unlike Move this is part of a re-fragmentation flow, which a
-  /// Session does not follow: its fragmentation is fixed for its
-  /// lifetime (core/session.h), and views own split and merge.
-  Status Assign(const FragmentSet& set, FragmentId f, SiteId site);
 
   /// Freeze the current h into an immutable SourceTree stamped with
   /// this placement's epoch and num_sites.

@@ -82,9 +82,6 @@ class TracingBackend final : public exec::ExecBackend {
   const sim::TrafficStats& traffic() const override {
     return inner_->traffic();
   }
-  std::vector<uint64_t> visits() const override {
-    return inner_->visits();
-  }
   uint64_t visits_at(exec::SiteId site) const override {
     return inner_->visits_at(site);
   }

@@ -90,8 +90,8 @@ class CatalogService {
                                         const frag::Delta& delta);
 
   /// Scheduled delta against `doc`: arrives on the shared clock and
-  /// applies through the fair-share scheduler's update priority lane
-  /// (ahead of queued reads; see QueryService::SubmitDelta).
+  /// applies at its arrival, ahead of reads queued on the fair-share
+  /// scheduler (see QueryService::SubmitDelta).
   Status SubmitDelta(std::string_view doc, frag::Delta delta,
                      double arrival_seconds,
                      QueryService::UpdateCompletionFn done = nullptr);

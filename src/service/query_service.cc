@@ -317,8 +317,7 @@ void QueryService::DispatchRound(std::shared_ptr<Round> round) {
   const double enqueued_at = now();
   const uint64_t cost = round->uniques.size();
   const bool immediate = scheduler_->Enqueue(
-      tenant_id_, FairScheduler::Lane::kRead, cost,
-      [this, round, enqueued_at] {
+      tenant_id_, cost, [this, round, enqueued_at] {
         // The scheduler may dispatch from another tenant's completion
         // context (their Compose freed the slot); bounce into this
         // service's coordinator context before touching any service
@@ -528,22 +527,9 @@ void QueryService::SubmitDelta(frag::Delta delta, double arrival_seconds,
   const double arrival = std::max(arrival_seconds, now());
   auto shared_delta = std::make_shared<frag::Delta>(std::move(delta));
   session_.backend().ScheduleAt(arrival, [this, shared_delta, done] {
-    auto apply = [this, shared_delta, done] {
-      Result<frag::AppliedDelta> applied = ApplyDelta(*shared_delta);
-      if (!applied.ok() && first_error_.ok()) {
-        first_error_ = applied.status();
-      }
-      if (done) done(applied);
-    };
-    if (scheduler_ == nullptr || tenant_id_ < 0) {
-      apply();
-      return;
-    }
-    // The update priority lane dispatches synchronously — no caps, no
-    // queue — so the apply runs now, in this coordinator context,
-    // ahead of every read round still waiting for a dispatch slot.
-    scheduler_->Enqueue(tenant_id_, FairScheduler::Lane::kUpdate, 1,
-                        std::move(apply));
+    Result<frag::AppliedDelta> applied = ApplyDelta(*shared_delta);
+    if (!applied.ok() && first_error_.ok()) first_error_ = applied.status();
+    if (done) done(applied);
   });
 }
 

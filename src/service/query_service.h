@@ -77,7 +77,7 @@
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "service/scheduler.h"
-#include "sim/cluster.h"
+#include "sim/network.h"
 #include "xpath/eval.h"
 #include "xpath/fingerprint.h"
 #include "xpath/qlist.h"
@@ -318,12 +318,11 @@ class QueryService {
   using UpdateCompletionFn =
       std::function<void(const Result<frag::AppliedDelta>&)>;
   /// Schedule `delta` to arrive at virtual time `arrival_seconds`
-  /// (clamped to now()) and apply it through the scheduler's *update
-  /// priority lane*: with a fair-share scheduler attached, the apply
-  /// dispatches immediately at arrival — ahead of any backlog of
-  /// queued read rounds — so write visibility never waits behind
-  /// reads. Without a scheduler this is ApplyDelta on a timer.
-  /// Application failures land in status() (and `done`, when given).
+  /// (clamped to now()) and ApplyDelta it there, in coordinator
+  /// context. A delta never enters the fair-share scheduler, so it
+  /// applies ahead of any backlog of queued read rounds: write
+  /// visibility never waits behind reads. Application failures land
+  /// in status() (and `done`, when given).
   void SubmitDelta(frag::Delta delta, double arrival_seconds,
                    UpdateCompletionFn done = nullptr);
 

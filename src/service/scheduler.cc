@@ -57,15 +57,8 @@ Status FairScheduler::Reconfigure(TenantId tenant,
   return Status::OK();
 }
 
-bool FairScheduler::Enqueue(TenantId tenant, Lane lane, uint64_t cost,
+bool FairScheduler::Enqueue(TenantId tenant, uint64_t cost,
                             std::function<void()> dispatch) {
-  // Updates are the priority lane: they bypass queues and caps so
-  // write visibility never waits behind a read backlog. Fire and
-  // forget — no slot is held, OnUnitFinished is not expected.
-  if (lane == Lane::kUpdate) {
-    dispatch();
-    return true;
-  }
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -18,9 +18,12 @@
 //   * Reads queue per tenant and dispatch by DWRR: each visit tops the
 //     tenant's deficit up by quantum x weight and dispatches queued
 //     rounds while the deficit covers their cost (classic Shreedhar &
-//     Varghese). Updates ride a priority lane: they bypass the queues
-//     and caps entirely and dispatch immediately, so write visibility
-//     is never stuck behind a backlog of reads.
+//     Varghese).
+//
+// Only read rounds pass through the scheduler. A delta never does:
+// QueryService::SubmitDelta applies it at its arrival, in coordinator
+// context, so write visibility is never stuck behind a backlog of
+// queued reads.
 //
 // The scheduler changes WHEN a round starts, never what it computes:
 // a deferred round evaluates the document content current at dispatch
@@ -77,7 +80,6 @@ struct FairSchedulerOptions {
 class FairScheduler {
  public:
   using TenantId = int32_t;
-  enum class Lane { kUpdate, kRead };
 
   /// Point-in-time view of one tenant's scheduler state.
   struct TenantStats {
@@ -103,15 +105,14 @@ class FairScheduler {
   /// decision; already-queued units keep their positions.
   Status Reconfigure(TenantId tenant, const TenantConfig& config);
 
-  /// Hand one unit of work to the scheduler. Updates (Lane::kUpdate)
-  /// dispatch immediately — no caps, no deficit, no finish
-  /// accounting. Reads dispatch immediately when a slot is free and
-  /// the tenant is within its cap, else queue until OnUnitFinished
-  /// frees capacity. `cost` is the unit's size in deficit units (a
-  /// round's distinct-query count; clamped to >= 1). Returns true iff
-  /// `dispatch` ran before Enqueue returned (i.e. the unit was not
-  /// deferred). Per-tenant dispatch order is FIFO.
-  bool Enqueue(TenantId tenant, Lane lane, uint64_t cost,
+  /// Hand one read round to the scheduler. It dispatches immediately
+  /// when a slot is free and the tenant is within its cap, else
+  /// queues until OnUnitFinished frees capacity. `cost` is the unit's
+  /// size in deficit units (a round's distinct-query count; clamped
+  /// to >= 1). Returns true iff `dispatch` ran before Enqueue returned
+  /// (i.e. the unit was not deferred). Per-tenant dispatch order is
+  /// FIFO.
+  bool Enqueue(TenantId tenant, uint64_t cost,
                std::function<void()> dispatch);
 
   /// A read unit previously dispatched for `tenant` completed; frees

@@ -4,8 +4,8 @@
 // are interned in a small-vector registry instead of a string-keyed
 // map: Record(TagId) is two array increments, and the string_view
 // convenience path costs one allocation-free linear scan over the
-// handful of distinct tags a run carries (what Cluster::Send uses).
-// The string-keyed views (bytes_by_tag, bytes_with_tag) are
+// handful of distinct tags a run carries (what exec::SimBackend::Send
+// uses). The string-keyed views (bytes_by_tag, bytes_with_tag) are
 // materialized on demand, keeping the report format byte-identical to
 // the pre-interning output.
 

@@ -358,20 +358,15 @@ TEST(PlacementTest, SnapshotStampsEpochAndKeepsSiteCount) {
   EXPECT_EQ(st0->site_of(3), 3);
 }
 
-TEST(PlacementTest, AssignCoversFragmentsMintedBySplit) {
+TEST(PlacementTest, SnapshotFailsForSplitOffFragmentWithoutSite) {
   FragmentSet set = SetFrom("<r><a><b><c/></b></a></r>");
   auto p = Placement::Create(set, {0}, 2);
   ASSERT_TRUE(p.ok());
   xml::Node* b = xml::FindFirstElement(set.fragment(0).root, "b");
   auto f = set.Split(0, b);
   ASSERT_TRUE(f.ok());
-  // The new fragment has no site yet: Snapshot must fail until Assign.
+  // The split-off fragment has no site in the placement.
   EXPECT_FALSE(p->Snapshot(set).ok());
-  ASSERT_TRUE(p->Assign(set, *f, 1).ok());
-  EXPECT_EQ(p->epoch(), 1u);
-  auto st = p->Snapshot(set);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->site_of(*f), 1);
 }
 
 // ---- Load-aware rebalance ----------------------------------------------

@@ -13,7 +13,9 @@
 //   * a single traced query produces the full causal tree: query ->
 //     admission.wait -> round -> per-site send[query] -> site.eval (the
 //     kernel walk) and site.reply (queue + reply encode) -> solve, with
-//     non-zero durations.
+//     non-zero durations;
+//   * every coordinator solve of a session run (each lazy depth step,
+//     each selection's first pass) is one span named solve.
 //
 // Runs under `ctest -L backends` (and re-runs whole with
 // PARBOX_BACKEND=threads); tests that assert virtual-clock properties
@@ -32,6 +34,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/path_selection.h"
+#include "core/selection.h"
+#include "core/session.h"
 #include "fragment/strategies.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -564,6 +569,44 @@ TEST(TracingIntegrationTest, CacheHitEmitsInstantNotRound) {
     if (e.name == "cache.hit") saw_hit = true;
   }
   EXPECT_TRUE(saw_hit);
+}
+
+/// Spans named `name` in `tracer`'s log.
+size_t CountSpans(const Tracer& tracer, std::string_view name) {
+  size_t count = 0;
+  for (const TraceEvent& e : tracer.Collect()) count += e.name == name;
+  return count;
+}
+
+TEST(TracingIntegrationTest, EveryCoordinatorSolveIsTracedAsSolve) {
+  // The portfolio's fragments reach depth 2, so lazy takes two depth
+  // steps when the answer stays open until the last one; each
+  // selection solves once, after its first pass.
+  Scenario scenario = MakePortfolio();
+  ASSERT_EQ(scenario.st.max_depth(), 2);
+  Tracer tracer;
+  auto session = core::Session::Create(&scenario.set, &scenario.st,
+                                       {.backend = "sim", .tracer = &tracer});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  auto nowhere = session->Prepare("[//zzz]");
+  ASSERT_TRUE(nowhere.ok());
+  auto lazy = session->Execute(*nowhere, {.evaluator = "lazy"});
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  EXPECT_FALSE(lazy->answer);
+  EXPECT_EQ(CountSpans(tracer, "solve"), 2u);
+
+  tracer.Reset();
+  auto q = session->Prepare(xmark::kYhooQuery);
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(core::RunSelectionParBoX(*session, *q).ok());
+  EXPECT_EQ(CountSpans(tracer, "solve"), 1u);
+
+  tracer.Reset();
+  auto path = xpath::CompileSelection("//stock");
+  ASSERT_TRUE(path.ok());
+  ASSERT_TRUE(core::RunPathSelection(*session, *path).ok());
+  EXPECT_EQ(CountSpans(tracer, "solve"), 1u);
 }
 
 TEST(MetricsIntegrationTest, RegistryMatchesTrafficStats) {

@@ -93,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PartialEvalPropertyTest,
 // The invariants the incremental update pipeline rests on, as a
 // property over random scenarios and deltas:
 //   * a query's canonical fingerprint is a pure function of its normal
-//     form — untouched by Cluster::Reset, executions, or document
+//     form — untouched by backend Reset, executions, or document
 //     deltas (so per-fingerprint caches stay keyed correctly), and
 //   * within one hash-consing factory, re-running partial evaluation
 //     on an *unchanged* fragment yields bit-identical ExprIds — which

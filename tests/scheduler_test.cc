@@ -6,7 +6,6 @@
 //   * config validation rejects zero / negative / non-finite / tiny
 //     weights with messages that say what to fix;
 //   * free slots dispatch immediately (and Enqueue reports it);
-//   * the update lane bypasses queues and caps entirely;
 //   * per-tenant order is FIFO, and per-tenant caps hold even when
 //     global slots are free;
 //   * under a contended slot, dispatches interleave proportionally to
@@ -32,8 +31,6 @@ using service::FairScheduler;
 using service::FairSchedulerOptions;
 using service::TenantConfig;
 using service::ValidateTenantConfig;
-
-using Lane = FairScheduler::Lane;
 
 TEST(TenantConfigTest, DefaultIsValid) {
   EXPECT_TRUE(ValidateTenantConfig(TenantConfig{}).ok());
@@ -90,39 +87,19 @@ TEST(FairSchedulerTest, FreeSlotsDispatchImmediately) {
   ASSERT_TRUE(a.ok());
 
   int ran = 0;
-  EXPECT_TRUE(sched.Enqueue(*a, Lane::kRead, 1, [&] { ++ran; }));
-  EXPECT_TRUE(sched.Enqueue(*a, Lane::kRead, 1, [&] { ++ran; }));
+  EXPECT_TRUE(sched.Enqueue(*a, 1, [&] { ++ran; }));
+  EXPECT_TRUE(sched.Enqueue(*a, 1, [&] { ++ran; }));
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(sched.total_in_flight(), 2u);
 
   // Both slots taken: the third queues until a finish frees one.
-  EXPECT_FALSE(sched.Enqueue(*a, Lane::kRead, 1, [&] { ++ran; }));
+  EXPECT_FALSE(sched.Enqueue(*a, 1, [&] { ++ran; }));
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(sched.Stats(*a).queue_depth, 1u);
   sched.OnUnitFinished(*a);
   EXPECT_EQ(ran, 3);
   EXPECT_EQ(sched.Stats(*a).queue_depth, 0u);
   EXPECT_EQ(sched.Stats(*a).deferred, 1u);
-}
-
-TEST(FairSchedulerTest, UpdateLaneBypassesFullSlots) {
-  FairSchedulerOptions options;
-  options.max_in_flight = 1;
-  FairScheduler sched(options);
-  auto a = sched.AddTenant("a", {});
-  ASSERT_TRUE(a.ok());
-
-  int reads = 0;
-  ASSERT_TRUE(sched.Enqueue(*a, Lane::kRead, 1, [&] { ++reads; }));
-  EXPECT_FALSE(sched.Enqueue(*a, Lane::kRead, 1, [&] { ++reads; }));
-
-  // The slot is full and a read is queued; an update still runs now,
-  // holds no slot, and does not jump the read past its turn.
-  int updates = 0;
-  EXPECT_TRUE(sched.Enqueue(*a, Lane::kUpdate, 1, [&] { ++updates; }));
-  EXPECT_EQ(updates, 1);
-  EXPECT_EQ(reads, 1);
-  EXPECT_EQ(sched.total_in_flight(), 1u);
 }
 
 TEST(FairSchedulerTest, PerTenantOrderIsFifo) {
@@ -134,7 +111,7 @@ TEST(FairSchedulerTest, PerTenantOrderIsFifo) {
 
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    sched.Enqueue(*a, Lane::kRead, 1, [&order, i] { order.push_back(i); });
+    sched.Enqueue(*a, 1, [&order, i] { order.push_back(i); });
   }
   for (int i = 0; i < 5; ++i) sched.OnUnitFinished(*a);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -151,7 +128,7 @@ TEST(FairSchedulerTest, PerTenantCapHoldsWithFreeGlobalSlots) {
 
   int ran = 0;
   for (int i = 0; i < 5; ++i) {
-    sched.Enqueue(*a, Lane::kRead, 1, [&] { ++ran; });
+    sched.Enqueue(*a, 1, [&] { ++ran; });
   }
   // Global slots are plentiful; the tenant's own cap pins it at 2.
   EXPECT_EQ(ran, 2);
@@ -173,7 +150,7 @@ TEST(FairSchedulerTest, ReconfigureRaisingCapPumpsQueue) {
 
   int ran = 0;
   for (int i = 0; i < 3; ++i) {
-    sched.Enqueue(*a, Lane::kRead, 1, [&] { ++ran; });
+    sched.Enqueue(*a, 1, [&] { ++ran; });
   }
   EXPECT_EQ(ran, 1);
   TenantConfig wide;
@@ -193,11 +170,11 @@ std::vector<std::string> DrainContended(FairScheduler* sched,
                                         size_t per_tenant, size_t drains) {
   std::vector<std::string> order;
   // One sentinel occupies the single slot so everything else queues.
-  sched->Enqueue(tenants[0], Lane::kRead, 1, [] {});
+  sched->Enqueue(tenants[0], 1, [] {});
   std::vector<FairScheduler::TenantId> finished;
   for (size_t i = 0; i < per_tenant; ++i) {
     for (FairScheduler::TenantId t : tenants) {
-      sched->Enqueue(t, Lane::kRead, 1, [&order, &finished, sched, t] {
+      sched->Enqueue(t, 1, [&order, &finished, sched, t] {
         order.push_back(sched->Stats(t).name);
         finished.push_back(t);
       });
@@ -265,13 +242,13 @@ TEST(FairSchedulerTest, CostWeighsAgainstDeficit) {
 
   std::vector<std::string> order;
   std::vector<FairScheduler::TenantId> finished;
-  sched.Enqueue(*wide, Lane::kRead, 1, [] {});  // sentinel holds the slot
+  sched.Enqueue(*wide, 1, [] {});  // sentinel holds the slot
   for (int i = 0; i < 20; ++i) {
-    sched.Enqueue(*wide, Lane::kRead, 4, [&, t = *wide] {
+    sched.Enqueue(*wide, 4, [&, t = *wide] {
       order.push_back("wide");
       finished.push_back(t);
     });
-    sched.Enqueue(*narrow, Lane::kRead, 1, [&, t = *narrow] {
+    sched.Enqueue(*narrow, 1, [&, t = *narrow] {
       order.push_back("narrow");
       finished.push_back(t);
     });
@@ -301,7 +278,7 @@ TEST(FairSchedulerTest, LoneTenantRunsAtSlotSpeed) {
 
   int ran = 0;
   for (int i = 0; i < 10; ++i) {
-    sched.Enqueue(*a, Lane::kRead, 64, [&] { ++ran; });
+    sched.Enqueue(*a, 64, [&] { ++ran; });
   }
   EXPECT_EQ(ran, 1);
   for (int i = 0; i < 9; ++i) sched.OnUnitFinished(*a);
@@ -315,7 +292,7 @@ TEST(FairSchedulerTest, StatsTrackQueueAndPeaks) {
   auto a = sched.AddTenant("a", {});
   ASSERT_TRUE(a.ok());
 
-  for (int i = 0; i < 4; ++i) sched.Enqueue(*a, Lane::kRead, 1, [] {});
+  for (int i = 0; i < 4; ++i) sched.Enqueue(*a, 1, [] {});
   auto stats = sched.Stats(*a);
   EXPECT_EQ(stats.name, "a");
   EXPECT_EQ(stats.enqueued, 4u);
@@ -336,7 +313,7 @@ TEST(FairSchedulerTest, StatsTrackQueueAndPeaks) {
 TEST(FairSchedulerTest, UnknownTenantDegradesToImmediateDispatch) {
   FairScheduler sched;
   int ran = 0;
-  EXPECT_TRUE(sched.Enqueue(42, Lane::kRead, 1, [&] { ++ran; }));
+  EXPECT_TRUE(sched.Enqueue(42, 1, [&] { ++ran; }));
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(sched.total_in_flight(), 0u);
   sched.OnUnitFinished(42);  // must not underflow or crash
