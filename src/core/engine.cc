@@ -39,6 +39,16 @@ void Engine::SolveAt(uint64_t ops, exec::ExecBackend::Task solve) {
   backend().Compute(coordinator_, ops, std::move(solve));
 }
 
+void Engine::ChargeSiteWork(sim::SiteId site, double start, uint64_t ops,
+                            exec::ExecBackend::Task done) {
+  AddOps(ops);
+  if (obs::Tracer* tracer = session_->tracer(); tracer != nullptr) {
+    tracer->RecordInlineSpan("site.eval", site, start, backend().now(), ops);
+    tracer->SetNextComputeName("site.reply");
+  }
+  backend().Compute(site, ops, std::move(done));
+}
+
 void Engine::Solve(RetainedSystem* system, Status* failure) {
   SolveAt(q_->size() * set().live_count(), [this, system, failure] {
     Result<bool> answer = system->Resolve(&factory(), plan_->children,

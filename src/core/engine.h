@@ -73,6 +73,13 @@ class Engine {
   /// after them at the coordinator, as a compute traced "solve".
   void SolveAt(uint64_t ops, exec::ExecBackend::Task solve);
 
+  /// Site context, as core::Round charges a walk: add the `ops` the
+  /// caller ran inline since `start` (a backend().now() reading) to the
+  /// report, trace them as "site.eval", and queue `done` behind them
+  /// at `site` as a compute traced "site.reply".
+  void ChargeSiteWork(sim::SiteId site, double start, uint64_t ops,
+                      exec::ExecBackend::Task done);
+
   /// Stage 3: charge q().size() ops per live fragment to the
   /// coordinator and solve `*system` there; a failure lands in
   /// `*failure`.

@@ -174,15 +174,15 @@ Status RunPasses(Engine& eng, SelectionResult* result) {
         if (down_visited[static_cast<size_t>(s)].exchange(1) == 0) {
           backend.RecordVisit(s);  // the site's second (and last) visit
         }
+        const double start = backend.now();
         DownOutput down =
             PropagateDown(q, set, f, *ctx_bits, values);
-        eng.AddOps(down.ops);
         result->selected_by_fragment[f] = std::move(down.selected);
         const auto child_ctx =
             std::make_shared<std::unordered_map<FragmentId,
                                                 std::vector<char>>>(
                 std::move(down.child_ctx));
-        backend.Compute(s, down.ops, [&, s, f, child_ctx]() {
+        eng.ChargeSiteWork(s, start, down.ops, [&, s, f, child_ctx]() {
           // Result ids go back to the coordinator (8 bytes per node).
           backend.Send(
               s, coord,

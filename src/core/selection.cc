@@ -60,6 +60,7 @@ Status RunPasses(Engine& eng, SelectionResult* result) {
       const uint64_t bytes = 16 + (2 * child_entries + 7) / 8;
       backend.Send(coord, s, exec::Parcel::OfSize(bytes), "values",
                    [&, s](exec::Parcel) {
+        const double start = backend.now();
         uint64_t ops = 0;
         uint64_t selected_here = 0;
         for (frag::FragmentId f : st.fragments_at(s)) {
@@ -81,8 +82,7 @@ Status RunPasses(Engine& eng, SelectionResult* result) {
             }
           }
         }
-        eng.AddOps(ops);
-        backend.Compute(s, ops, [&, s, selected_here]() {
+        eng.ChargeSiteWork(s, start, ops, [&, s, selected_here]() {
           // The selected node ids are the query result; 8 bytes each.
           backend.Send(s, coord,
                        exec::Parcel::OfSize(8 + 8 * selected_here),

@@ -72,23 +72,25 @@ Session::Session(const frag::FragmentSet* set, const frag::SourceTree* st,
       st_(st),
       factory_(std::make_unique<bexpr::ExprFactory>()),
       ticket_(std::make_shared<int>(0)) {
-  exec::BackendConfig config;
-  config.num_sites = st->num_sites();
-  config.coordinator = st->site_of(st->root_fragment());
-  config.network = options.network;
-  config.coordinator_factory = factory_.get();
+  const int num_sites = st->num_sites();
+  const sim::SiteId coordinator = st->site_of(st->root_fragment());
   Result<std::unique_ptr<exec::ExecBackend>> backend =
       options.host != nullptr
-          ? options.host->AddNamespace(config)
+          ? options.host->OpenNamespace(num_sites, coordinator, factory_.get())
           : exec::ExecBackendRegistry::Instance().CreateOrError(
-                options.backend, config);
+                options.backend, options.network);
   if (backend.ok()) {
     backend_ = std::move(*backend);
   } else {
     // Constructors cannot fail; fall back to the sim and surface the
     // spec error from the validating factories / the first Execute.
     backend_status_ = backend.status();
-    backend_ = std::make_unique<exec::SimBackend>(config);
+    backend_ = std::make_unique<exec::SimBackend>(options.network);
+  }
+  if (backend_->num_sites() == 0) {  // a dedicated backend starts empty
+    Result<sim::SiteId> base =
+        backend_->AddNamespace(num_sites, coordinator, factory_.get());
+    if (backend_status_.ok()) backend_status_ = base.status();
   }
   if (options.tracer != nullptr) {
     // Tracing present: decorate the substrate. When no tracer is

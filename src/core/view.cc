@@ -54,10 +54,9 @@ Result<RunReport> MaterializedView::Refresh(frag::FragmentId f) {
   // Maintenance is metered on a throwaway deterministic cluster, as
   // one round over {f}: only the site storing F_j is visited, and it
   // re-evaluates F_j alone.
-  exec::SimBackend backend({.num_sites = st_.num_sites(),
-                            .coordinator = view_site,
-                            .network = network_,
-                            .coordinator_factory = &factory_});
+  exec::SimBackend backend(network_);
+  PARBOX_RETURN_IF_ERROR(
+      backend.AddNamespace(st_.num_sites(), view_site, &factory_).status());
   const xpath::EvalBatch batch = xpath::MakeEvalBatch({q_});
   uint64_t total_ops = 0;
   bool changed = false;

@@ -7,12 +7,27 @@ namespace parbox::exec {
 
 Result<SiteId> ExecBackend::AddNamespace(int num_sites, SiteId coordinator,
                                          bexpr::ExprFactory* coordinator_factory) {
-  (void)num_sites;
-  (void)coordinator;
-  (void)coordinator_factory;
-  return Status::FailedPrecondition(
-      "backend \"" + std::string(name()) +
-      "\" does not host multiple site namespaces");
+  if (num_sites < 1) {
+    return Status::InvalidArgument("namespace needs at least one site");
+  }
+  if (coordinator < 0 || coordinator >= num_sites) {
+    return Status::InvalidArgument(
+        "namespace coordinator outside [0, num_sites)");
+  }
+  if (coordinator_factory == nullptr) {
+    return Status::InvalidArgument("namespace needs a coordinator factory");
+  }
+  OnAddSites(num_sites);
+  const auto base = static_cast<SiteId>(sites_.size());
+  for (SiteId s = 0; s < num_sites; ++s) {
+    sites_.emplace_back(coordinator_factory, s == coordinator);
+  }
+  if (coordinator_ < 0) coordinator_ = base + coordinator;
+  return base;
+}
+
+void ExecBackend::ResetVisits() {
+  for (Site& site : sites_) site.visits.store(0, std::memory_order_relaxed);
 }
 
 ExecBackendRegistry& ExecBackendRegistry::Instance() {
@@ -48,7 +63,7 @@ std::string ExecBackendRegistry::NamesJoined(char sep) const {
 }
 
 Result<std::unique_ptr<ExecBackend>> ExecBackendRegistry::CreateOrError(
-    std::string_view spec, const BackendConfig& config) const {
+    std::string_view spec, const sim::NetworkParams& network) const {
   std::string_view name = spec;
   std::string_view arg;
   if (const size_t colon = spec.find(':'); colon != std::string_view::npos) {
@@ -56,7 +71,7 @@ Result<std::unique_ptr<ExecBackend>> ExecBackendRegistry::CreateOrError(
     arg = spec.substr(colon + 1);
   }
   for (const Entry& e : entries_) {
-    if (e.name == name) return e.factory(config, arg);
+    if (e.name == name) return e.factory(network, arg);
   }
   return Status::InvalidArgument("unknown execution backend \"" +
                                  std::string(spec) + "\"; registered: " +

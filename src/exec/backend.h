@@ -10,11 +10,18 @@
 //   * SimBackend        — the deterministic simulated cluster
 //                         (exec/sim_backend.h): virtual clock,
 //                         bit-identical figures; the differential
-//                         oracle; and
+//                         oracle;
 //   * ThreadPoolBackend — a persistent OS-thread worker pool: genuine
 //                         parallelism for the PDOM scenario of Sec. 1,
 //                         where parbox is the query kernel of a
-//                         centralized store.
+//                         centralized store; and
+//   * ProcessBackend    — site daemons in separate processes
+//                         (exec/process_backend.h).
+//
+// Every backend starts with no sites. AddNamespace alone adds them, to
+// one site table kept in this base class (per global site: its
+// namespace's session factory, whether it is the coordinator, its
+// visit counter), which answers num_sites, coordinator and the visits.
 //
 // ## The execution-context contract
 //
@@ -41,12 +48,14 @@
 //
 // Evaluator code that follows the contract is substrate-agnostic; the
 // differential suite (tests/backend_differential_test.cc) holds every
-// registered evaluator to bit-identical answers on both backends.
+// registered evaluator to bit-identical answers on every backend.
 
 #ifndef PARBOX_EXEC_BACKEND_H_
 #define PARBOX_EXEC_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -167,44 +176,37 @@ class Parcel {
   bool has_wire_ = false;
 };
 
-/// Everything a backend needs to stand up a deployment's substrate.
-struct BackendConfig {
-  int num_sites = 1;
-  /// The site storing the root fragment; deliveries to it run in the
-  /// coordinator's context (the thread that calls Drain).
-  SiteId coordinator = 0;
-  sim::NetworkParams network{};
-  /// The coordinator's (session's) hash-consing factory; triplets are
-  /// composed and solved here. Must outlive the backend AND keep its
-  /// address (Session heap-holds it so moves don't relocate it).
-  bexpr::ExprFactory* coordinator_factory = nullptr;
-};
-
 class ExecBackend {
  public:
   using Task = std::function<void()>;
   using DeliverFn = std::function<void(Parcel)>;
 
+  ExecBackend() = default;
+  ExecBackend(const ExecBackend&) = delete;
+  ExecBackend& operator=(const ExecBackend&) = delete;
   virtual ~ExecBackend() = default;
 
-  /// Registry name ("sim", "threads").
+  /// Registry name ("sim", "threads", "proc").
   virtual std::string_view name() const = 0;
-  virtual int num_sites() const = 0;
-  virtual SiteId coordinator() const = 0;
 
-  /// Multi-document hosting: grow the substrate by `num_sites` fresh
-  /// global sites forming a new namespace, so several deployments
-  /// share one worker pool / one virtual clock instead of standing up
-  /// one cluster each. `coordinator` (namespace-local) names the site
-  /// whose deliveries must run in coordinator context, with formula
+  /// The only way sites come into being (every backend starts with
+  /// none): grow the site table by `num_sites` fresh global sites
+  /// forming a namespace, so several deployments can share one worker
+  /// pool / one virtual clock. `coordinator` (namespace-local) names
+  /// the site whose deliveries run in coordinator context, with formula
   /// work interned into `*coordinator_factory` (the owning session's;
   /// must outlive the backend and keep its address). Returns the
-  /// namespace's base global site id — the namespace's local site s is
-  /// global site base + s. Requires quiescence. Backends that cannot
-  /// host more than their construction-time sites return
-  /// FailedPrecondition (the default).
-  virtual Result<SiteId> AddNamespace(int num_sites, SiteId coordinator,
-                                      bexpr::ExprFactory* coordinator_factory);
+  /// namespace's base global site id: its local site s is global site
+  /// base + s. Requires quiescence. 0 sites, a coordinator outside
+  /// [0, num_sites) or a null factory are InvalidArgument.
+  Result<SiteId> AddNamespace(int num_sites, SiteId coordinator,
+                              bexpr::ExprFactory* coordinator_factory);
+
+  /// Sites added so far, and the first namespace's coordinator (-1
+  /// before any). Decorators forward these and the visit meters to the
+  /// backend they wrap.
+  virtual int num_sites() const { return static_cast<int>(sites_.size()); }
+  virtual SiteId coordinator() const { return coordinator_; }
 
   /// Factory for formula work performed in `site`'s context.
   virtual bexpr::ExprFactory& site_factory(SiteId site) = 0;
@@ -219,7 +221,10 @@ class ExecBackend {
                     std::string_view tag, DeliverFn deliver) = 0;
 
   /// Count a work-initiating contact of `site` (safe from any context).
-  virtual void RecordVisit(SiteId site) = 0;
+  virtual void RecordVisit(SiteId site) {
+    sites_[static_cast<size_t>(site)].visits.fetch_add(
+        1, std::memory_order_relaxed);
+  }
 
   /// Run `task` in coordinator context once now() >= `when`. Must be
   /// called from coordinator context (admission windows, arrivals).
@@ -247,7 +252,10 @@ class ExecBackend {
 
   /// Merged traffic across every context.
   virtual const sim::TrafficStats& traffic() const = 0;
-  virtual uint64_t visits_at(SiteId site) const = 0;
+  virtual uint64_t visits_at(SiteId site) const {
+    return sites_[static_cast<size_t>(site)].visits.load(
+        std::memory_order_relaxed);
+  }
   /// visits_at() of every site, in site order.
   std::vector<uint64_t> visits() const {
     std::vector<uint64_t> out(static_cast<size_t>(num_sites()));
@@ -274,6 +282,33 @@ class ExecBackend {
     (void)site;
     return 0;
   }
+
+ protected:
+  /// The session factory of `site`'s namespace.
+  bexpr::ExprFactory& namespace_factory(SiteId site) const {
+    return *sites_[static_cast<size_t>(site)].factory;
+  }
+  /// True iff `site` is its namespace's coordinator.
+  bool is_coordinator_site(SiteId site) const {
+    return sites_[static_cast<size_t>(site)].coordinator;
+  }
+  /// Zero every site's visits (Reset).
+  void ResetVisits();
+  /// AddNamespace, once its arguments are valid and before the site
+  /// table grows by `count`: size per-site state, check quiescence.
+  virtual void OnAddSites(int count) { (void)count; }
+
+ private:
+  struct Site {
+    bexpr::ExprFactory* factory;
+    bool coordinator;
+    std::atomic<uint64_t> visits{0};
+  };
+  /// Indexed by global site id. A deque, so growth never relocates the
+  /// atomics; grown only while quiescent, because worker contexts read
+  /// it (site_factory, RecordVisit).
+  std::deque<Site> sites_;
+  SiteId coordinator_ = -1;
 };
 
 /// Name -> factory registry of every linked-in backend, mirroring the
@@ -284,7 +319,7 @@ class ExecBackendRegistry {
   /// `arg` is the spec suffix after ':' ("8" in "threads:8"), empty
   /// when absent.
   using Factory = Result<std::unique_ptr<ExecBackend>> (*)(
-      const BackendConfig& config, std::string_view arg);
+      const sim::NetworkParams& network, std::string_view arg);
 
   static ExecBackendRegistry& Instance();
 
@@ -299,10 +334,11 @@ class ExecBackendRegistry {
   /// The registered spec grammar for `name` (`name` itself if unknown).
   std::string Grammar(std::string_view name) const;
 
-  /// Create from a spec "name" or "name:arg". Unknown names get an
-  /// InvalidArgument listing every registered backend.
+  /// Create a backend with no sites from a spec "name" or "name:arg"
+  /// (`network` is the sim's). Unknown names get an InvalidArgument
+  /// listing every registered backend.
   Result<std::unique_ptr<ExecBackend>> CreateOrError(
-      std::string_view spec, const BackendConfig& config) const;
+      std::string_view spec, const sim::NetworkParams& network = {}) const;
 
   struct Registrar {
     Registrar(int order, std::string name, std::string grammar,

@@ -1,8 +1,7 @@
 #include "exec/codec.h"
 
-#include <cstring>
-
 #include "boolexpr/serialize.h"
+#include "common/bytes.h"
 
 namespace parbox::exec {
 
@@ -18,32 +17,6 @@ std::vector<bexpr::ExprId> TripletRoots(const bexpr::FragmentEquations& eq) {
   roots.insert(roots.end(), eq.cv.begin(), eq.cv.end());
   roots.insert(roots.end(), eq.dv.begin(), eq.dv.end());
   return roots;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool GetU32(std::string_view* data, uint32_t* v) {
-  if (data->size() < 4) return false;
-  std::memcpy(v, data->data(), 4);
-  data->remove_prefix(4);
-  return true;
-}
-
-bool GetU64(std::string_view* data, uint64_t* v) {
-  if (data->size() < 8) return false;
-  std::memcpy(v, data->data(), 8);
-  data->remove_prefix(8);
-  return true;
 }
 
 /// Roots (3n of them, possibly none) back into a triplet.
@@ -86,6 +59,33 @@ Parcel MakeTripletBatchParcel(const bexpr::ExprFactory& factory,
   });
 }
 
+Result<TripletBatch> DecodeTripletBatch(std::string_view wire,
+                                        bexpr::ExprFactory* factory) {
+  ByteReader r(wire);
+  const uint32_t count = r.U32();
+  // Every item carries at least its header: a count the remaining
+  // bytes cannot hold is malformed, not an allocation.
+  if (!r.ok() || count > r.remaining() / kItemHeaderBytes) {
+    return Status::Internal("truncated triplet batch wire");
+  }
+  TripletBatch batch;
+  batch.items.resize(count);
+  for (TripletBatch::Item& item : batch.items) {
+    item.key = r.U64();
+    item.slot = static_cast<int32_t>(r.U32());
+    const auto fragment = static_cast<int32_t>(r.U32());
+    const std::string_view payload = r.Bytes(r.U32());
+    if (!r.ok()) return Status::Internal("truncated triplet batch wire");
+    PARBOX_ASSIGN_OR_RETURN(std::vector<bexpr::ExprId> roots,
+                            bexpr::DeserializeExprs(factory, payload));
+    PARBOX_RETURN_IF_ERROR(SplitRoots(std::move(roots), fragment, &item.eq));
+  }
+  if (r.remaining() != 0) {
+    return Status::Internal("trailing bytes after triplet batch wire");
+  }
+  return batch;
+}
+
 Result<TripletBatch> TakeTripletBatch(Parcel parcel,
                                       bexpr::ExprFactory* factory) {
   if (parcel.has_local()) {
@@ -94,38 +94,7 @@ Result<TripletBatch> TakeTripletBatch(Parcel parcel,
   if (!parcel.has_wire()) {
     return Status::Internal("batch parcel carries neither value nor wire");
   }
-  std::string_view data = parcel.wire();
-  uint32_t count = 0;
-  if (!GetU32(&data, &count)) {
-    return Status::Internal("truncated triplet batch parcel");
-  }
-  // Every item carries at least its header: a count the remaining
-  // bytes cannot hold is malformed, not an allocation.
-  if (count > data.size() / kItemHeaderBytes) {
-    return Status::Internal("truncated triplet batch parcel");
-  }
-  TripletBatch batch;
-  batch.items.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    TripletBatch::Item& item = batch.items[i];
-    uint32_t slot = 0;
-    uint32_t fragment = 0;
-    uint32_t payload_size = 0;
-    if (!GetU64(&data, &item.key) || !GetU32(&data, &slot) ||
-        !GetU32(&data, &fragment) || !GetU32(&data, &payload_size) ||
-        data.size() < payload_size) {
-      return Status::Internal("truncated triplet batch parcel");
-    }
-    item.slot = static_cast<int32_t>(slot);
-    PARBOX_ASSIGN_OR_RETURN(
-        std::vector<bexpr::ExprId> roots,
-        bexpr::DeserializeExprs(factory, data.substr(0, payload_size)));
-    data.remove_prefix(payload_size);
-    PARBOX_RETURN_IF_ERROR(SplitRoots(std::move(roots),
-                                      static_cast<int32_t>(fragment),
-                                      &item.eq));
-  }
-  return batch;
+  return DecodeTripletBatch(parcel.wire(), factory);
 }
 
 }  // namespace parbox::exec

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "boolexpr/expr.h"
@@ -54,10 +55,15 @@ Parcel MakeTripletBatchParcel(const bexpr::ExprFactory& factory,
 
 /// Receiving side: the batch, with ids valid in `*factory` (the
 /// receiving context's). Decodes the wire bytes when the parcel
-/// crossed factories, otherwise moves the local value out. Malformed
-/// wire bytes (truncated, or counts the bytes cannot hold) fail.
+/// crossed factories, otherwise moves the local value out.
 Result<TripletBatch> TakeTripletBatch(Parcel parcel,
                                       bexpr::ExprFactory* factory);
+
+/// The one decoder of a batch's wire bytes (also the site daemon's),
+/// into `*factory`. Malformed bytes (truncated, trailing, or counts the
+/// bytes cannot hold) fail.
+Result<TripletBatch> DecodeTripletBatch(std::string_view wire,
+                                        bexpr::ExprFactory* factory);
 
 }  // namespace parbox::exec
 

@@ -4,40 +4,35 @@ namespace parbox::exec {
 
 Result<std::unique_ptr<BackendHost>> BackendHost::Create(
     std::string_view spec, const sim::NetworkParams& network) {
-  BackendConfig config;
-  config.num_sites = 0;   // namespaces grow the substrate on demand
-  config.coordinator = -1;
-  config.network = network;
-  config.coordinator_factory = nullptr;
   PARBOX_ASSIGN_OR_RETURN(
       std::unique_ptr<ExecBackend> backend,
-      ExecBackendRegistry::Instance().CreateOrError(spec, config));
+      ExecBackendRegistry::Instance().CreateOrError(spec, network));
   auto host = std::unique_ptr<BackendHost>(new BackendHost());
   host->spec_ = std::string(spec);
   host->backend_ = std::move(backend);
   return host;
 }
 
-Result<std::unique_ptr<ExecBackend>> BackendHost::AddNamespace(
-    const BackendConfig& config) {
+Result<std::unique_ptr<ExecBackend>> BackendHost::OpenNamespace(
+    int num_sites, SiteId coordinator,
+    bexpr::ExprFactory* coordinator_factory) {
   PARBOX_ASSIGN_OR_RETURN(
       SiteId base,
-      backend_->AddNamespace(config.num_sites, config.coordinator,
-                             config.coordinator_factory));
+      backend_->AddNamespace(num_sites, coordinator, coordinator_factory));
   const std::string prefix = "d" + std::to_string(next_namespace_++) + ".";
   return std::unique_ptr<ExecBackend>(
-      new NamespaceBackend(backend_.get(), base, config.num_sites,
-                           config.coordinator, prefix));
+      new NamespaceBackend(backend_.get(), base, num_sites, coordinator,
+                           coordinator_factory, prefix));
 }
 
 NamespaceBackend::NamespaceBackend(ExecBackend* shared, SiteId base,
                                    int num_sites, SiteId coordinator,
+                                   bexpr::ExprFactory* factory,
                                    std::string prefix)
-    : shared_(shared),
-      base_(base),
-      num_sites_(num_sites),
-      coordinator_(coordinator),
-      prefix_(std::move(prefix)) {
+    : shared_(shared), base_(base), prefix_(std::move(prefix)) {
+  // The view's own site table, in local ids; the substrate has
+  // already accepted these arguments, so this cannot fail.
+  (void)AddNamespace(num_sites, coordinator, factory);
   CaptureBaseline();
 }
 
@@ -54,12 +49,9 @@ void NamespaceBackend::Send(SiteId from, SiteId to, Parcel parcel,
 void NamespaceBackend::CaptureBaseline() {
   clock_base_ = shared_->now();
   baseline_busy_ = shared_->total_busy_seconds();
-  baseline_visits_.assign(static_cast<size_t>(num_sites_), 0);
-  baseline_into_.assign(static_cast<size_t>(num_sites_), 0);
+  baseline_into_.assign(static_cast<size_t>(num_sites()), 0);
   const sim::TrafficStats& t = shared_->traffic();
-  for (int s = 0; s < num_sites_; ++s) {
-    baseline_visits_[static_cast<size_t>(s)] =
-        shared_->visits_at(base_ + s);
+  for (int s = 0; s < num_sites(); ++s) {
     baseline_into_[static_cast<size_t>(s)] = t.bytes_into(base_ + s);
   }
   baseline_tags_.clear();
@@ -90,7 +82,7 @@ const sim::TrafficStats& NamespaceBackend::traffic() const {
     if (bytes == 0 && messages == 0) continue;
     scoped_.AddTagCounts(tag.substr(prefix_.size()), bytes, messages);
   }
-  for (int s = 0; s < num_sites_; ++s) {
+  for (int s = 0; s < num_sites(); ++s) {
     const uint64_t into = t.bytes_into(base_ + s) -
                           baseline_into_[static_cast<size_t>(s)];
     if (into > 0) scoped_.AddBytesInto(s, into);

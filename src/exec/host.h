@@ -1,8 +1,8 @@
 // BackendHost: one shared execution substrate hosting many documents.
 //
 // A catalog serving N documents must not stand up N clusters / N
-// thread pools. The host owns ONE underlying ExecBackend (sim or
-// threads, by registry spec) created with zero sites; every document
+// thread pools. The host owns ONE underlying ExecBackend (by registry
+// spec), which like every backend starts with no sites; every document
 // (in fact, every Session joining the host) registers a *namespace* —
 // a fresh block of global sites via ExecBackend::AddNamespace — and
 // receives a NamespaceBackend: an ExecBackend view scoped to that
@@ -11,14 +11,17 @@
 //   * site ids translate local <-> global (local site s = global
 //     base + s), so Session, the evaluators, and QueryService run
 //     unchanged;
+//   * visits land in the view's own site table (the namespace again,
+//     in local ids) as well as the substrate's;
 //   * traffic tags are namespace-prefixed on the wire ("d3.query"),
 //     which makes the shared substrate's merged meters exactly
-//     separable: the view's traffic()/visits()/now() present ONLY its
+//     separable: the view's traffic()/now() present ONLY its
 //     namespace's share, with tags unprefixed again — byte-identical
 //     to what a dedicated backend would have metered (the
 //     tests/catalog_test.cc differential);
-//   * Reset() is local: the view snapshots baselines (meters + clock)
-//     instead of rewinding the substrate under its neighbors, so
+//   * Reset() is local: the view zeroes its own visits and snapshots
+//     baselines of the clock, busy time and traffic instead of
+//     rewinding the substrate under its neighbors, so
 //     Session::Execute's rewind-per-run contract holds per namespace;
 //   * Drain() drives the WHOLE substrate (work is shared; any
 //     namespace's drain finishes everyone's outstanding work) and
@@ -54,12 +57,11 @@ class BackendHost {
   static Result<std::unique_ptr<BackendHost>> Create(
       std::string_view spec, const sim::NetworkParams& network = {});
 
-  /// Register a namespace of `config.num_sites` sites whose local
-  /// `config.coordinator` runs in coordinator context against
-  /// `config.coordinator_factory`, and return the scoped view. Called
-  /// by Session when SessionOptions::host is set. Requires quiescence.
-  Result<std::unique_ptr<ExecBackend>> AddNamespace(
-      const BackendConfig& config);
+  /// ExecBackend::AddNamespace on the substrate, returning the scoped
+  /// view. Called by Session when SessionOptions::host is set.
+  Result<std::unique_ptr<ExecBackend>> OpenNamespace(
+      int num_sites, SiteId coordinator,
+      bexpr::ExprFactory* coordinator_factory);
 
   /// The underlying shared substrate (drive it directly to drain all
   /// documents at once).
@@ -81,14 +83,14 @@ class BackendHost {
 /// tests; normal code receives it as a plain ExecBackend.
 class NamespaceBackend final : public ExecBackend {
  public:
-  /// `*shared` must outlive this view. `base` is the namespace's first
-  /// global site id, `prefix` its traffic-tag prefix ("d3.").
+  /// `*shared` must outlive this view. `base` is the first global site
+  /// id of a namespace `*shared` already holds, `prefix` its
+  /// traffic-tag prefix ("d3.").
   NamespaceBackend(ExecBackend* shared, SiteId base, int num_sites,
-                   SiteId coordinator, std::string prefix);
+                   SiteId coordinator, bexpr::ExprFactory* factory,
+                   std::string prefix);
 
   std::string_view name() const override { return shared_->name(); }
-  int num_sites() const override { return num_sites_; }
-  SiteId coordinator() const override { return coordinator_; }
 
   bexpr::ExprFactory& site_factory(SiteId site) override {
     return shared_->site_factory(base_ + site);
@@ -100,6 +102,7 @@ class NamespaceBackend final : public ExecBackend {
   void Send(SiteId from, SiteId to, Parcel parcel, std::string_view tag,
             DeliverFn deliver) override;
   void RecordVisit(SiteId site) override {
+    ExecBackend::RecordVisit(site);
     shared_->RecordVisit(base_ + site);
   }
 
@@ -111,17 +114,16 @@ class NamespaceBackend final : public ExecBackend {
   double Drain() override { return shared_->Drain() - clock_base_; }
   /// Local rewind: snapshots baselines instead of resetting the shared
   /// substrate under the other namespaces.
-  void Reset() override { CaptureBaseline(); }
+  void Reset() override {
+    ResetVisits();
+    CaptureBaseline();
+  }
 
   void MutateExclusive(const Task& mutate) override {
     shared_->MutateExclusive(mutate);
   }
 
   const sim::TrafficStats& traffic() const override;
-  uint64_t visits_at(SiteId site) const override {
-    return shared_->visits_at(base_ + site) -
-           baseline_visits_[static_cast<size_t>(site)];
-  }
   double total_busy_seconds() const override {
     // Busy time is per worker, not per namespace, on the thread pool;
     // this is the substrate's busy share since the last local Reset.
@@ -135,16 +137,11 @@ class NamespaceBackend final : public ExecBackend {
     return shared_->RecoveryEpoch(base_ + site);
   }
 
-  SiteId base() const { return base_; }
-  const std::string& tag_prefix() const { return prefix_; }
-
  private:
   void CaptureBaseline();
 
   ExecBackend* shared_;
   SiteId base_;
-  int num_sites_;
-  SiteId coordinator_;
   std::string prefix_;
 
   /// Meter/clock baselines as of construction or the last Reset();
@@ -152,7 +149,6 @@ class NamespaceBackend final : public ExecBackend {
   /// reset dedicated backend.
   double clock_base_ = 0.0;
   double baseline_busy_ = 0.0;
-  std::vector<uint64_t> baseline_visits_;
   std::vector<uint64_t> baseline_into_;
   /// Prefixed tag -> (bytes, messages) at baseline.
   std::map<std::string, std::pair<uint64_t, uint64_t>, std::less<>>

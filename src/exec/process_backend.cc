@@ -92,20 +92,8 @@ ProcessBackend::Options ProcessBackend::Options::FromEnv() {
   return options;
 }
 
-ProcessBackend::ProcessBackend(const BackendConfig& config,
-                               const Options& options)
-    : num_sites_(config.num_sites),
-      coordinator_(config.coordinator),
-      options_(options),
-      coord_factory_(static_cast<size_t>(std::max(config.num_sites, 0)),
-                     nullptr),
-      visits_(static_cast<size_t>(std::max(config.num_sites, 0)), 0),
-      epoch_(mono()) {
-  if (config.coordinator >= 0 && config.coordinator < config.num_sites) {
-    coord_factory_[static_cast<size_t>(config.coordinator)] =
-        config.coordinator_factory;
-  }
-}
+ProcessBackend::ProcessBackend(const Options& options)
+    : options_(options), epoch_(mono()) {}
 
 ProcessBackend::~ProcessBackend() {
   for (auto& link : links_) {
@@ -120,9 +108,8 @@ ProcessBackend::~ProcessBackend() {
 }
 
 Result<std::unique_ptr<ExecBackend>> ProcessBackend::Make(
-    const BackendConfig& config, const Options& options) {
-  std::unique_ptr<ProcessBackend> backend(
-      new ProcessBackend(config, options));
+    const Options& options) {
+  std::unique_ptr<ProcessBackend> backend(new ProcessBackend(options));
   PARBOX_RETURN_IF_ERROR(backend->Start());
   return std::unique_ptr<ExecBackend>(std::move(backend));
 }
@@ -361,10 +348,7 @@ uint32_t ProcessBackend::shard_key_of(SiteId to) const {
 }
 
 bexpr::ExprFactory& ProcessBackend::site_factory(SiteId site) {
-  if (site >= 0 && static_cast<size_t>(site) < coord_factory_.size() &&
-      coord_factory_[static_cast<size_t>(site)] != nullptr) {
-    return *coord_factory_[static_cast<size_t>(site)];
-  }
+  if (is_coordinator_site(site)) return namespace_factory(site);
   return *shard_factory_[static_cast<size_t>(daemon_of(site))];
 }
 
@@ -423,28 +407,8 @@ void ProcessBackend::Send(SiteId from, SiteId to, Parcel parcel,
   }
 }
 
-Result<SiteId> ProcessBackend::AddNamespace(
-    int num_sites, SiteId coordinator,
-    bexpr::ExprFactory* coordinator_factory) {
+void ProcessBackend::OnAddSites(int) {
   assert(AllAcked() && ready_.empty() && "AddNamespace requires quiescence");
-  if (num_sites < 1) {
-    return Status::InvalidArgument("namespace needs at least one site");
-  }
-  if (coordinator < 0 || coordinator >= num_sites) {
-    return Status::InvalidArgument(
-        "namespace coordinator outside [0, num_sites)");
-  }
-  if (coordinator_factory == nullptr) {
-    return Status::InvalidArgument("namespace needs a coordinator factory");
-  }
-  const SiteId base = num_sites_;
-  num_sites_ += num_sites;
-  coord_factory_.resize(static_cast<size_t>(num_sites_), nullptr);
-  coord_factory_[static_cast<size_t>(base + coordinator)] =
-      coordinator_factory;
-  visits_.resize(static_cast<size_t>(num_sites_), 0);
-  if (coordinator_ < 0) coordinator_ = base + coordinator;
-  return base;
 }
 
 void ProcessBackend::ScheduleAt(double when, Task task) {
@@ -740,7 +704,7 @@ void ProcessBackend::Reset() {
          "Reset requires quiescence (call after Drain)");
   assert(timers_.empty() && "Reset with timers pending");
   traffic_.Reset();
-  std::fill(visits_.begin(), visits_.end(), 0);
+  ResetVisits();
   busy_seconds_ = 0.0;
   tasks_run_ = 0;
   next_timer_seq_ = 0;
@@ -820,7 +784,7 @@ void ProcessBackend::AddBackendStats(obs::MetricsSnapshot* stats) const {
 namespace {
 
 Result<std::unique_ptr<ExecBackend>> MakeProcessBackend(
-    const BackendConfig& config, std::string_view arg) {
+    const sim::NetworkParams&, std::string_view arg) {
   ProcessBackend::Options options = ProcessBackend::Options::FromEnv();
   // Spec grammar: proc | proc:N | proc:N,tcp | proc:tcp
   std::string_view rest = arg;
@@ -853,7 +817,7 @@ Result<std::unique_ptr<ExecBackend>> MakeProcessBackend(
         "optional \",tcp\" transport suffix — proc[:N[,tcp]] (got \"" +
         std::string(arg) + "\")");
   }
-  return ProcessBackend::Make(config, options);
+  return ProcessBackend::Make(options);
 }
 
 }  // namespace

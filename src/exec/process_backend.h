@@ -110,26 +110,17 @@ class ProcessBackend final : public ExecBackend {
   /// handshake; fails with the underlying reason (missing sited
   /// binary, nobody listening, handshake timeout) instead of
   /// constructing a dead backend.
-  static Result<std::unique_ptr<ExecBackend>> Make(
-      const BackendConfig& config, const Options& options);
+  static Result<std::unique_ptr<ExecBackend>> Make(const Options& options);
 
   ~ProcessBackend() override;
 
   std::string_view name() const override { return "proc"; }
-  int num_sites() const override { return num_sites_; }
-  SiteId coordinator() const override { return coordinator_; }
-  Result<SiteId> AddNamespace(
-      int num_sites, SiteId coordinator,
-      bexpr::ExprFactory* coordinator_factory) override;
 
   bexpr::ExprFactory& site_factory(SiteId site) override;
 
   void Compute(SiteId site, uint64_t ops, Task done) override;
   void Send(SiteId from, SiteId to, Parcel parcel, std::string_view tag,
             DeliverFn deliver) override;
-  void RecordVisit(SiteId site) override {
-    ++visits_[static_cast<size_t>(site)];
-  }
 
   void ScheduleAt(double when, Task task) override;
   double now() const override;
@@ -140,9 +131,6 @@ class ProcessBackend final : public ExecBackend {
   void MutateExclusive(const Task& mutate) override { mutate(); }
 
   const sim::TrafficStats& traffic() const override { return traffic_; }
-  uint64_t visits_at(SiteId site) const override {
-    return visits_[static_cast<size_t>(site)];
-  }
   double total_busy_seconds() const override { return busy_seconds_; }
   void AddBackendStats(obs::MetricsSnapshot* stats) const override;
 
@@ -210,18 +198,15 @@ class ProcessBackend final : public ExecBackend {
     }
   };
 
-  ProcessBackend(const BackendConfig& config, const Options& options);
+  explicit ProcessBackend(const Options& options);
   Status Start();
+  void OnAddSites(int count) override;
 
   // Monotonic wall seconds (process-wide base); now() is mono() minus
   // the Reset epoch, while the net layer stays on mono so Reset never
   // shifts in-flight deadlines.
   static double mono();
 
-  bool is_coordinator_site(SiteId site) const {
-    return site >= 0 && static_cast<size_t>(site) < coord_factory_.size() &&
-           coord_factory_[static_cast<size_t>(site)] != nullptr;
-  }
   int daemon_of(SiteId site) const {
     return static_cast<int>(static_cast<size_t>(site) % links_.size());
   }
@@ -251,10 +236,7 @@ class ProcessBackend final : public ExecBackend {
   void RunReady();
   void Fatal(const std::string& why);
 
-  int num_sites_;
-  SiteId coordinator_;
   Options options_;
-  std::vector<bexpr::ExprFactory*> coord_factory_;
   /// One coordinator-side shadow factory per daemon: the factory
   /// domain of that daemon's sites' execution contexts.
   std::vector<std::unique_ptr<bexpr::ExprFactory>> shard_factory_;
@@ -273,7 +255,6 @@ class ProcessBackend final : public ExecBackend {
   uint64_t next_timer_seq_ = 0;
 
   sim::TrafficStats traffic_;
-  std::vector<uint64_t> visits_;
   double busy_seconds_ = 0.0;
   uint64_t tasks_run_ = 0;
   double epoch_ = 0.0;  ///< mono() at construction / last Reset

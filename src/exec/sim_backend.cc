@@ -7,13 +7,13 @@ namespace parbox::exec {
 namespace {
 
 Result<std::unique_ptr<ExecBackend>> MakeSimBackend(
-    const BackendConfig& config, std::string_view arg) {
+    const sim::NetworkParams& network, std::string_view arg) {
   if (!arg.empty()) {
     return Status::InvalidArgument(
         "backend \"sim\" takes no argument (got \"" + std::string(arg) +
         "\")");
   }
-  return std::unique_ptr<ExecBackend>(new SimBackend(config));
+  return std::unique_ptr<ExecBackend>(new SimBackend(network));
 }
 
 }  // namespace

@@ -19,11 +19,12 @@
 // straight through: nothing is serialized. This backend is the
 // differential oracle every other backend is held to.
 //
-// Multi-document hosting (AddNamespace): the cluster grows by a block
-// of fresh sites per namespace; each block is pinned to its own
-// session factory, and blocks never exchange messages, so several
-// documents share one virtual clock and one event loop while their
-// figures stay exactly those of dedicated clusters.
+// The cluster starts empty and grows by one block of sites per
+// AddNamespace; the base class's site table pins each block to its
+// session factory, and this class keeps only each site's busy clock.
+// Blocks never exchange messages, so several documents share one
+// virtual clock and one event loop while their figures stay exactly
+// those of dedicated clusters.
 
 #ifndef PARBOX_EXEC_SIM_BACKEND_H_
 #define PARBOX_EXEC_SIM_BACKEND_H_
@@ -42,49 +43,21 @@ namespace parbox::exec {
 
 class SimBackend final : public ExecBackend {
  public:
-  explicit SimBackend(const BackendConfig& config)
-      : params_(config.network),
-        sites_(static_cast<size_t>(config.num_sites)),
-        coordinator_(config.coordinator) {
-    // 0 sites is a valid start for a shared multi-namespace substrate
-    // (exec::BackendHost) that grows per document via AddNamespace().
-    assert(config.num_sites >= 0);
-    if (config.num_sites > 0) {
-      ranges_.push_back(Range{0, config.num_sites,
-                              config.coordinator_factory});
-    }
-  }
+  explicit SimBackend(const sim::NetworkParams& params = {})
+      : params_(params) {}
 
   std::string_view name() const override { return "sim"; }
-  int num_sites() const override { return static_cast<int>(sites_.size()); }
-  SiteId coordinator() const override { return coordinator_; }
-
-  Result<SiteId> AddNamespace(
-      int num_sites, SiteId coordinator,
-      bexpr::ExprFactory* coordinator_factory) override {
-    if (num_sites < 1) {
-      return Status::InvalidArgument("namespace needs at least one site");
-    }
-    const SiteId base = this->num_sites();
-    sites_.resize(sites_.size() + static_cast<size_t>(num_sites));
-    ranges_.push_back(Range{base, num_sites, coordinator_factory});
-    if (ranges_.size() == 1) coordinator_ = base + coordinator;
-    return base;
-  }
 
   bexpr::ExprFactory& site_factory(SiteId site) override {
     // On the sim every site of a namespace shares the namespace's
     // session factory (the single-factory semantics the figures were
     // recorded under); namespaces never read each other's.
-    for (const Range& r : ranges_) {
-      if (site >= r.base && site < r.base + r.num_sites) return *r.factory;
-    }
-    return *ranges_.front().factory;
+    return namespace_factory(site);
   }
 
   void Compute(SiteId site, uint64_t ops, Task done) override {
     assert(site >= 0 && site < num_sites());
-    Site& s = sites_[site];
+    Busy& s = busy_[static_cast<size_t>(site)];
     const double duration =
         static_cast<double>(ops) / params_.site_ops_per_second;
     const double finish = std::max(loop_.now(), s.busy_until) + duration;
@@ -110,8 +83,6 @@ class SimBackend final : public ExecBackend {
     });
   }
 
-  void RecordVisit(SiteId site) override { ++sites_[site].visits; }
-
   void ScheduleAt(double when, Task task) override {
     loop_.At(when, std::move(task));
   }
@@ -127,18 +98,16 @@ class SimBackend final : public ExecBackend {
   void Reset() override {
     loop_.Reset();
     traffic_.Reset();
-    std::fill(sites_.begin(), sites_.end(), Site{});
+    ResetVisits();
+    std::fill(busy_.begin(), busy_.end(), Busy{});
   }
 
   void MutateExclusive(const Task& mutate) override { mutate(); }
 
   const sim::TrafficStats& traffic() const override { return traffic_; }
-  uint64_t visits_at(SiteId site) const override {
-    return sites_[site].visits;
-  }
   double total_busy_seconds() const override {
     double total = 0.0;
-    for (const Site& s : sites_) total += s.busy_seconds;
+    for (const Busy& s : busy_) total += s.busy_seconds;
     return total;
   }
   void AddBackendStats(obs::MetricsSnapshot* stats) const override {
@@ -146,24 +115,19 @@ class SimBackend final : public ExecBackend {
   }
 
  private:
-  struct Site {
+  void OnAddSites(int count) override {
+    busy_.resize(busy_.size() + static_cast<size_t>(count));
+  }
+
+  struct Busy {
     double busy_until = 0.0;    ///< when its compute queue drains
     double busy_seconds = 0.0;  ///< compute time charged since Reset
-    uint64_t visits = 0;
-  };
-  /// One namespace's block of sites and its pinned session factory.
-  struct Range {
-    SiteId base = 0;
-    int num_sites = 0;
-    bexpr::ExprFactory* factory = nullptr;
   };
 
   sim::EventLoop loop_;
   sim::NetworkParams params_;
   sim::TrafficStats traffic_;
-  std::vector<Site> sites_;
-  SiteId coordinator_;
-  std::vector<Range> ranges_;
+  std::vector<Busy> busy_;  ///< per site
 };
 
 }  // namespace parbox::exec

@@ -15,26 +15,14 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-ThreadPoolBackend::ThreadPoolBackend(const BackendConfig& config,
-                                     int num_workers)
-    : num_sites_(config.num_sites),
-      coordinator_(config.coordinator),
-      coord_factory_(static_cast<size_t>(std::max(config.num_sites, 0)),
-                     nullptr),
-      visits_(static_cast<size_t>(config.num_sites)),
-      epoch_(std::chrono::steady_clock::now()) {
-  coord_.factory = config.coordinator_factory;
-  if (config.coordinator >= 0 && config.coordinator < config.num_sites) {
-    coord_factory_[static_cast<size_t>(config.coordinator)] =
-        config.coordinator_factory;
-  }
+ThreadPoolBackend::ThreadPoolBackend(int num_workers)
+    : epoch_(std::chrono::steady_clock::now()) {
   const int n = std::max(1, num_workers);
   workers_.reserve(static_cast<size_t>(n));
   threads_.reserve(static_cast<size_t>(n));
   for (int w = 0; w < n; ++w) {
     auto ex = std::make_unique<Executor>();
-    ex->owned_factory = std::make_unique<bexpr::ExprFactory>();
-    ex->factory = ex->owned_factory.get();
+    ex->factory = std::make_unique<bexpr::ExprFactory>();
     workers_.push_back(std::move(ex));
   }
   for (int w = 0; w < n; ++w) {
@@ -168,33 +156,9 @@ void ThreadPoolBackend::Send(SiteId from, SiteId to, Parcel parcel,
   });
 }
 
-Result<SiteId> ThreadPoolBackend::AddNamespace(
-    int num_sites, SiteId coordinator,
-    bexpr::ExprFactory* coordinator_factory) {
+void ThreadPoolBackend::OnAddSites(int) {
   assert(outstanding_.load(std::memory_order_acquire) == 0 &&
          "AddNamespace requires quiescence");
-  if (num_sites < 1) {
-    return Status::InvalidArgument("namespace needs at least one site");
-  }
-  if (coordinator < 0 || coordinator >= num_sites) {
-    return Status::InvalidArgument(
-        "namespace coordinator outside [0, num_sites)");
-  }
-  if (coordinator_factory == nullptr) {
-    return Status::InvalidArgument(
-        "namespace needs a coordinator factory");
-  }
-  const SiteId base = num_sites_;
-  num_sites_ += num_sites;
-  coord_factory_.resize(static_cast<size_t>(num_sites_), nullptr);
-  coord_factory_[static_cast<size_t>(base + coordinator)] =
-      coordinator_factory;
-  visits_.resize(static_cast<size_t>(num_sites_));
-  if (coordinator_ < 0) {
-    coordinator_ = base + coordinator;
-    coord_.factory = coordinator_factory;
-  }
-  return base;
 }
 
 void ThreadPoolBackend::ScheduleAt(double when, Task task) {
@@ -271,7 +235,7 @@ void ThreadPoolBackend::Reset() {
     worker->busy_seconds = 0.0;
     worker->tasks_run = 0;
   }
-  for (auto& v : visits_) v.store(0, std::memory_order_relaxed);
+  ResetVisits();
   next_timer_seq_ = 0;
   epoch_ = std::chrono::steady_clock::now();
 }
@@ -303,7 +267,7 @@ void ThreadPoolBackend::AddBackendStats(obs::MetricsSnapshot* stats) const {
 namespace {
 
 Result<std::unique_ptr<ExecBackend>> MakeThreadPoolBackend(
-    const BackendConfig& config, std::string_view arg) {
+    const sim::NetworkParams&, std::string_view arg) {
   int workers = static_cast<int>(std::thread::hardware_concurrency());
   if (workers < 1) workers = 1;
   if (!arg.empty()) {
@@ -318,8 +282,7 @@ Result<std::unique_ptr<ExecBackend>> MakeThreadPoolBackend(
     }
     workers = parsed;
   }
-  return std::unique_ptr<ExecBackend>(
-      new ThreadPoolBackend(config, workers));
+  return std::unique_ptr<ExecBackend>(new ThreadPoolBackend(workers));
 }
 
 }  // namespace

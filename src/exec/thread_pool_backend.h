@@ -47,7 +47,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -63,37 +62,22 @@ namespace parbox::exec {
 
 class ThreadPoolBackend final : public ExecBackend {
  public:
-  ThreadPoolBackend(const BackendConfig& config, int num_workers);
+  explicit ThreadPoolBackend(int num_workers);
   ~ThreadPoolBackend() override;
 
   std::string_view name() const override { return "threads"; }
-  int num_sites() const override { return num_sites_; }
-  SiteId coordinator() const override { return coordinator_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  /// Multi-document hosting: a fresh block of sites sharded over the
-  /// SAME worker pool; `base + coordinator` joins the coordinator
-  /// context (the Drain()ing thread) with `coordinator_factory` as its
-  /// formula domain. Requires quiescence.
-  Result<SiteId> AddNamespace(
-      int num_sites, SiteId coordinator,
-      bexpr::ExprFactory* coordinator_factory) override;
 
   bexpr::ExprFactory& site_factory(SiteId site) override {
     // Coordinator sites (one per hosted namespace) compose into their
     // own session's factory; worker sites intern into the worker's.
-    if (bexpr::ExprFactory* f = coord_factory_of(site)) return *f;
+    if (is_coordinator_site(site)) return namespace_factory(site);
     return *executor_of(site)->factory;
   }
 
   void Compute(SiteId site, uint64_t ops, Task done) override;
   void Send(SiteId from, SiteId to, Parcel parcel, std::string_view tag,
             DeliverFn deliver) override;
-  void RecordVisit(SiteId site) override {
-    visits_[static_cast<size_t>(site)].fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
-
   void ScheduleAt(double when, Task task) override;
   double now() const override;
 
@@ -106,10 +90,6 @@ class ThreadPoolBackend final : public ExecBackend {
   }
 
   const sim::TrafficStats& traffic() const override;
-  uint64_t visits_at(SiteId site) const override {
-    return visits_[static_cast<size_t>(site)].load(
-        std::memory_order_relaxed);
-  }
   double total_busy_seconds() const override;
   void AddBackendStats(obs::MetricsSnapshot* stats) const override;
 
@@ -129,8 +109,7 @@ class ThreadPoolBackend final : public ExecBackend {
     std::mutex m;
     std::condition_variable cv;
 
-    bexpr::ExprFactory* factory = nullptr;  ///< owned for workers
-    std::unique_ptr<bexpr::ExprFactory> owned_factory;
+    std::unique_ptr<bexpr::ExprFactory> factory;  ///< workers only
     sim::TrafficStats traffic;
     double busy_seconds = 0.0;     ///< written by the consumer only
     uint64_t tasks_run = 0;        ///< written by the consumer only
@@ -149,18 +128,7 @@ class ThreadPoolBackend final : public ExecBackend {
     if (workers_.empty() || is_coordinator_site(site)) return &coord_;
     return workers_[static_cast<size_t>(site) % workers_.size()].get();
   }
-  const Executor* executor_of(SiteId site) const {
-    return const_cast<ThreadPoolBackend*>(this)->executor_of(site);
-  }
-  bool is_coordinator_site(SiteId site) const {
-    return site >= 0 && static_cast<size_t>(site) < coord_factory_.size() &&
-           coord_factory_[static_cast<size_t>(site)] != nullptr;
-  }
-  bexpr::ExprFactory* coord_factory_of(SiteId site) const {
-    return site >= 0 && static_cast<size_t>(site) < coord_factory_.size()
-               ? coord_factory_[static_cast<size_t>(site)]
-               : nullptr;
-  }
+  void OnAddSites(int count) override;
 
   /// Push onto `ex`'s mailbox (lock-free), waking its consumer if it
   /// might be parked. Accounts the task in outstanding_.
@@ -174,18 +142,9 @@ class ThreadPoolBackend final : public ExecBackend {
   void WorkerLoop(Executor* ex);
   void NotifyCoordinator();
 
-  int num_sites_;
-  SiteId coordinator_;
   Executor coord_;
   std::vector<std::unique_ptr<Executor>> workers_;
   std::vector<std::thread> threads_;
-  /// Per site: the hosting session's factory for coordinator sites,
-  /// nullptr for worker sites. Indexed by global site id; grown only
-  /// while quiescent (AddNamespace).
-  std::vector<bexpr::ExprFactory*> coord_factory_;
-  /// deque, not vector: AddNamespace grows it without relocating the
-  /// atomics live RecordVisit calls may already reference.
-  std::deque<std::atomic<uint64_t>> visits_;
 
   /// Tasks enqueued but not yet finished, across every executor; 0
   /// with empty mailboxes and timer heap means quiescent.

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "boolexpr/expr.h"
-#include "boolexpr/serialize.h"
+#include "exec/codec.h"
 #include "net/conn.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -97,26 +97,6 @@ struct SiteState {
   }
 };
 
-/// Decode a codec payload — the exec/codec.h triplet-batch image — into
-/// the shard factory; a payload that does not decode counts as a
-/// decode error (the coordinator still gets the echo; the real
-/// receiver surfaces any corruption).
-bool DecodePayload(std::string_view payload, bexpr::ExprFactory* factory) {
-  ByteReader r(payload);
-  const uint32_t count = r.U32();
-  for (uint32_t i = 0; i < count && r.ok(); ++i) {
-    (void)r.U64();  // key
-    (void)r.U32();  // slot
-    (void)r.U32();  // fragment
-    const uint32_t size = r.U32();
-    std::string_view exprs = r.Bytes(size);
-    if (!r.ok() || !bexpr::DeserializeExprs(factory, exprs).ok()) {
-      return false;
-    }
-  }
-  return r.ok() && r.remaining() == 0;
-}
-
 /// Handle one inbound frame; queues any response on `conn`. Returns
 /// false when the frame type is unknown (connection poisoned).
 bool HandleFrame(const Frame& frame, SiteState* state, SeqDedup* dedup,
@@ -133,8 +113,12 @@ bool HandleFrame(const Frame& frame, SiteState* state, SeqDedup* dedup,
         state->bytes_into[frame.dest] += frame.wire_bytes;
         if ((frame.flags & kFrameFlagCoded) != 0 &&
             (frame.flags & kFrameFlagHasPayload) != 0) {
-          if (DecodePayload(frame.payload,
-                            state->shard(frame.shard_base))) {
+          // Decoded into the shard factory; a payload that does not
+          // decode is counted (the coordinator still gets the echo, and
+          // the real receiver surfaces any corruption).
+          if (exec::DecodeTripletBatch(frame.payload,
+                                       state->shard(frame.shard_base))
+                  .ok()) {
             state->stats.decoded_payloads++;
           } else {
             state->stats.decode_errors++;

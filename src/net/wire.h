@@ -116,30 +116,6 @@ class FrameReader {
   std::string error_reason_;
 };
 
-// ---- Primitive little-endian helpers (shared with the stats blob) --
-
-void PutU8(std::string* out, uint8_t v);
-void PutU16(std::string* out, uint16_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-
-/// Bounds-checked sequential reads; any overrun latches !ok().
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  std::string_view Bytes(size_t n);
-  bool ok() const { return ok_; }
-  size_t remaining() const { return data_.size(); }
-
- private:
-  std::string_view data_;
-  bool ok_ = true;
-};
-
 /// What a site daemon meters and reports back (STATS_RESP payload):
 /// per-tag traffic it carried (bytes, messages — after seq dedup, so
 /// retried frames count once, exactly like the coordinator's logical

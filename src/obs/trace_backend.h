@@ -1,10 +1,11 @@
 // TracingBackend: an ExecBackend decorator that emits Compute/Send
 // spans and propagates trace contexts across execution contexts.
 //
-// Wraps ANY backend — sim, threads, or a NamespaceBackend view on a
-// shared host — and forwards everything; the only added behavior is
-// around Compute/Send/RecordVisit when the tracer is enabled AND the
-// calling context carries an active TraceContext:
+// Wraps ANY backend once its sites exist — sim, threads, or a
+// NamespaceBackend view on a shared host — and forwards everything (its
+// own site table stays empty); the only added behavior is around
+// Compute/Send/RecordVisit when the tracer is enabled AND the calling
+// context carries an active TraceContext:
 //
 //   * Compute: a span covering enqueue -> done (so it includes queue
 //     wait on the site's serial queue, exactly the paper's
@@ -53,12 +54,6 @@ class TracingBackend final : public exec::ExecBackend {
   int num_sites() const override { return inner_->num_sites(); }
   exec::SiteId coordinator() const override {
     return inner_->coordinator();
-  }
-  Result<exec::SiteId> AddNamespace(
-      int num_sites, exec::SiteId coordinator,
-      bexpr::ExprFactory* coordinator_factory) override {
-    return inner_->AddNamespace(num_sites, coordinator,
-                                coordinator_factory);
   }
   bexpr::ExprFactory& site_factory(exec::SiteId site) override {
     return inner_->site_factory(site);

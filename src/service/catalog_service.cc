@@ -47,7 +47,7 @@ Status CatalogService::ServeDocument(std::string_view name) {
   options.network = catalog_->options().network;
   // All documents report into one registry, namespaced to match the
   // host's traffic-tag prefix for the namespace this service is about
-  // to claim ("d<N>." — host.cc assigns them in AddNamespace order).
+  // to claim ("d<N>." — host.cc assigns them in OpenNamespace order).
   options.metrics = &metrics();
   options.metrics_prefix =
       "d" + std::to_string(catalog_->host()->num_namespaces()) + ".";

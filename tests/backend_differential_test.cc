@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "core/evaluator.h"
 #include "core/session.h"
 #include "exec/backend.h"
+#include "exec/host.h"
 #include "fragment/delta.h"
 #include "fragment/placement.h"
 #include "fragment/strategies.h"
@@ -371,6 +373,57 @@ TEST(BackendDifferentialTest, FairShareSchedulerBitIdenticalAcrossBackends) {
   for (const std::string& backend : RealBackends()) {
     EXPECT_EQ(oracle, serve(backend, /*fair=*/true)) << backend;
     EXPECT_EQ(oracle, serve(backend, /*fair=*/false)) << backend;
+  }
+}
+
+// AddNamespace is the only way sites come into being, and every
+// registered backend keeps the one contract: the same bad inputs fail,
+// namespaces get contiguous bases, each coordinator composes into its
+// own namespace's factory, and a host's views count their own visits.
+TEST(BackendDifferentialTest, AddNamespaceContractOnEveryBackend) {
+  bexpr::ExprFactory first;
+  bexpr::ExprFactory second;
+  for (const std::string& spec : {std::string("sim"), RealBackends()[0],
+                                  RealBackends()[1]}) {
+    SCOPED_TRACE(spec);
+    auto created = exec::ExecBackendRegistry::Instance().CreateOrError(spec);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    exec::ExecBackend& backend = **created;
+    EXPECT_EQ(backend.num_sites(), 0);
+    for (const auto& [sites, coordinator, factory] :
+         {std::tuple<int, exec::SiteId, bexpr::ExprFactory*>{0, 0, &first},
+          {3, 3, &first}, {3, -1, &first}, {3, 0, nullptr}}) {
+      EXPECT_EQ(
+          backend.AddNamespace(sites, coordinator, factory).status().code(),
+          StatusCode::kInvalidArgument)
+          << sites << " sites, coordinator " << coordinator;
+    }
+    EXPECT_EQ(backend.num_sites(), 0);
+    auto a = backend.AddNamespace(3, 1, &first);
+    auto b = backend.AddNamespace(2, 0, &second);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, 0);
+    EXPECT_EQ(*b, 3);
+    EXPECT_EQ(backend.num_sites(), 5);
+    EXPECT_EQ(backend.coordinator(), 1);
+    EXPECT_EQ(&backend.site_factory(1), &first);
+    EXPECT_EQ(&backend.site_factory(3), &second);
+
+    auto host = exec::BackendHost::Create(spec);
+    ASSERT_TRUE(host.ok()) << host.status().ToString();
+    auto view_a = (*host)->OpenNamespace(3, 1, &first);
+    auto view_b = (*host)->OpenNamespace(2, 0, &second);
+    ASSERT_TRUE(view_a.ok() && view_b.ok());
+    (*view_a)->RecordVisit(2);
+    (*view_b)->RecordVisit(0);
+    (*view_b)->RecordVisit(0);
+    EXPECT_EQ((*view_a)->visits(), (std::vector<uint64_t>{0, 0, 1}));
+    EXPECT_EQ((*view_b)->visits(), (std::vector<uint64_t>{2, 0}));
+    (*view_a)->Reset();
+    EXPECT_EQ((*view_a)->visits(), (std::vector<uint64_t>{0, 0, 0}));
+    EXPECT_EQ((*view_b)->visits(), (std::vector<uint64_t>{2, 0}));
+    EXPECT_EQ((*host)->backend().visits(),
+              (std::vector<uint64_t>{0, 0, 1, 2, 0}));
   }
 }
 

@@ -93,6 +93,15 @@ TEST(TripletBatchCodecTest, EveryTruncationRejected) {
   }
 }
 
+TEST(TripletBatchCodecTest, TrailingBytesRejected) {
+  ExprFactory sender;
+  const std::string wire = Wire(sender, MakeBatch(&sender));
+  ExprFactory receiver;
+  ASSERT_TRUE(DecodeTripletBatch(wire, &receiver).ok());
+  EXPECT_FALSE(
+      TakeTripletBatch(Parcel::FromWire(wire + '\0', 0), &receiver).ok());
+}
+
 TEST(TripletBatchCodecTest, HugeItemCountRejected) {
   ExprFactory receiver;
   std::string wire = "\xff\xff\xff\xff";  // 2^32 - 1 items

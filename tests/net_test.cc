@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/session.h"
 #include "exec/backend.h"
 #include "exec/process_backend.h"
@@ -101,7 +102,7 @@ TEST(WireTest, FrameReaderHandlesPartialAndBackToBackFrames) {
 TEST(WireTest, FrameReaderRejectsOversizedAndTruncatedFrames) {
   // A length prefix beyond kMaxFrameBody poisons the reader.
   std::string bogus;
-  net::PutU32(&bogus, net::kMaxFrameBody + 1);
+  PutU32(&bogus, net::kMaxFrameBody + 1);
   bogus += "xxxx";
   net::FrameReader reader;
   reader.Feed(bogus.data(), bogus.size());
@@ -111,7 +112,7 @@ TEST(WireTest, FrameReaderRejectsOversizedAndTruncatedFrames) {
 
   // A frame whose body is shorter than the fixed header also poisons.
   std::string tiny;
-  net::PutU32(&tiny, 4);
+  PutU32(&tiny, 4);
   tiny += "abcd";
   net::FrameReader reader2;
   reader2.Feed(tiny.data(), tiny.size());
@@ -127,7 +128,7 @@ TEST(WireTest, FrameReaderRejectsOversizedAndTruncatedFrames) {
 // counter + link reset) instead of hanging or crashing.
 TEST(WireTest, OversizedHeaderSurfacesReasonWithoutBuffering) {
   std::string bogus;
-  net::PutU32(&bogus, net::kMaxFrameBody + 1);
+  PutU32(&bogus, net::kMaxFrameBody + 1);
   bogus.append(1024, 'x');
   net::FrameReader reader;
   reader.Feed(bogus.data(), bogus.size());
@@ -321,6 +322,9 @@ TEST(ProcessBackendTest, DaemonMetersMatchCoordinatorTraffic) {
   }
   EXPECT_EQ(daemon_msgs, traffic.total_messages());
   EXPECT_EQ(merged.parcels, traffic.total_messages());
+  // Every triplet batch crossed as codec bytes the daemon decoded.
+  EXPECT_EQ(merged.decode_errors, 0u);
+  EXPECT_EQ(merged.decoded_payloads, traffic.messages_with_tag("triplet"));
 }
 
 // Seeded fault injection: drops, delays, and duplicates on the wire

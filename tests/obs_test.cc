@@ -609,6 +609,31 @@ TEST(TracingIntegrationTest, EveryCoordinatorSolveIsTracedAsSolve) {
   EXPECT_EQ(CountSpans(tracer, "solve"), 1u);
 }
 
+TEST(TracingIntegrationTest, SelectionSecondPassIsTracedLikeARound) {
+  // Each selection's second pass runs its site work inline in the
+  // delivery, as a round's walk does: a site.eval span per site.reply
+  // compute, and no unnamed compute.
+  Scenario scenario = MakePortfolio();
+  Tracer tracer;
+  auto session = core::Session::Create(&scenario.set, &scenario.st,
+                                       {.backend = "sim", .tracer = &tracer});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto q = session->Prepare(xmark::kYhooQuery);
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(core::RunSelectionParBoX(*session, *q).ok());
+  EXPECT_EQ(CountSpans(tracer, "compute"), 0u);
+  EXPECT_EQ(CountSpans(tracer, "site.eval"),
+            CountSpans(tracer, "site.reply"));
+
+  tracer.Reset();
+  auto path = xpath::CompileSelection("//stock");
+  ASSERT_TRUE(path.ok());
+  ASSERT_TRUE(core::RunPathSelection(*session, *path).ok());
+  EXPECT_EQ(CountSpans(tracer, "compute"), 0u);
+  EXPECT_EQ(CountSpans(tracer, "site.eval"),
+            CountSpans(tracer, "site.reply"));
+}
+
 TEST(MetricsIntegrationTest, RegistryMatchesTrafficStats) {
   // One backend counter per substrate that must export as a gauge.
   const std::map<std::string, std::string> kBackendGauge = {

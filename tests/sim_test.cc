@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "boolexpr/expr.h"
 #include "exec/sim_backend.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -12,10 +14,14 @@ namespace {
 
 using exec::Parcel;
 
-/// The simulated cluster: a sim backend over `num_sites` sites.
-exec::SimBackend MakeCluster(int num_sites,
-                             const NetworkParams& params = {}) {
-  return exec::SimBackend({.num_sites = num_sites, .network = params});
+/// The simulated cluster: a sim backend with one namespace of
+/// `num_sites` sites.
+std::unique_ptr<exec::SimBackend> MakeCluster(
+    int num_sites, const NetworkParams& params = {}) {
+  static bexpr::ExprFactory factory;
+  auto cluster = std::make_unique<exec::SimBackend>(params);
+  EXPECT_TRUE(cluster->AddNamespace(num_sites, 0, &factory).ok());
+  return cluster;
 }
 
 TEST(EventLoopTest, RunsInTimeOrder) {
@@ -55,22 +61,22 @@ TEST(EventLoopTest, ReentrantScheduling) {
 TEST(ClusterTest, ComputeChargesDuration) {
   NetworkParams params;
   params.site_ops_per_second = 1000.0;
-  exec::SimBackend cluster = MakeCluster(2, params);
+  auto cluster = MakeCluster(2, params);
   double done_at = -1;
-  cluster.Compute(0, 500, [&] { done_at = cluster.now(); });
-  cluster.Drain();
+  cluster->Compute(0, 500, [&] { done_at = cluster->now(); });
+  cluster->Drain();
   EXPECT_DOUBLE_EQ(done_at, 0.5);
-  EXPECT_DOUBLE_EQ(cluster.total_busy_seconds(), 0.5);
+  EXPECT_DOUBLE_EQ(cluster->total_busy_seconds(), 0.5);
 }
 
 TEST(ClusterTest, SiteSerializesItsQueue) {
   NetworkParams params;
   params.site_ops_per_second = 1000.0;
-  exec::SimBackend cluster = MakeCluster(1, params);
+  auto cluster = MakeCluster(1, params);
   std::vector<double> finish;
-  cluster.Compute(0, 1000, [&] { finish.push_back(cluster.now()); });
-  cluster.Compute(0, 1000, [&] { finish.push_back(cluster.now()); });
-  cluster.Drain();
+  cluster->Compute(0, 1000, [&] { finish.push_back(cluster->now()); });
+  cluster->Compute(0, 1000, [&] { finish.push_back(cluster->now()); });
+  cluster->Drain();
   ASSERT_EQ(finish.size(), 2u);
   EXPECT_DOUBLE_EQ(finish[0], 1.0);
   EXPECT_DOUBLE_EQ(finish[1], 2.0);  // FIFO, not parallel
@@ -79,52 +85,52 @@ TEST(ClusterTest, SiteSerializesItsQueue) {
 TEST(ClusterTest, SitesRunInParallel) {
   NetworkParams params;
   params.site_ops_per_second = 1000.0;
-  exec::SimBackend cluster = MakeCluster(2, params);
+  auto cluster = MakeCluster(2, params);
   double makespan_contrib = 0;
-  cluster.Compute(0, 1000, [&] {});
-  cluster.Compute(1, 1000, [&] {});
-  double makespan = cluster.Drain();
+  cluster->Compute(0, 1000, [&] {});
+  cluster->Compute(1, 1000, [&] {});
+  double makespan = cluster->Drain();
   (void)makespan_contrib;
   EXPECT_DOUBLE_EQ(makespan, 1.0);  // not 2.0
-  EXPECT_DOUBLE_EQ(cluster.total_busy_seconds(), 2.0);
+  EXPECT_DOUBLE_EQ(cluster->total_busy_seconds(), 2.0);
 }
 
 TEST(ClusterTest, SendChargesLatencyAndBandwidth) {
   NetworkParams params;
   params.latency_seconds = 0.1;
   params.bandwidth_bytes_per_second = 100.0;
-  exec::SimBackend cluster = MakeCluster(2, params);
+  auto cluster = MakeCluster(2, params);
   double arrival = -1;
-  cluster.Send(0, 1, Parcel::OfSize(50), "data",
-               [&](Parcel) { arrival = cluster.now(); });
-  cluster.Drain();
+  cluster->Send(0, 1, Parcel::OfSize(50), "data",
+                [&](Parcel) { arrival = cluster->now(); });
+  cluster->Drain();
   EXPECT_DOUBLE_EQ(arrival, 0.1 + 0.5);
-  EXPECT_EQ(cluster.traffic().total_bytes(), 50u);
-  EXPECT_EQ(cluster.traffic().total_messages(), 1u);
-  EXPECT_EQ(cluster.traffic().bytes_with_tag("data"), 50u);
-  EXPECT_EQ(cluster.traffic().bytes_into(1), 50u);
+  EXPECT_EQ(cluster->traffic().total_bytes(), 50u);
+  EXPECT_EQ(cluster->traffic().total_messages(), 1u);
+  EXPECT_EQ(cluster->traffic().bytes_with_tag("data"), 50u);
+  EXPECT_EQ(cluster->traffic().bytes_into(1), 50u);
 }
 
 TEST(ClusterTest, LocalSendIsFreeAndUntracked) {
-  exec::SimBackend cluster = MakeCluster(2);
+  auto cluster = MakeCluster(2);
   bool delivered = false;
-  cluster.Send(1, 1, Parcel::OfSize(1 << 20), "data",
-               [&](Parcel) { delivered = true; });
-  double makespan = cluster.Drain();
+  cluster->Send(1, 1, Parcel::OfSize(1 << 20), "data",
+                [&](Parcel) { delivered = true; });
+  double makespan = cluster->Drain();
   EXPECT_TRUE(delivered);
   EXPECT_DOUBLE_EQ(makespan, 0.0);
-  EXPECT_EQ(cluster.traffic().total_bytes(), 0u);
+  EXPECT_EQ(cluster->traffic().total_bytes(), 0u);
 }
 
 TEST(ClusterTest, VisitAccounting) {
-  exec::SimBackend cluster = MakeCluster(3);
-  cluster.RecordVisit(1);
-  cluster.RecordVisit(1);
-  cluster.RecordVisit(2);
-  EXPECT_EQ(cluster.visits_at(0), 0u);
-  EXPECT_EQ(cluster.visits_at(1), 2u);
-  EXPECT_EQ(cluster.visits_at(2), 1u);
-  EXPECT_EQ(cluster.visits(), (std::vector<uint64_t>{0, 2, 1}));
+  auto cluster = MakeCluster(3);
+  cluster->RecordVisit(1);
+  cluster->RecordVisit(1);
+  cluster->RecordVisit(2);
+  EXPECT_EQ(cluster->visits_at(0), 0u);
+  EXPECT_EQ(cluster->visits_at(1), 2u);
+  EXPECT_EQ(cluster->visits_at(2), 1u);
+  EXPECT_EQ(cluster->visits(), (std::vector<uint64_t>{0, 2, 1}));
 }
 
 TEST(ClusterTest, PipelinedRequestReplyTiming) {
@@ -133,15 +139,15 @@ TEST(ClusterTest, PipelinedRequestReplyTiming) {
   params.latency_seconds = 0.25;
   params.bandwidth_bytes_per_second = 1e9;
   params.site_ops_per_second = 100.0;
-  exec::SimBackend cluster = MakeCluster(2, params);
+  auto cluster = MakeCluster(2, params);
   double reply_at = -1;
-  cluster.Send(0, 1, Parcel::OfSize(0), "request", [&](Parcel) {
-    cluster.Compute(1, 100, [&] {
-      cluster.Send(1, 0, Parcel::OfSize(0), "reply",
-                   [&](Parcel) { reply_at = cluster.now(); });
+  cluster->Send(0, 1, Parcel::OfSize(0), "request", [&](Parcel) {
+    cluster->Compute(1, 100, [&] {
+      cluster->Send(1, 0, Parcel::OfSize(0), "reply",
+                    [&](Parcel) { reply_at = cluster->now(); });
     });
   });
-  cluster.Drain();
+  cluster->Drain();
   EXPECT_DOUBLE_EQ(reply_at, 0.25 + 1.0 + 0.25);
 }
 
